@@ -52,6 +52,16 @@ def idem_zero2():
     return validate_magma(2, [[0, 1], [1, 1]], zero=1)
 
 
+def naive_closure(magma, seed):
+    """Fixpoint of adding all pairwise products, independent of the program's closure."""
+    current = set(seed)
+    while True:
+        extra = {magma.table[x][y] for x in current for y in current} - current
+        if not extra:
+            return frozenset(current)
+        current |= extra
+
+
 def involution_arrow_category():
     """Two objects a, b; besides id_a (0) and id_b (1) there is an involution
     s: a -> a (2) and two parallel arrows u, v: a -> b (3, 4) swapped by it:

@@ -243,6 +243,22 @@ class TestSubprecategories:
                     if comp[s][t] is not None:
                         assert comp[s][t] in subset
 
+    def test_matches_brute_force(self, involution_cat, z2_cat, idem_cat):
+        # Every morphism subset, kept when closed under defined composition.
+        # The direct and the zero-submagma routes share one closed-subset
+        # search, so this is the check that does not run through it.
+        def brute(cat):
+            m = cat.morphism_count
+            out = []
+            for mask in range(1 << m):
+                subset = frozenset(s for s in range(m) if mask >> s & 1)
+                if all(cat.comp[s][t] is None or cat.comp[s][t] in subset for s in subset for t in subset):
+                    out.append(subset)
+            return out
+
+        for cat in (involution_cat, z2_cat, idem_cat, matrix_groupoid(2), product_category(involution_cat, z2_cat)):
+            assert enumerate_subprecategories(cat) == brute(cat)
+
     def test_zero_submagma_route_agrees(self, involution_cat, z2_cat, idem_cat):
         for source, target in [
             (involution_cat, z2_cat),

@@ -10,6 +10,7 @@ from gradeforge.errors import (
     SizeOverflowError,
     ValidationError,
 )
+from gradeforge.category import enumerate_subprecategories, matrix_groupoid
 from gradeforge.magma import (
     FiniteMagma,
     abelian_group_magma,
@@ -18,6 +19,7 @@ from gradeforge.magma import (
     census,
     closure,
     cyclic_group_magma,
+    enumerate_product_submagmas,
     enumerate_submagmas,
     enumerate_zero_submagmas,
     magma_from_word,
@@ -28,7 +30,7 @@ from gradeforge.magma import (
     word_of_magma,
 )
 
-from conftest import ORDER2_WORDS, dihedral_group_table, quaternion_group_table, symmetric_group_table
+from conftest import ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
 
 
 class TestValidate:
@@ -115,15 +117,6 @@ class TestClosure:
     def test_bad_seed(self, order2):
         with pytest.raises(IndexOutOfRangeError):
             closure(order2["aaaa"], [5])
-
-
-def naive_closure(magma, seed):
-    current = set(seed)
-    while True:
-        extra = {magma.table[x][y] for x in current for y in current} - current
-        if not extra:
-            return frozenset(current)
-        current |= extra
 
 
 class TestSubmagmas:
@@ -307,3 +300,21 @@ class TestBudgets:
     def test_matrix_units_size_cap(self):
         with pytest.raises(SizeOverflowError):
             matrix_unit_zero_magma(8)
+
+
+@pytest.mark.parametrize(
+    "search, nodes",
+    [
+        (lambda budget: enumerate_submagmas(abelian_group_magma([4, 2]), budget), 42),
+        (lambda budget: enumerate_zero_submagmas(matrix_unit_zero_magma(2), matrix_unit_zero_magma(2), budget), 2714),
+        (lambda budget: enumerate_subprecategories(matrix_groupoid(3), budget), 398),
+        (lambda budget: enumerate_product_submagmas(magma_from_word("aabb"), magma_from_word("aabb"), budget), 31),
+    ],
+    ids=["submagmas", "zero_submagmas", "subprecategories", "product_submagmas"],
+)
+def test_closed_subset_searches_spend_one_node_per_visited_node(search, nodes):
+    # The exact minimal budget pins the node accounting: it changes if a
+    # search visits nodes in another way or counts them differently.
+    search(Budget(max_nodes=nodes))
+    with pytest.raises(SizeOverflowError):
+        search(Budget(max_nodes=nodes - 1))

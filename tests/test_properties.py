@@ -14,6 +14,8 @@ from gradeforge.magma import (
     validate_magma,
 )
 
+from conftest import naive_closure
+
 
 @st.composite
 def magmas(draw, max_order=5, with_zero=False):
@@ -64,6 +66,7 @@ def test_submagmas_are_exactly_the_closure_fixpoints(magma):
         for seed in itertools.combinations(range(magma.order), r):
             s = frozenset(seed)
             assert (closure(magma, s) == s) == (s in subs)
+            assert (naive_closure(magma, s) == s) == (s in subs)
 
 
 @settings(max_examples=60, deadline=None)
