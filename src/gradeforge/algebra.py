@@ -29,7 +29,6 @@ from .magma import (
     enumerate_product_submagmas,
     enumerate_zero_homs,
     enumerate_zero_submagmas,
-    graph_relation,
 )
 
 RING_ZERO = None
@@ -155,6 +154,23 @@ class Verdict:
         return self.holds
 
 
+def _family(algebra: AlgebraPresentation, target: FiniteMagma, pairs) -> ElementaryFamily:
+    """The family with parts[h] spanned by the base lines at the g paired with h.
+
+    Source elements outside the basis (a contracted zero) contribute nothing.
+    """
+    parts = [set() for _ in range(target.order)]
+    for g, h in pairs:
+        b = algebra.basis_of_source[g]
+        if b is not None:
+            parts[h].add(b)
+    return ElementaryFamily(
+        algebra=algebra,
+        target=target,
+        parts=tuple(frozenset(p) for p in parts),
+    )
+
+
 def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) -> ElementaryFamily:
     """Send a pair relation f to the family with parts[h] spanned by f^{-1}(h).
 
@@ -162,16 +178,7 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
     """
     if relation.left != algebra.source:
         raise BasisMismatchError("relation's left magma is not the algebra's source")
-    parts = [set() for _ in range(relation.right.order)]
-    for g, h in relation.pairs:
-        b = algebra.basis_of_source[g]
-        if b is not None:
-            parts[h].add(b)
-    return ElementaryFamily(
-        algebra=algebra,
-        target=relation.right,
-        parts=tuple(frozenset(p) for p in parts),
-    )
+    return _family(algebra, relation.right, relation.pairs)
 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
@@ -427,7 +434,7 @@ def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMa
         raise ValidationError("plain gradings live on the plain magma algebra")
     budget = budget or DEFAULT_BUDGET
     return [
-        grading_from_relation(algebra, graph_relation(algebra.source, target, images))
+        _family(algebra, target, enumerate(images))
         for images in enumerate_homs(algebra.source, target, budget)
     ]
 
@@ -438,7 +445,7 @@ def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: 
         raise ValidationError("nonzero gradings live on the contracted algebra")
     budget = budget or DEFAULT_BUDGET
     return [
-        grading_from_relation(algebra, graph_relation(algebra.source, target, images))
+        _family(algebra, target, enumerate(images))
         for images in enumerate_zero_homs(algebra.source, target, budget)
     ]
 
@@ -449,7 +456,7 @@ def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMag
         raise ValidationError("plain filters live on the plain magma algebra")
     budget = budget or DEFAULT_BUDGET
     return [
-        grading_from_relation(algebra, rel)
+        _family(algebra, target, rel.pairs)
         for rel in enumerate_product_submagmas(algebra.source, target, budget)
     ]
 
@@ -460,20 +467,9 @@ def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: F
         raise ValidationError("nonzero filters live on the contracted algebra")
     budget = budget or DEFAULT_BUDGET
     return [
-        grading_from_relation(algebra, rel)
+        _family(algebra, target, rel.pairs)
         for rel in enumerate_zero_submagmas(algebra.source, target, budget)
     ]
-
-
-def _family_from_morphism_map(algebra, target_magma, target_cat, morphism_map):
-    parts = [set() for _ in range(target_magma.order)]
-    for s, u in enumerate(morphism_map):
-        parts[u].add(algebra.basis_of_source[s])
-    return ElementaryFamily(
-        algebra=algebra,
-        target=target_magma,
-        parts=tuple(frozenset(p) for p in parts),
-    )
 
 
 def enumerate_category_gradings(
@@ -499,7 +495,7 @@ def enumerate_category_gradings(
         else enumerate_functors(source, target, budget)
     )
     families = [
-        _family_from_morphism_map(algebra, target_magma, target, mm.morphism_map)
+        _family(algebra, target_magma, enumerate(mm.morphism_map))
         for mm in maps
     ]
     return algebra, families
@@ -519,16 +515,8 @@ def enumerate_category_filters(
     budget = budget or DEFAULT_BUDGET
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
-    families = []
-    for pair_set in enumerate_subprecategory_pairs(source, target, budget):
-        parts = [set() for _ in range(target_magma.order)]
-        for s, t in pair_set:
-            parts[t].add(algebra.basis_of_source[s])
-        families.append(
-            ElementaryFamily(
-                algebra=algebra,
-                target=target_magma,
-                parts=tuple(frozenset(p) for p in parts),
-            )
-        )
+    families = [
+        _family(algebra, target_magma, pair_set)
+        for pair_set in enumerate_subprecategory_pairs(source, target, budget)
+    ]
     return algebra, families

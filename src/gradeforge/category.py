@@ -22,7 +22,7 @@ from .errors import (
     ReductionMismatchError,
     ValidationError,
 )
-from .magma import FiniteMagma, enumerate_zero_homs, enumerate_zero_submagmas
+from .magma import FiniteMagma, _bits, _closed_subsets, enumerate_zero_homs, enumerate_zero_submagmas
 
 
 @dataclass(frozen=True)
@@ -523,49 +523,8 @@ def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget | None = N
     morphisms; identities are not required to belong.
     """
     budget = budget or DEFAULT_BUDGET
-    counter = NodeCounter(budget)
-    m = cat.morphism_count
-    comp = cat.comp
-    full = (1 << m) - 1
-    results: list[int] = []
-
-    def close(mask, fresh, banned):
-        while fresh:
-            x = fresh.pop()
-            mm = mask
-            while mm:
-                y = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                for z in (comp[x][y], comp[y][x]):
-                    if z is None:
-                        continue
-                    bit = 1 << z
-                    if not mask & bit:
-                        if banned & bit:
-                            return None
-                        mask |= bit
-                        fresh.append(z)
-        return mask
-
-    def search(included, excluded):
-        counter.spend()
-        undecided = full & ~(included | excluded)
-        if not undecided:
-            results.append(included)
-            return
-        e = (undecided & -undecided).bit_length() - 1
-        search(included, excluded | (1 << e))
-        closed = close(included | (1 << e), [e], excluded)
-        if closed is not None:
-            search(closed, excluded)
-
-    search(0, 0)
-    results.sort()
-    out = []
-    for mask in results:
-        subset = frozenset(i for i in range(m) if mask & (1 << i))
-        out.append(subset)
-    return out
+    masks = _closed_subsets(cat.comp, 0, 0, NodeCounter(budget))
+    return [frozenset(_bits(m)) for m in masks]
 
 
 def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> list:

@@ -234,18 +234,11 @@ def run(argv=None, out=None, err=None) -> int:
 
         if args.command == "submagmas":
             source = _load_magma(args.source)
-            if args.zero:
-                if args.target is None:
-                    raise ValidationError("--zero needs a second magma operand")
-                target = _load_magma(args.target)
-                rels = enumerate_zero_submagmas(source, target, budget)
-                items = [sorted(rel.pairs) for rel in rels]
-                if args.json:
-                    _emit(out, io.enumeration_report([{"pairs": [list(p) for p in it]} for it in items]))
-                else:
-                    _emit(out, "".join("{" + " ".join(f"{g}:{h}" for g, h in it) + "}\n" for it in items))
-            elif args.target is not None:
-                rels = enumerate_product_submagmas(source, _load_magma(args.target), budget)
+            if args.zero and args.target is None:
+                raise ValidationError("--zero needs a second magma operand")
+            if args.target is not None:
+                search = enumerate_zero_submagmas if args.zero else enumerate_product_submagmas
+                rels = search(source, _load_magma(args.target), budget)
                 items = [sorted(rel.pairs) for rel in rels]
                 if args.json:
                     _emit(out, io.enumeration_report([{"pairs": [list(p) for p in it]} for it in items]))

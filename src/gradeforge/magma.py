@@ -195,27 +195,12 @@ def matrix_unit_zero_magma(n: int, budget: Budget | None = None) -> FiniteMagma:
 
 def closure(magma: FiniteMagma, seed) -> frozenset:
     """Smallest superset of ``seed`` closed under the table (fixpoint saturation)."""
-    table = magma.table
-    pending = []
     mask = 0
     for e in seed:
         if not 0 <= e < magma.order:
             raise IndexOutOfRangeError(f"seed element {e} not in 0..{magma.order - 1}")
-        if not mask & (1 << e):
-            mask |= 1 << e
-            pending.append(e)
-    while pending:
-        x = pending.pop()
-        row = table[x]
-        mm = mask
-        while mm:
-            y = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            for z in (row[y], table[y][x]):
-                if not mask & (1 << z):
-                    mask |= 1 << z
-                    pending.append(z)
-    return frozenset(_bits(mask))
+        mask |= 1 << e
+    return frozenset(_bits(_close(magma.table, mask, list(_bits(mask)), 0)))
 
 
 def _bits(mask: int):
@@ -223,6 +208,55 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _close(table, mask: int, fresh: list, banned: int):
+    # Saturate mask under table, multiplying each fresh element with every
+    # member on both sides; None entries impose nothing.  Returns None as soon
+    # as a product lands in banned.
+    while fresh:
+        x = fresh.pop()
+        row = table[x]
+        mm = mask
+        while mm:
+            y = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            for z in (row[y], table[y][x]):
+                if z is None:
+                    continue
+                bit = 1 << z
+                if not mask & bit:
+                    if banned & bit:
+                        return None
+                    mask |= bit
+                    fresh.append(z)
+    return mask
+
+
+def _closed_subsets(table, forced: int, banned: int, counter) -> list:
+    # Include/exclude search over elements in index order with an explicit
+    # stack: keep the closure of the included part, prune a branch whose
+    # closure meets an excluded element, spend one node per visited node.
+    # Returns the bit masks of all closed supersets of forced that avoid
+    # banned, in increasing order.
+    full = (1 << len(table)) - 1
+    results: list[int] = []
+    start = _close(table, forced, list(_bits(forced)), banned)
+    stack = [] if start is None else [(start, banned)]
+    while stack:
+        included, excluded = stack.pop()
+        counter.spend()
+        undecided = full & ~(included | excluded)
+        if not undecided:
+            results.append(included)
+            continue
+        bit = undecided & -undecided
+        closed = _close(table, included | bit, [bit.bit_length() - 1], excluded)
+        if closed is not None:
+            stack.append((closed, excluded))
+        stack.append((included, excluded | bit))
+    results.sort()
+    return results
 
 
 def enumerate_submagmas(magma: FiniteMagma, budget: Budget | None = None) -> list:
@@ -233,44 +267,8 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget | None = None) -> lis
     element.  Output is sorted by bit pattern, so the empty set comes first.
     """
     budget = budget or DEFAULT_BUDGET
-    counter = NodeCounter(budget)
-    n = magma.order
-    table = magma.table
-    full = (1 << n) - 1
-    results: list[int] = []
-
-    def close(mask: int, fresh: list, banned: int):
-        while fresh:
-            x = fresh.pop()
-            row = table[x]
-            mm = mask
-            while mm:
-                y = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                for z in (row[y], table[y][x]):
-                    bit = 1 << z
-                    if not mask & bit:
-                        if banned & bit:
-                            return None
-                        mask |= bit
-                        fresh.append(z)
-        return mask
-
-    def search(included: int, excluded: int):
-        counter.spend()
-        undecided = full & ~(included | excluded)
-        if not undecided:
-            results.append(included)
-            return
-        e = (undecided & -undecided).bit_length() - 1
-        search(included, excluded | (1 << e))
-        closed = close(included | (1 << e), [e], excluded)
-        if closed is not None:
-            search(closed, excluded)
-
-    search(0, 0)
-    results.sort()
-    return [frozenset(_bits(m)) for m in results]
+    masks = _closed_subsets(magma.table, 0, 0, NodeCounter(budget))
+    return [frozenset(_bits(m)) for m in masks]
 
 
 def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
@@ -290,65 +288,26 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
     and no nonzero g is paired with 0_H -- and f is closed under componentwise
     products whose left component is nonzero.  A forced product landing on
     (g, 0_H) with g nonzero kills the branch, since no such pair may exist.
+    Pairs are encoded as g*|right| + h, and |left|*|right| is capped by the
+    budget's max_order.
     """
     budget = budget or DEFAULT_BUDGET
     if left.zero is None or right.zero is None:
         raise MissingZeroError("both operands need a designated zero")
-    counter = NodeCounter(budget)
     ng, nh = left.order, right.order
+    check_order(ng * nh, budget)
     zg, zh = left.zero, right.zero
-    npairs = ng * nh
-    banned = 0
-    for g in range(ng):
-        if g != zg:
-            banned |= 1 << (g * nh + zh)
-    forced = zg * nh + zh
-    full = (1 << npairs) - 1
-    universe = full & ~banned & ~(1 << forced)
     gtab, htab = left.table, right.table
-    results: list[int] = []
-
-    def close(mask: int, fresh: list):
-        while fresh:
-            p = fresh.pop()
-            g, h = divmod(p, nh)
-            mm = mask
-            while mm:
-                q = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                g2, h2 = divmod(q, nh)
-                for ga, ha, gb, hb in ((g, h, g2, h2), (g2, h2, g, h)):
-                    gp = gtab[ga][gb]
-                    if gp == zg:
-                        continue
-                    t = gp * nh + htab[ha][hb]
-                    bit = 1 << t
-                    if not mask & bit:
-                        if banned & bit:
-                            return None
-                        mask |= bit
-                        fresh.append(t)
-        return mask
-
-    def search(included: int, excluded: int):
-        counter.spend()
-        undecided = universe & ~(included | excluded)
-        if not undecided:
-            results.append(included)
-            return
-        e = (undecided & -undecided).bit_length() - 1
-        search(included, excluded | (1 << e))
-        closed = close(included | (1 << e), [e])
-        if closed is not None and not closed & excluded:
-            search(closed, excluded)
-
-    start = close(1 << forced, [forced])
-    assert start is not None  # (0,0)*(0,0) has zero left component
-    search(start, 0)
-    results.sort()
+    table = [
+        [None if gtab[g][g2] == zg else gtab[g][g2] * nh + htab[h][h2] for g2 in range(ng) for h2 in range(nh)]
+        for g in range(ng)
+        for h in range(nh)
+    ]
+    banned = sum(1 << (g * nh + zh) for g in range(ng) if g != zg)
+    masks = _closed_subsets(table, 1 << (zg * nh + zh), banned, NodeCounter(budget))
     return [
         PairRelation(left, right, frozenset(divmod(p, nh) for p in _bits(m)))
-        for m in results
+        for m in masks
     ]
 
 

@@ -70,6 +70,20 @@ class TestSubmagmas:
         code, _, err = run_cli("submagmas", data(data_dir, "idem_pair_zero3.mag"), "--zero")
         assert code == 1
 
+    def test_zero_product_beyond_the_order_cap_exits_on_budget(self, tmp_path):
+        # 41 x 41 = 1,681 pairs, above the default max_order: a budget exit,
+        # not a traceback from a search that recurses once per pair.
+        null41 = tmp_path / "null41.mag"
+        null41.write_text("magma 41\nzero 0\n" + "".join(" ".join(["0"] * 41) + "\n" for _ in range(41)), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "gradeforge", "submagmas", str(null41), str(null41), "--zero"],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 2
+        assert "budget" in result.stderr and "Traceback" not in result.stderr
+
 
 class TestFunctors:
     def test_four_functors(self, data_dir):

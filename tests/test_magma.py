@@ -301,6 +301,16 @@ class TestBudgets:
         with pytest.raises(SizeOverflowError):
             matrix_unit_zero_magma(8)
 
+    def test_zero_submagmas_cap_the_pair_count_and_search_without_recursion(self):
+        null41 = validate_magma(41, [[0] * 41 for _ in range(41)], zero=0)
+        with pytest.raises(SizeOverflowError):
+            enumerate_zero_submagmas(null41, null41)
+        # With the order cap raised, the 1,681-pair search runs until the node
+        # budget stops it; a search recursing once per pair would overflow the
+        # interpreter stack first.
+        with pytest.raises(SizeOverflowError):
+            enumerate_zero_submagmas(null41, null41, Budget(max_order=2000, max_nodes=5000))
+
 
 @pytest.mark.parametrize(
     "search, nodes",
