@@ -39,10 +39,15 @@ VERIFY_SOURCES = [
 ]
 
 
+def _run(argv):
+    out = stringio.StringIO()
+    code = cli.run([*argv, *BUDGET], out, stringio.StringIO())
+    return code, out.getvalue()
+
+
 def observe(argv):
-    out, err = stringio.StringIO(), stringio.StringIO()
-    code = cli.run([*argv, *BUDGET], out, err)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    code, stdout = _run(argv)
+    return code, hashlib.sha256(stdout.encode("utf-8")).hexdigest()
 
 
 def _enumerations():
@@ -90,23 +95,16 @@ def cases(data_dir, tmp_dir):
             label = " ".join(argv + fmt)
             out.append((label, [resolve(a) for a in argv + fmt]))
     for algebra, source, flags in VERIFY_SOURCES:
-        code, doc = _json_run([resolve(a) for a in source])
+        code, doc = _run([resolve(a) for a in source + ("--json",)])
         assert code == 0, source
         items = json.loads(doc)["items"]
         for i in range(0, len(items), max(1, len(items) // VERIFY_PER_SOURCE)):
-            item = items[i]
             family = tmp_dir / f"{'_'.join(source)}_{i}.json"
-            family.write_text(json.dumps(item), encoding="utf-8")
+            family.write_text(json.dumps(items[i]), encoding="utf-8")
             for fmt in ((), ("--json",)):
                 label = " ".join(("verify", algebra, f"<{' '.join(source)}>[{i}]") + flags + fmt)
                 out.append((label, ["verify", resolve(algebra), str(family), *flags, *fmt]))
     return out
-
-
-def _json_run(argv):
-    out = stringio.StringIO()
-    code = cli.run([*argv, "--json", *BUDGET], out, stringio.StringIO())
-    return code, out.getvalue()
 
 
 def test_cli_outputs_match_golden_hashes(tmp_path):
