@@ -28,6 +28,9 @@ CATEGORIES = ["gamma.cat", "lambda_idem.cat", "lambda_z2.cat", "mg2.cat"]
 LARGE_CATEGORIES = ["gz2_presented.cat", "two_mg2.cat"]
 
 VERIFY_PER_SOURCE = 8
+# Each verify input also runs over odd prime fields, and again with one basis
+# index moved to the next part, which makes most axioms fail.
+VERIFY_FIELDS = [(), ("--field", "3"), ("--field", "5")]
 # (algebra file, enumeration argv whose --json items become verify inputs, verify flags)
 VERIFY_SOURCES = [
     ("aabb.mag", ("gradings", "aabb.mag", "abab.mag"), ()),
@@ -99,12 +102,33 @@ def cases(data_dir, tmp_dir):
         assert code == 0, source
         items = json.loads(doc)["items"]
         for i in range(0, len(items), max(1, len(items) // VERIFY_PER_SOURCE)):
-            family = tmp_dir / f"{'_'.join(source)}_{i}.json"
-            family.write_text(json.dumps(items[i]), encoding="utf-8")
-            for fmt in ((), ("--json",)):
-                label = " ".join(("verify", algebra, f"<{' '.join(source)}>[{i}]") + flags + fmt)
-                out.append((label, ["verify", resolve(algebra), str(family), *flags, *fmt]))
+            variants = [("", items[i])]
+            moved = _moved_index(items[i])
+            if moved is not None:
+                variants.append(("~moved", moved))
+            for suffix, item in variants:
+                family = tmp_dir / f"{'_'.join(source)}_{i}{suffix}.json"
+                family.write_text(json.dumps(item), encoding="utf-8")
+                for field in VERIFY_FIELDS:
+                    for fmt in ((), ("--json",)):
+                        label = " ".join(("verify", algebra, f"<{' '.join(source)}>[{i}]{suffix}") + flags + field + fmt)
+                        out.append((label, ["verify", resolve(algebra), str(family), *flags, *field, *fmt]))
     return out
+
+
+def _moved_index(item):
+    """The family item with the least basis index of its first nonempty part
+    moved into the next part (cyclically); None if every part is empty."""
+    parts = {h: list(part) for h, part in item["parts"].items()}
+    order = len(parts)
+    for h in range(order):
+        if parts[str(h)]:
+            b = min(parts[str(h)], key=int)
+            parts[str(h)].remove(b)
+            nxt = str((h + 1) % order)
+            parts[nxt] = sorted(set(parts[nxt]) | {b}, key=int)
+            return {**item, "parts": parts}
+    return None
 
 
 def test_cli_outputs_match_golden_hashes(tmp_path):
