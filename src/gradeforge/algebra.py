@@ -11,6 +11,7 @@ row reduction over a prime field, and the two verdicts must agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET, Budget
@@ -21,7 +22,7 @@ from .category import (
     enumerate_prefunctors,
     enumerate_subprecategory_pairs,
 )
-from .errors import BasisMismatchError, MissingZeroError, ValidationError
+from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
 from .magma import (
     FiniteMagma,
     PairRelation,
@@ -58,8 +59,40 @@ class AlgebraPresentation:
         return frozenset((self.basis_of_source[self.source.zero],))
 
 
+# Miller-Rabin to these twelve bases is exact below 3.3e24 > 2**64 (Sorenson & Webster 2015).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Exact for n < 2**64: trial division by the small primes, then Miller-Rabin to the same bases."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if math.isqrt(n) < 41:  # no prime factor up to 37 and none above it fits
+        return True
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _check_modulus(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p >= 1 << 64:
+        raise ValidationError(f"scalar modulus {p} is not below 2**64")
+    if not _is_prime(p):
         raise ValidationError(f"scalar modulus {p} is not prime")
 
 
@@ -154,21 +187,37 @@ class Verdict:
         return self.holds
 
 
-def _family(algebra: AlgebraPresentation, target: FiniteMagma, pairs) -> ElementaryFamily:
-    """The family with parts[h] spanned by the base lines at the g paired with h.
+def _support(bits):
+    """Indices of the set bits of a bitset, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _families(algebra: AlgebraPresentation, target: FiniteMagma, pair_sets) -> list:
+    """One family per pair set, with parts[h] spanned by the base lines at the g paired with h.
 
     Source elements outside the basis (a contracted zero) contribute nothing.
+    Equal parts across the list are one shared frozenset.
     """
-    parts = [set() for _ in range(target.order)]
-    for g, h in pairs:
-        b = algebra.basis_of_source[g]
-        if b is not None:
-            parts[h].add(b)
-    return ElementaryFamily(
-        algebra=algebra,
-        target=target,
-        parts=tuple(frozenset(p) for p in parts),
-    )
+    basis_of_source = algebra.basis_of_source
+    shared = {}
+    families = []
+    for pairs in pair_sets:
+        masks = [0] * target.order
+        for g, h in pairs:
+            b = basis_of_source[g]
+            if b is not None:
+                masks[h] |= 1 << b
+        parts = []
+        for mask in masks:
+            part = shared.get(mask)
+            if part is None:
+                part = shared[mask] = frozenset(_support(mask))
+            parts.append(part)
+        families.append(ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts)))
+    return families
 
 
 def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) -> ElementaryFamily:
@@ -178,7 +227,7 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
     """
     if relation.left != algebra.source:
         raise BasisMismatchError("relation's left magma is not the algebra's source")
-    return _family(algebra, relation.right, relation.pairs)
+    return _families(algebra, relation.right, [relation.pairs])[0]
 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
@@ -195,67 +244,113 @@ def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily)
 
 # ---------------------------------------------------------------------------
 # exact span arithmetic over F_p (the independent oracle)
+#
+# At p = 2 a vector is an int bitset (bit i is the coefficient of basis line
+# i); at odd p it is a {index: coefficient} dict of nonzero coefficients.  An
+# echelon is a {pivot: row} dict whose pivot is the row's highest index, with
+# the row scaled so that coefficient is 1.  Only the four primitives below
+# look at the representation.
 
 
 def _reduce(rows, p):
-    """Row-reduce over F_p; returns a list of pivoted, normalized rows."""
-    basis = []
+    """Row-reduce over F_p into an echelon {pivot: row}; its size is the rank."""
+    echelon = {}
+    if p == 2:
+        for row in rows:
+            while row:
+                top = row.bit_length() - 1
+                piv = echelon.get(top)
+                if piv is None:
+                    echelon[top] = row
+                    break
+                row ^= piv
+        return echelon
     for row in rows:
-        row = list(row)
-        for piv in basis:
-            lead = next(i for i, x in enumerate(piv) if x)
-            if row[lead]:
-                c = row[lead] * pow(piv[lead], -1, p)
-                row = [(a - c * b) % p for a, b in zip(row, piv)]
-        if any(row):
-            basis.append(row)
-    return basis
+        row = dict(row)
+        while row:
+            top = max(row)
+            c = row[top]
+            piv = echelon.get(top)
+            if piv is None:
+                inv = pow(c, -1, p)
+                echelon[top] = {i: a * inv % p for i, a in row.items()}
+                break
+            for i, a in piv.items():
+                x = (row.get(i, 0) - c * a) % p
+                if x:
+                    row[i] = x
+                else:
+                    del row[i]
+    return echelon
 
 
-def _in_span(vec, basis, p) -> bool:
-    vec = list(vec)
-    for piv in basis:
-        lead = next(i for i, x in enumerate(piv) if x)
-        if vec[lead]:
-            c = vec[lead] * pow(piv[lead], -1, p)
-            vec = [(a - c * b) % p for a, b in zip(vec, piv)]
-    return not any(vec)
+def _in_span(vec, echelon, p) -> bool:
+    if p == 2:
+        while vec:
+            piv = echelon.get(vec.bit_length() - 1)
+            if piv is None:
+                return False
+            vec ^= piv
+        return True
+    vec = dict(vec)
+    while vec:
+        top = max(vec)
+        piv = echelon.get(top)
+        if piv is None:
+            return False
+        c = vec[top]
+        for i, a in piv.items():
+            x = (vec.get(i, 0) - c * a) % p
+            if x:
+                vec[i] = x
+            else:
+                del vec[i]
+    return True
 
 
-def _unit_vector(i, n):
-    v = [0] * n
-    v[i] = 1
-    return v
+def _unit_vector(i, p):
+    return 1 << i if p == 2 else {i: 1}
 
 
 def _vector_product(algebra: AlgebraPresentation, u, v):
-    n = algebra.basis_size
+    """The bilinear product: structure constants applied to the supports of u and v."""
+    structure = algebra.structure
     p = algebra.scalar_modulus
-    out = [0] * n
-    for s in range(n):
-        if not u[s]:
-            continue
-        row = algebra.structure[s]
-        for t in range(n):
-            if not v[t]:
-                continue
+    if p == 2:
+        out = 0
+        while u:
+            low = u & -u
+            u ^= low
+            row = structure[low.bit_length() - 1]
+            w = v
+            while w:
+                low = w & -w
+                w ^= low
+                idx = row[low.bit_length() - 1]
+                if idx is not RING_ZERO:
+                    out ^= 1 << idx
+        return out
+    out = {}
+    for s, a in u.items():
+        row = structure[s]
+        for t, b in v.items():
             idx = row[t]
             if idx is not RING_ZERO:
-                out[idx] = (out[idx] + u[s] * v[t]) % p
+                x = (out.get(idx, 0) + a * b) % p
+                if x:
+                    out[idx] = x
+                else:
+                    del out[idx]
     return out
 
 
+def _units(algebra, part):
+    p = algebra.scalar_modulus
+    return [_unit_vector(b, p) for b in sorted(part)]
+
+
 def _part_span(algebra, part):
-    return _reduce([_unit_vector(b, algebra.basis_size) for b in sorted(part)], algebra.scalar_modulus)
-
-
-def _product_vectors(algebra, part_a, part_b):
-    vecs = []
-    for s in sorted(part_a):
-        us = _unit_vector(s, algebra.basis_size)
-        for t in sorted(part_b):
-            vecs.append(_vector_product(algebra, us, _unit_vector(t, algebra.basis_size)))
-    return vecs
+    return _reduce(_units(algebra, part), algebra.scalar_modulus)
 
 
 def _set_product(algebra, part_a, part_b) -> frozenset:
@@ -273,7 +368,7 @@ def _set_product(algebra, part_a, part_b) -> frozenset:
 
 def _agree(prop, set_verdict, span_verdict):
     if set_verdict[0] != span_verdict[0]:
-        raise AssertionError(
+        raise OracleDisagreementError(
             f"{prop}: subset arithmetic says {set_verdict[0]}, span arithmetic says {span_verdict[0]}"
         )
     holds, witness = set_verdict
@@ -292,13 +387,18 @@ def _filter_set(algebra, family):
 
 def _filter_span(algebra, family):
     p = algebra.scalar_modulus
-    target = family.target
-    for h in range(target.order):
-        for h2 in range(target.order):
-            span = _part_span(algebra, family.parts[target.table[h][h2]])
-            for vec in _product_vectors(algebra, family.parts[h], family.parts[h2]):
-                if not _in_span(vec, span, p):
-                    return False, (h, h2)
+    table = family.target.table
+    units = [_units(algebra, part) for part in family.parts]
+    spans = [_reduce(u, p) for u in units]
+    for h, units_h in enumerate(units):
+        if not units_h:
+            continue
+        for h2, units_h2 in enumerate(units):
+            span = spans[table[h][h2]]
+            for u in units_h:
+                for v in units_h2:
+                    if not _in_span(_vector_product(algebra, u, v), span, p):
+                        return False, (h, h2)
     return True, None
 
 
@@ -319,13 +419,14 @@ def _strong_set(algebra, family):
 
 def _strong_span(algebra, family):
     p = algebra.scalar_modulus
-    target = family.target
-    for h in range(target.order):
-        for h2 in range(target.order):
-            prods = _product_vectors(algebra, family.parts[h], family.parts[h2])
-            prod_span = _reduce(prods, p)
-            part_span = _part_span(algebra, family.parts[target.table[h][h2]])
-            if len(prod_span) != len(part_span) or not all(_in_span(v, part_span, p) for v in prod_span):
+    table = family.target.table
+    units = [_units(algebra, part) for part in family.parts]
+    spans = [_reduce(u, p) for u in units]
+    for h, units_h in enumerate(units):
+        for h2, units_h2 in enumerate(units):
+            prod_span = _reduce([_vector_product(algebra, u, v) for u in units_h for v in units_h2], p)
+            part_span = spans[table[h][h2]]
+            if len(prod_span) != len(part_span) or not all(_in_span(v, part_span, p) for v in prod_span.values()):
                 return False, (h, h2)
     return True, None
 
@@ -355,13 +456,11 @@ def _grading_span(algebra, family):
     holds, witness = _filter_span(algebra, family)
     if not holds:
         return holds, witness
-    p = algebra.scalar_modulus
     vectors = []
-    total = 0
     for part in family.parts:
-        total += len(part)
-        vectors.extend(_unit_vector(b, algebra.basis_size) for b in sorted(part))
-    rank = len(_reduce(vectors, p))
+        vectors.extend(_units(algebra, part))
+    total = len(vectors)
+    rank = len(_reduce(vectors, algebra.scalar_modulus))
     if total != algebra.basis_size or rank != algebra.basis_size:
         return False, (rank,)
     return True, None
@@ -390,7 +489,7 @@ def _nonzero_span(algebra, family):
         span = _part_span(algebra, part)
         if h == zero:
             base = _part_span(algebra, algebra.basis_zero_part())
-            same = len(span) == len(base) and all(_in_span(v, base, p) for v in span)
+            same = len(span) == len(base) and all(_in_span(v, base, p) for v in span.values())
             if not same:
                 return False, (h,)
         elif not span:
@@ -409,8 +508,8 @@ def _elementary_span(algebra, family):
         span = _part_span(algebra, part)
         if len(span) != len(part):
             return False, (h,)
-        for b in sorted(part):
-            if not _in_span(_unit_vector(b, algebra.basis_size), span, p):
+        for u in _units(algebra, part):
+            if not _in_span(u, span, p):
                 return False, (h,)
     return True, None
 
@@ -433,10 +532,7 @@ def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMa
     if algebra.contracted:
         raise ValidationError("plain gradings live on the plain magma algebra")
     budget = budget or DEFAULT_BUDGET
-    return [
-        _family(algebra, target, enumerate(images))
-        for images in enumerate_homs(algebra.source, target, budget)
-    ]
+    return _families(algebra, target, map(enumerate, enumerate_homs(algebra.source, target, budget)))
 
 
 def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
@@ -444,10 +540,7 @@ def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: 
     if not algebra.contracted:
         raise ValidationError("nonzero gradings live on the contracted algebra")
     budget = budget or DEFAULT_BUDGET
-    return [
-        _family(algebra, target, enumerate(images))
-        for images in enumerate_zero_homs(algebra.source, target, budget)
-    ]
+    return _families(algebra, target, map(enumerate, enumerate_zero_homs(algebra.source, target, budget)))
 
 
 def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
@@ -455,10 +548,8 @@ def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMag
     if algebra.contracted:
         raise ValidationError("plain filters live on the plain magma algebra")
     budget = budget or DEFAULT_BUDGET
-    return [
-        _family(algebra, target, rel.pairs)
-        for rel in enumerate_product_submagmas(algebra.source, target, budget)
-    ]
+    relations = enumerate_product_submagmas(algebra.source, target, budget)
+    return _families(algebra, target, [rel.pairs for rel in relations])
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
@@ -466,10 +557,8 @@ def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: F
     if not algebra.contracted:
         raise ValidationError("nonzero filters live on the contracted algebra")
     budget = budget or DEFAULT_BUDGET
-    return [
-        _family(algebra, target, rel.pairs)
-        for rel in enumerate_zero_submagmas(algebra.source, target, budget)
-    ]
+    relations = enumerate_zero_submagmas(algebra.source, target, budget)
+    return _families(algebra, target, [rel.pairs for rel in relations])
 
 
 def enumerate_category_gradings(
@@ -494,11 +583,7 @@ def enumerate_category_gradings(
         if prefunctors
         else enumerate_functors(source, target, budget)
     )
-    families = [
-        _family(algebra, target_magma, enumerate(mm.morphism_map))
-        for mm in maps
-    ]
-    return algebra, families
+    return algebra, _families(algebra, target_magma, [enumerate(mm.morphism_map) for mm in maps])
 
 
 def enumerate_category_filters(
@@ -515,8 +600,4 @@ def enumerate_category_filters(
     budget = budget or DEFAULT_BUDGET
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
-    families = [
-        _family(algebra, target_magma, pair_set)
-        for pair_set in enumerate_subprecategory_pairs(source, target, budget)
-    ]
-    return algebra, families
+    return algebra, _families(algebra, target_magma, enumerate_subprecategory_pairs(source, target, budget))

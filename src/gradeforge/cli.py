@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation or usage failure, 2 budget exhaustion,
-3 parse error.  Diagnostics go to stderr; standard output is deterministic,
+Exit codes: 0 success, 1 validation or usage failure (or, from ``verify``,
+a family that is not a filter), 2 budget exhaustion, 3 parse error.  If the
+subset and span oracles of an axiom check disagree, the run stops with
+OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard output is deterministic,
 so identical invocations are byte-identical.
 """
 

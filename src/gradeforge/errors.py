@@ -53,6 +53,13 @@ class ReductionMismatchError(ToolkitError):
     """
 
 
+class OracleDisagreementError(ToolkitError):
+    """The subset-arithmetic and span-arithmetic verdicts of an axiom check differ.
+
+    One of the two oracles is wrong, so neither verdict is reported.
+    """
+
+
 class SizeOverflowError(ToolkitError):
     """A configured size or search budget was exceeded."""
 

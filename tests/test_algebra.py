@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from gradeforge import algebra as alg
 from gradeforge.algebra import (
     ElementaryFamily,
     base_family,
@@ -23,7 +25,7 @@ from gradeforge.algebra import (
     relation_from_filter,
 )
 from gradeforge.category import adjoin_zero
-from gradeforge.errors import BasisMismatchError, MissingZeroError, ValidationError
+from gradeforge.errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
 from gradeforge.magma import (
     PairRelation,
     cyclic_group_magma,
@@ -158,6 +160,51 @@ class TestAxiomChecks:
                     for check in (is_filter, is_grading, is_strong, is_nonzero, is_elementary):
                         sink.append(check(a, fam).holds)
                 assert verdicts2 == verdicts5
+
+
+class TestOracleDisagreement:
+    @pytest.mark.parametrize("prop", ["filter", "grading", "strong", "nonzero", "elementary"])
+    def test_inverted_span_verdict_raises(self, order2, monkeypatch, prop):
+        a = magma_algebra(order2["abab"])
+        family = base_family(a)
+        span_half = getattr(alg, f"_{prop}_span")
+        monkeypatch.setattr(alg, f"_{prop}_span", lambda algebra, fam: (not span_half(algebra, fam)[0], None))
+        with pytest.raises(OracleDisagreementError, match=prop):
+            getattr(alg, f"is_{prop}")(a, family)
+
+
+class TestScalarModulus:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7919, 10**18 + 3, 18446744073709551557])
+    def test_primes_accepted_quickly(self, order2, p):
+        start = time.perf_counter()
+        a = magma_algebra(order2["abab"], p)
+        assert time.perf_counter() - start < 0.5
+        assert a.scalar_modulus == p
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            -3, 0, 1, 4, 1681,
+            561,  # Carmichael number
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            3825123056546413051,  # strong pseudoprime to every prime base up to 23
+        ],
+    )
+    def test_composites_rejected(self, order2, n):
+        with pytest.raises(ValidationError, match="not prime"):
+            magma_algebra(order2["abab"], n)
+
+    def test_modulus_of_64_bits_or_more_rejected(self, order2):
+        # 2**64 + 13 is prime, but beyond the range where the test is exact.
+        with pytest.raises(ValidationError, match="2\\*\\*64"):
+            contracted_algebra(with_zero_adjoined(order2["abab"]), 2**64 + 13)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert all(alg._is_prime(n) == trial(n) for n in range(5000))
 
 
 class TestPlainEnumerations:

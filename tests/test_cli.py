@@ -105,6 +105,27 @@ class TestFunctors:
 
 
 class TestGradingsAndVerify:
+    def test_oracle_disagreement_exits_one_without_traceback(self, data_dir, tmp_path, monkeypatch):
+        from gradeforge import algebra
+
+        code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"), "--json")
+        family_file = tmp_path / "family.json"
+        family_file.write_text(json.dumps(json.loads(out)["items"][0]), encoding="utf-8")
+        filter_span = algebra._filter_span
+        monkeypatch.setattr(algebra, "_filter_span", lambda a, f: (not filter_span(a, f)[0], None))
+        vcode, vout, verr = run_cli("verify", data(data_dir, "aabb.mag"), str(family_file))
+        assert vcode == 1
+        assert vout == ""
+        assert verr.startswith("error: filter:") and "Traceback" not in verr
+
+    def test_large_prime_field_accepted(self, data_dir):
+        code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "abab.mag"), "--field", "18446744073709551557")
+        assert code == 0 and out
+
+    def test_field_of_64_bits_rejected(self, data_dir):
+        code, _, err = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "abab.mag"), "--field", str(2**64 + 13))
+        assert code == 1 and err.startswith("error: scalar modulus")
+
     def test_gradings_then_verify_all_pass(self, data_dir, tmp_path):
         code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"), "--json")
         assert code == 0
