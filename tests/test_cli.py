@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gradeforge import cli
+from gradeforge import algebra, cli
 
 
 def run_cli(*argv):
@@ -106,8 +106,6 @@ class TestFunctors:
 
 class TestGradingsAndVerify:
     def test_oracle_disagreement_exits_one_without_traceback(self, data_dir, tmp_path, monkeypatch):
-        from gradeforge import algebra
-
         code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"), "--json")
         family_file = tmp_path / "family.json"
         family_file.write_text(json.dumps(json.loads(out)["items"][0]), encoding="utf-8")
