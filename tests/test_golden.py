@@ -4,20 +4,26 @@ The hashes in ``data/golden_cli.json`` pin the observable behaviour of the
 command line across refactors of the search kernels and family builders.
 Every case runs with a fixed node budget, so larger operands end in exit 2
 at a fixed point of the search rather than running long.  To re-record after
-an intended output change, write ``{label: list(observe(argv))}`` for
-``cases(DATA_DIR, tmp)`` to the hash file's ``cases``.  The file is a report
-document, so the tests that parse every fixture under ``data/`` skip it.
+an intended output change, run ``python tests/test_golden.py --record``.  The file is a report document, so the
+tests that parse every fixture under ``data/`` skip it.
 """
 
 import hashlib
 import io as stringio
 import json
+import pathlib
+import sys
+import tempfile
 
-from gradeforge import cli
+if __name__ == "__main__":  # run as a script from a checkout: import the package from src/
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from conftest import DATA_DIR
+from gradeforge import cli  # noqa: E402
+
+from conftest import DATA_DIR  # noqa: E402
 
 GOLDEN_FILE = DATA_DIR / "golden_cli.json"
+# Goes right after the subcommand, so a case may name a budget of its own.
 BUDGET = ("--budget", "5000")
 
 MAGMAS = ["aaaa.mag", "aabb.mag", "abab.mag", "abba.mag", "baba.mag"]
@@ -26,6 +32,36 @@ ZERO_MAGMAS = ["z2_with_zero.mag", "idem_zero2.mag", "idem_pair_zero3.mag", "g2.
 CATEGORIES = ["gamma.cat", "lambda_idem.cat", "lambda_z2.cat", "mg2.cat"]
 # Larger categories, paired only with themselves and with mg2 (several exhaust the budget).
 LARGE_CATEGORIES = ["gz2_presented.cat", "two_mg2.cat"]
+
+COUNTS = [
+    ("count", "matrix-group-gradings", "3", "3"),
+    ("count", "matrix-group-gradings", "1", "7"),
+    ("count", "groupoid-printed", "2", "2", "1", "1"),
+    ("count", "groupoid-printed", "2", "3", "2", "2"),
+    ("count", "surjections", "3", "2"),
+    ("count", "surjections", "6", "3"),
+    ("count", "abelian-homs", "2,2", "2"),
+    ("count", "abelian-homs", "4,6", "2,3,8"),
+    ("count", "subspaces", "2", "3"),
+    ("count", "subspaces", "3", "4"),
+    # wrong arity, non-integers, and parameters outside each formula's domain
+    ("count", "subspaces", "2"),
+    ("count", "abelian-homs", "2"),
+    ("count", "matrix-group-gradings", "3", "x"),
+    ("count", "abelian-homs", "2,x", "2"),
+    ("count", "matrix-group-gradings", "0", "2"),
+    ("count", "groupoid-printed", "0", "2", "1", "1"),
+    ("count", "surjections", "-1", "2"),
+    ("count", "subspaces", "1", "3"),
+]
+# Runs that stop with exit 1 before any output.
+ERRORS = [
+    ("hom", "missing.mag", "aabb.mag"),
+    ("hom", "gamma.cat", "aabb.mag"),
+    ("gradings", "aabb.mag", "gamma.cat"),
+    ("filters", "gamma.cat", "aabb.mag"),
+    ("submagmas", "idem_zero2.mag", "--zero"),
+]
 
 VERIFY_PER_SOURCE = 8
 # Each verify input also runs over odd prime fields, and again with one basis
@@ -44,7 +80,7 @@ VERIFY_SOURCES = [
 
 def _run(argv):
     out = stringio.StringIO()
-    code = cli.run([*argv, *BUDGET], out, stringio.StringIO())
+    code = cli.run([argv[0], *BUDGET, *argv[1:]], out, stringio.StringIO())
     return code, out.getvalue()
 
 
@@ -83,7 +119,11 @@ def _enumerations():
         yield ("filters", s, t)
     for s in CATEGORIES + LARGE_CATEGORIES:
         yield ("filters", s, s, "--nonzero-only")
-    yield ("census", "2")
+    for order in ("1", "2", "3"):
+        yield ("census", order)
+    yield ("census", "3", "--budget", "10000000")
+    yield from COUNTS
+    yield from ERRORS
 
 
 def cases(data_dir, tmp_dir):
@@ -131,9 +171,24 @@ def _moved_index(item):
     return None
 
 
+def record():
+    """Rewrite the hash file from the outputs of the code as it stands."""
+    with tempfile.TemporaryDirectory() as tmp:
+        observed = {label: list(observe(argv)) for label, argv in cases(DATA_DIR, pathlib.Path(tmp))}
+    doc = {"cases": observed, "kind": "report"}
+    GOLDEN_FILE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return len(observed)
+
+
 def test_cli_outputs_match_golden_hashes(tmp_path):
     golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))["cases"]
     observed = {label: list(observe(argv)) for label, argv in cases(DATA_DIR, tmp_path)}
     assert sorted(observed) == sorted(golden)
     mismatched = [label for label in golden if observed[label] != golden[label]]
     assert not mismatched, f"{len(mismatched)} outputs changed, first: {mismatched[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    print(f"recorded {record()} cases in {GOLDEN_FILE}")
