@@ -26,6 +26,7 @@ from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementErro
 from .magma import (
     FiniteMagma,
     PairRelation,
+    _bits,
     enumerate_homs,
     enumerate_product_submagmas,
     enumerate_zero_homs,
@@ -187,14 +188,6 @@ class Verdict:
         return self.holds
 
 
-def _support(bits):
-    """Indices of the set bits of a bitset, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _families(algebra: AlgebraPresentation, target: FiniteMagma, pair_sets) -> list:
     """One family per pair set, with parts[h] spanned by the base lines at the g paired with h.
 
@@ -214,7 +207,7 @@ def _families(algebra: AlgebraPresentation, target: FiniteMagma, pair_sets) -> l
         for mask in masks:
             part = shared.get(mask)
             if part is None:
-                part = shared[mask] = frozenset(_support(mask))
+                part = shared[mask] = frozenset(_bits(mask))
             parts.append(part)
         families.append(ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts)))
     return families

@@ -5,6 +5,9 @@ a family that is not a filter), 2 budget exhaustion, 3 parse error.  If the
 subset and span oracles of an axiom check disagree, the run stops with
 OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard output is deterministic,
 so identical invocations are byte-identical.
+
+Each subcommand is a thin call into the library: ``_load`` reads every
+operand, ``_algebra`` picks the algebra, ``_write`` prints every enumeration.
 """
 
 from __future__ import annotations
@@ -16,17 +19,9 @@ import sys
 from . import algebra as alg
 from . import category as cat
 from . import counting, io
+from . import magma as mg
 from .budget import DEFAULT_BUDGET, Budget
 from .errors import ParseError, SizeOverflowError, ToolkitError, ValidationError
-from .magma import (
-    census,
-    enumerate_homs,
-    enumerate_product_submagmas,
-    enumerate_submagmas,
-    enumerate_zero_homs,
-    enumerate_zero_submagmas,
-    word_of_magma,
-)
 
 BUDGET_ENV = "GRADEFORGE_BUDGET"
 
@@ -40,6 +35,224 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget_from(args) -> Budget:
+    nodes, env = args.budget, os.environ.get(BUDGET_ENV)
+    if nodes is None and env is not None:
+        try:
+            nodes = int(env)
+        except ValueError:
+            raise ValidationError(f"bad {BUDGET_ENV} value {env!r}") from None
+    if nodes is not None and nodes < 1:
+        raise ValidationError("budget must be positive")
+    return DEFAULT_BUDGET if nodes is None else Budget(max_nodes=nodes)
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _load(path: str, budget: Budget, kinds: tuple):
+    """(kind, structure, text) of a magma or category file, whose kind must be one of kinds."""
+    text = _read(path)
+    kind = io.detect_kind(text)
+    if kind not in kinds:
+        raise ValidationError(f"{path} holds a {kind} document, expected a {' or '.join(kinds)}")
+    structure = io.parse_magma(text) if kind == "magma" else io.parse_category(text, budget)
+    return kind, structure, text
+
+
+def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
+    """The algebra of a category, else of a magma, contracted at its zero when zero is set."""
+    if kind == "category":
+        return alg.category_algebra(structure, field, budget)
+    return (alg.contracted_algebra if zero else alg.magma_algebra)(structure, field)
+
+
+def _write(out, args, results, item, line) -> int:
+    """Print an enumeration: a JSON report of item(r) with --json, else line(r) per result."""
+    if args.json:
+        out.write(io.enumeration_report(map(item, results)))
+    else:
+        out.write("".join(line(r) + "\n" for r in results))
+    return 0
+
+
+def _census(args, budget, out):
+    classes, word = mg.census(args.order, budget), mg.word_of_magma
+    return _write(out, args, classes, lambda m: {"text": io.print_magma(m), "word": word(m)}, word)
+
+
+def _hom(args, budget, out):
+    source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    maps = (mg.enumerate_zero_homs if args.zero else mg.enumerate_homs)(source, target, budget)
+    return _write(out, args, maps, lambda m: {"images": list(m)}, lambda m: " ".join(map(str, m)))
+
+
+def _submagmas(args, budget, out):
+    source = _load(args.source, budget, ("magma",))[1]
+    if args.target is None:
+        if args.zero:
+            raise ValidationError("--zero needs a second magma operand")
+        subs = [sorted(s) for s in mg.enumerate_submagmas(source, budget)]
+        return _write(out, args, subs, lambda s: {"elements": s}, lambda s: "{" + ",".join(map(str, s)) + "}")
+    search = mg.enumerate_zero_submagmas if args.zero else mg.enumerate_product_submagmas
+    rels = [sorted(rel.pairs) for rel in search(source, _load(args.target, budget, ("magma",))[1], budget)]
+    return _write(
+        out, args, rels, lambda r: {"pairs": [list(p) for p in r]},
+        lambda r: "{" + " ".join(f"{g}:{h}" for g, h in r) + "}",
+    )
+
+
+def _functors(args, budget, out):
+    source, target = (_load(p, budget, ("category",))[1] for p in (args.source, args.target))
+    maps = (cat.enumerate_prefunctors if args.prefunctors else cat.enumerate_functors)(source, target, budget)
+    return _write(
+        out, args, maps, lambda m: {"objects": list(m.object_map), "morphisms": list(m.morphism_map)},
+        lambda m: f"objects:{','.join(map(str, m.object_map))} morphisms:{','.join(map(str, m.morphism_map))}",
+    )
+
+
+# Gradings and filters of a magma algebra, by (command, --zero).
+_MAGMA_FAMILIES = {
+    ("gradings", False): alg.enumerate_elementary_gradings,
+    ("gradings", True): alg.enumerate_nonzero_elementary_gradings,
+    ("filters", False): alg.enumerate_elementary_filters,
+    ("filters", True): alg.enumerate_nonzero_elementary_filters,
+}
+
+
+def _families(args, budget, out):
+    kind, source, _ = _load(args.source, budget, ("magma", "category"))
+    _, target, target_text = _load(args.target, budget, (kind,))
+    if kind == "magma":
+        algebra = _algebra(kind, source, args.zero, args.field, budget)
+        families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
+    elif args.command == "gradings":
+        algebra, families = alg.enumerate_category_gradings(
+            source, target, prefunctors=args.prefunctors, scalar_modulus=args.field, budget=budget
+        )
+    else:
+        algebra, families = alg.enumerate_category_filters(source, target, scalar_modulus=args.field, budget=budget)
+    if args.nonzero_only:
+        families = [f for f in families if alg.is_nonzero(algebra, f)]
+    return _write(
+        out, args, families, lambda f: io.family_to_doc(f, target_text, kind),
+        lambda f: " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(f.parts)),
+    )
+
+
+def _verify(args, budget, out):
+    kind, structure, _ = _load(args.algebra, budget, ("magma", "category"))
+    algebra = _algebra(kind, structure, args.zero, args.field, budget)
+    family = io.parse_family(_read(args.family), algebra, budget)
+    checks = (alg.is_filter, alg.is_grading, alg.is_strong, alg.is_nonzero, alg.is_elementary)
+    verdicts = [check(algebra, family) for check in checks]
+    text = "".join(f"{v.prop} {str(v.holds).lower()}\n" for v in verdicts)
+    out.write(io.emit_report({"verdicts": [io.verdict_to_doc(v) for v in verdicts]}) if args.json else text)
+    return 0 if verdicts[0].holds else 1
+
+
+def _roundtrip(args, budget, out):
+    source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    algebra = alg.magma_algebra(source, args.field)
+    rels = mg.enumerate_product_submagmas(source, target, budget)
+
+    def round_trips(rel):
+        family = alg.grading_from_relation(algebra, rel)
+        back = alg.relation_from_filter(algebra, family)
+        return back.pairs == rel.pairs and alg.grading_from_relation(algebra, back).parts == family.parts
+
+    holds = all(map(round_trips, rels))
+    text = f"checked {len(rels)}\nholds {str(holds).lower()}\n"
+    out.write(io.emit_report({"checked": len(rels), "holds": holds}) if args.json else text)
+    return 0 if holds else 1
+
+
+def _log2_bound(x: int) -> int:
+    """An integer at least log2(x) for x >= 1 (0 below), read off a bit length."""
+    return max(x - 1, 0).bit_length()
+
+
+def _bit_bounds(formula, v):
+    """Bounds on the bit lengths of the numbers a closed form computes, in the order it forms
+    them; the last bounds every value its report prints.  Outside a formula's domain nothing is
+    bounded, since the formula rejects its parameters before computing."""
+    if formula == "abelian-homs":
+        left, right = v
+        yield len(right) * sum(_log2_bound(f) + 1 for f in left)  # one gcd per pair of factors
+    elif formula == "matrix-group-gradings":
+        n, q = v
+        yield (n - 1) * _log2_bound(q)
+    elif formula == "groupoid-printed" and min(v) >= 1:
+        m, n, p, q = v
+        yield m * _log2_bound(n)  # the exponent n**m, formed only once this is spent
+        yield n**m * (_log2_bound(p) + (m - 1) * _log2_bound(q))
+    elif formula == "surjections" and min(v) >= 0:
+        m, n = v
+        yield n * n  # n + 1 terms, each with a binomial below 2**n
+        yield m * _log2_bound(n)
+    elif formula == "subspaces" and v[0] >= 2 and v[1] >= 1:
+        p, n = v
+        yield n * n  # products in the sum over k
+        yield (n * n // 4 + n + 2) * _log2_bound(p)  # each of the n terms [n, k]_p is below 4 p**(k(n-k))
+
+
+def _closed_form(name, keys, value):
+    """The report of a closed form without an oracle: value(*params) under the parameter names keys."""
+    return lambda *v: counting.CountReport(name, dict(zip(keys, v)), value(*v), None, None)
+
+
+# formula: (parameters, report)
+_COUNTS = {
+    "matrix-group-gradings": (
+        "<n> <q>", _closed_form("matrix_group_gradings", "nq", counting.count_matrix_group_gradings)
+    ),
+    "groupoid-printed": (
+        "<m> <n> <p> <q>",
+        _closed_form("groupoid_gradings_as_printed", "mnpq", counting.count_groupoid_gradings_as_printed),
+    ),
+    # max_nodes=0 skips the brute-force oracle
+    "surjections": ("<m> <n>", lambda m, n: counting.surjective_functions_report(m, n, Budget(max_nodes=0))),
+    "abelian-homs": (
+        "<factors> <factors> (comma-separated)",
+        _closed_form("abelian_homs", ("source", "target"), counting.count_abelian_homs),
+    ),
+    "subspaces": ("<p> <n>", counting.count_subspaces),
+}
+
+
+def _count(args, budget, out):
+    """One closed form, after its bit bounds are spent from the budget.  A result past Python's
+    limit on printing an integer in decimal is refused as well."""
+    formula, params = args.formula, args.params
+    usage, report_of = _COUNTS[formula]
+    usage = f"expected {formula} {usage}"
+    if len(params) != usage.count("<"):
+        raise ValidationError(usage)
+    factors = formula == "abelian-homs"
+    try:
+        values = [[int(x) for x in p.split(",")] if factors else int(p) for p in params]
+    except ValueError:
+        raise ValidationError("factors must be comma-separated integers" if factors else usage) from None
+    spent = bits = 0
+    for bits in _bit_bounds(formula, values):
+        spent += max(bits, 0)
+        if spent > budget.max_nodes:
+            raise SizeOverflowError(f"{formula} may need numbers of more bits than the budget of {budget.max_nodes}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and bits * 30103 // 100000 >= digits:  # 0.30103 > log10(2)
+        raise SizeOverflowError(f"a count of up to {bits} bits exceeds the {digits}-digit print limit")
+    report = report_of(*values)
+    extras = "".join(f"{key} {report.extras[key]}\n" for key in sorted(report.extras))
+    text = f"closed_form {report.closed_form_value}\n{extras}"
+    out.write(io.emit_report(io.count_report_to_doc(report)) if args.json else text)
+    return 0
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_mutually_exclusive_group()
@@ -51,325 +264,49 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gradeforge", description="Finite magma and precategory toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("census", parents=[common], help="isomorphism classes of a given order")
-    p.add_argument("order", type=int)
+    def command(name, run, summary, operands=("source", "target"), **flags):
+        """A subcommand with positional operands, then store_true flags (nonzero_only is --nonzero-only)."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for operand in operands:
+            p.add_argument(operand)
+        for flag, flag_help in flags.items():
+            p.add_argument("--" + flag.replace("_", "-"), action="store_true", help=flag_help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("hom", parents=[common], help="homomorphisms between two magmas")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--zero", action="store_true", help="zero-magma homomorphisms")
-
-    p = sub.add_parser("submagmas", parents=[common], help="submagmas of a magma, or zero submagmas of a product")
-    p.add_argument("source")
+    command("census", _census, "isomorphism classes of a given order", ()).add_argument("order", type=int)
+    command("hom", _hom, "homomorphisms between two magmas", zero="zero-magma homomorphisms")
+    p = command("submagmas", _submagmas, "submagmas of a magma, or zero submagmas of a product", ("source",))
     p.add_argument("target", nargs="?")
     p.add_argument("--zero", action="store_true", help="zero submagmas of source x target")
-
-    p = sub.add_parser("functors", parents=[common], help="functors between two categories")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--prefunctors", action="store_true", help="do not require identities to map to identities")
-
-    p = sub.add_parser("gradings", parents=[common], help="elementary gradings of the left algebra by the right structure")
-    p.add_argument("source")
-    p.add_argument("target")
+    summary = "functors between two categories"
+    command("functors", _functors, summary, prefunctors="do not require identities to map to identities")
+    zero = "zero-magma variant (contracted algebra)"
+    nonzero = "keep only families passing the nonzero check"
+    p = command("gradings", _families, "elementary gradings of the left algebra by the right structure")
     kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--zero", action="store_true", help="zero-magma variant (contracted algebra)")
+    kind.add_argument("--zero", action="store_true", help=zero)
     kind.add_argument("--prefunctors", action="store_true", help="category variant via prefunctors")
     kind.add_argument("--functors", action="store_true", help="category variant via functors (default for categories)")
-    p.add_argument("--nonzero-only", action="store_true", help="keep only families passing the nonzero check")
-
-    p = sub.add_parser("filters", parents=[common], help="elementary filters of the left algebra by the right structure")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--zero", action="store_true", help="zero-magma variant (contracted algebra)")
-    p.add_argument("--nonzero-only", action="store_true", help="keep only families passing the nonzero check")
-
-    p = sub.add_parser("verify", parents=[common], help="check the axioms of a family against an algebra")
-    p.add_argument("algebra")
-    p.add_argument("family")
-    p.add_argument("--zero", action="store_true", help="use the contracted algebra of a zero magma")
-
-    p = sub.add_parser("roundtrip", parents=[common], help="check the relation/filter round trip over all submagmas")
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("count", parents=[common], help="closed-form counts")
-    p.add_argument("formula", choices=["matrix-group-gradings", "groupoid-printed", "surjections", "abelian-homs", "subspaces"])
+    p.add_argument("--nonzero-only", action="store_true", help=nonzero)
+    summary = "elementary filters of the left algebra by the right structure"
+    command("filters", _families, summary, zero=zero, nonzero_only=nonzero)
+    summary = "check the axioms of a family against an algebra"
+    command("verify", _verify, summary, ("algebra", "family"), zero="use the contracted algebra of a zero magma")
+    command("roundtrip", _roundtrip, "check the relation/filter round trip over all submagmas")
+    p = command("count", _count, "closed-form counts", ())
+    p.add_argument("formula", choices=list(_COUNTS))
     p.add_argument("params", nargs="*")
-
     return parser
-
-
-def _budget_from(args) -> Budget:
-    nodes = args.budget
-    if nodes is None:
-        env = os.environ.get(BUDGET_ENV)
-        if env is not None:
-            try:
-                nodes = int(env)
-            except ValueError:
-                raise ValidationError(f"bad {BUDGET_ENV} value {env!r}") from None
-    if nodes is None:
-        return DEFAULT_BUDGET
-    if nodes < 1:
-        raise ValidationError("budget must be positive")
-    return Budget(max_nodes=nodes)
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _load_magma(path: str):
-    text = _read(path)
-    if io.detect_kind(text) != "magma":
-        raise ValidationError(f"{path} is not a magma file")
-    return io.parse_magma(text)
-
-
-def _load_structure(path: str, budget: Budget):
-    text = _read(path)
-    kind = io.detect_kind(text)
-    if kind == "magma":
-        return "magma", io.parse_magma(text), text
-    if kind == "category":
-        return "category", io.parse_category(text, budget), text
-    raise ValidationError(f"{path} holds a {kind} document, expected a magma or category")
-
-
-def _emit(out, lines_or_json):
-    out.write(lines_or_json)
-
-
-def _family_items(families, target_text, target_format):
-    return [io.family_to_doc(f, target_text, target_format) for f in families]
-
-
-def _family_lines(families):
-    lines = []
-    for fam in families:
-        cells = [f"{h}:{{{','.join(str(b) for b in sorted(part))}}}" for h, part in enumerate(fam.parts)]
-        lines.append(" ".join(cells))
-    return lines
-
-
-def _int_args(params, count, usage):
-    if len(params) != count:
-        raise ValidationError(f"expected {usage}")
-    try:
-        return [int(x) for x in params]
-    except ValueError:
-        raise ValidationError(f"expected {usage}") from None
-
-
-def _run_count(args, budget, out):
-    name = args.formula
-    if name == "matrix-group-gradings":
-        n, q = _int_args(args.params, 2, "matrix-group-gradings <n> <q>")
-        value = counting.count_matrix_group_gradings(n, q)
-        report = counting.CountReport("matrix_group_gradings", {"n": n, "q": q}, value, None, None)
-    elif name == "groupoid-printed":
-        m, n, p, q = _int_args(args.params, 4, "groupoid-printed <m> <n> <p> <q>")
-        value = counting.count_groupoid_gradings_as_printed(m, n, p, q)
-        report = counting.CountReport("groupoid_gradings_as_printed", {"m": m, "n": n, "p": p, "q": q}, value, None, None)
-    elif name == "surjections":
-        m, n = _int_args(args.params, 2, "surjections <m> <n>")
-        report = counting.surjective_functions_report(m, n, Budget(max_nodes=0))
-    elif name == "abelian-homs":
-        if len(args.params) != 2:
-            raise ValidationError("expected abelian-homs <factors> <factors> (comma-separated)")
-        try:
-            left = [int(x) for x in args.params[0].split(",")]
-            right = [int(x) for x in args.params[1].split(",")]
-        except ValueError:
-            raise ValidationError("factors must be comma-separated integers") from None
-        value = counting.count_abelian_homs(left, right)
-        report = counting.CountReport("abelian_homs", {"source": left, "target": right}, value, None, None)
-    else:
-        p, n = _int_args(args.params, 2, "subspaces <p> <n>")
-        report = counting.count_subspaces(p, n)
-    if args.json:
-        _emit(out, io.emit_report(io.count_report_to_doc(report)))
-    else:
-        lines = [f"closed_form {report.closed_form_value}"]
-        for key in sorted(report.extras):
-            lines.append(f"{key} {report.extras[key]}")
-        _emit(out, "\n".join(lines) + "\n")
-    return 0
 
 
 def run(argv=None, out=None, err=None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        budget = _budget_from(args)
-
-        if args.command == "census":
-            classes = census(args.order, budget)
-            if args.json:
-                items = [{"text": io.print_magma(m), "word": word_of_magma(m)} for m in classes]
-                _emit(out, io.enumeration_report(items))
-            else:
-                _emit(out, "".join(word_of_magma(m) + "\n" for m in classes))
-            return 0
-
-        if args.command == "hom":
-            source = _load_magma(args.source)
-            target = _load_magma(args.target)
-            maps = (
-                enumerate_zero_homs(source, target, budget)
-                if args.zero
-                else enumerate_homs(source, target, budget)
-            )
-            if args.json:
-                _emit(out, io.enumeration_report([{"images": list(m)} for m in maps]))
-            else:
-                _emit(out, "".join(" ".join(str(v) for v in m) + "\n" for m in maps))
-            return 0
-
-        if args.command == "submagmas":
-            source = _load_magma(args.source)
-            if args.zero and args.target is None:
-                raise ValidationError("--zero needs a second magma operand")
-            if args.target is not None:
-                search = enumerate_zero_submagmas if args.zero else enumerate_product_submagmas
-                rels = search(source, _load_magma(args.target), budget)
-                items = [sorted(rel.pairs) for rel in rels]
-                if args.json:
-                    _emit(out, io.enumeration_report([{"pairs": [list(p) for p in it]} for it in items]))
-                else:
-                    _emit(out, "".join("{" + " ".join(f"{g}:{h}" for g, h in it) + "}\n" for it in items))
-            else:
-                subs = enumerate_submagmas(source, budget)
-                if args.json:
-                    _emit(out, io.enumeration_report([{"elements": sorted(s)} for s in subs]))
-                else:
-                    _emit(out, "".join("{" + ",".join(str(e) for e in sorted(s)) + "}\n" for s in subs))
-            return 0
-
-        if args.command == "functors":
-            kind_s, source, _ = _load_structure(args.source, budget)
-            kind_t, target, _ = _load_structure(args.target, budget)
-            if kind_s != "category" or kind_t != "category":
-                raise ValidationError("functors needs two category files")
-            maps = (
-                cat.enumerate_prefunctors(source, target, budget)
-                if args.prefunctors
-                else cat.enumerate_functors(source, target, budget)
-            )
-            if args.json:
-                items = [{"objects": list(m.object_map), "morphisms": list(m.morphism_map)} for m in maps]
-                _emit(out, io.enumeration_report(items))
-            else:
-                _emit(
-                    out,
-                    "".join(
-                        "objects:" + ",".join(str(o) for o in m.object_map)
-                        + " morphisms:" + ",".join(str(s) for s in m.morphism_map) + "\n"
-                        for m in maps
-                    ),
-                )
-            return 0
-
-        if args.command in ("gradings", "filters"):
-            kind_s, source, _ = _load_structure(args.source, budget)
-            kind_t, target, target_text = _load_structure(args.target, budget)
-            nonzero_only = args.nonzero_only
-            if kind_s == "category" or kind_t == "category":
-                if kind_s != "category" or kind_t != "category":
-                    raise ValidationError("mixed magma/category operands")
-                if args.command == "gradings":
-                    algebra, families = alg.enumerate_category_gradings(
-                        source,
-                        target,
-                        prefunctors=getattr(args, "prefunctors", False),
-                        scalar_modulus=args.field,
-                        budget=budget,
-                    )
-                else:
-                    algebra, families = alg.enumerate_category_filters(
-                        source, target, scalar_modulus=args.field, budget=budget
-                    )
-            else:
-                zero = args.zero
-                algebra = (
-                    alg.contracted_algebra(source, args.field)
-                    if zero
-                    else alg.magma_algebra(source, args.field)
-                )
-                if args.command == "gradings":
-                    families = (
-                        alg.enumerate_nonzero_elementary_gradings(algebra, target, budget)
-                        if zero
-                        else alg.enumerate_elementary_gradings(algebra, target, budget)
-                    )
-                else:
-                    families = (
-                        alg.enumerate_nonzero_elementary_filters(algebra, target, budget)
-                        if zero
-                        else alg.enumerate_elementary_filters(algebra, target, budget)
-                    )
-            if nonzero_only:
-                families = [f for f in families if alg.is_nonzero(algebra, f)]
-            if args.json:
-                _emit(out, io.enumeration_report(_family_items(families, target_text, kind_t)))
-            else:
-                _emit(out, "".join(line + "\n" for line in _family_lines(families)))
-            return 0
-
-        if args.command == "verify":
-            kind_a, structure, _ = _load_structure(args.algebra, budget)
-            if kind_a == "category":
-                algebra = alg.category_algebra(structure, args.field, budget)
-            elif args.zero:
-                algebra = alg.contracted_algebra(structure, args.field)
-            else:
-                algebra = alg.magma_algebra(structure, args.field)
-            family = io.parse_family(_read(args.family), algebra, budget)
-            verdicts = [
-                alg.is_filter(algebra, family),
-                alg.is_grading(algebra, family),
-                alg.is_strong(algebra, family),
-                alg.is_nonzero(algebra, family),
-                alg.is_elementary(algebra, family),
-            ]
-            if args.json:
-                _emit(out, io.emit_report({"verdicts": [io.verdict_to_doc(v) for v in verdicts]}))
-            else:
-                _emit(out, "".join(f"{v.prop} {str(v.holds).lower()}\n" for v in verdicts))
-            return 0 if verdicts[0].holds else 1
-
-        if args.command == "roundtrip":
-            source = _load_magma(args.source)
-            target = _load_magma(args.target)
-            algebra = alg.magma_algebra(source, args.field)
-            rels = enumerate_product_submagmas(source, target, budget)
-            holds = True
-            for rel in rels:
-                family = alg.grading_from_relation(algebra, rel)
-                back = alg.relation_from_filter(algebra, family)
-                again = alg.grading_from_relation(algebra, back)
-                if back.pairs != rel.pairs or again.parts != family.parts:
-                    holds = False
-                    break
-            if args.json:
-                _emit(out, io.emit_report({"checked": len(rels), "holds": holds}))
-            else:
-                _emit(out, f"checked {len(rels)}\nholds {str(holds).lower()}\n")
-            return 0 if holds else 1
-
-        if args.command == "count":
-            return _run_count(args, budget, out)
-
-        raise ValidationError(f"unknown command {args.command!r}")
-
+        args = _build_parser().parse_args(argv)
+        return args.run(args, _budget_from(args), out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1

@@ -204,6 +204,7 @@ def closure(magma: FiniteMagma, seed) -> frozenset:
 
 
 def _bits(mask: int):
+    """Indices of the set bits of a bitset, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

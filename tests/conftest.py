@@ -81,6 +81,35 @@ def involution_arrow_category():
     return validate_precategory(2, [(0, 0), (1, 1), (0, 0), (0, 1), (0, 1)], comp, identity_at=(0, 1))
 
 
+def fork_precategory():
+    """Three objects and two arrows 0 -> 1, 0 -> 2 out of a shared source; no identities."""
+    return validate_precategory(3, [(0, 1), (0, 2)], [[None, None], [None, None]], None)
+
+
+def two_arrows_precategory():
+    """Four objects and two unrelated arrows 0 -> 1, 2 -> 3; no identities."""
+    return validate_precategory(4, [(0, 1), (2, 3)], [[None, None], [None, None]], None)
+
+
+def brute_force_prefunctors(source, target, functors=False):
+    """Every (object map, morphism map) that keeps dom/cod and composites, read
+    straight off the two composition tables.  With functors, each identity must
+    also go to the identity at its image object."""
+    found = set()
+    pairs = [(x, y) for x, row in enumerate(source.comp) for y, xy in enumerate(row) if xy is not None]
+    for objects in itertools.product(range(target.object_count), repeat=source.object_count):
+        for arrows in itertools.product(range(target.morphism_count), repeat=source.morphism_count):
+            if any(target.morphisms[arrows[s]] != (objects[d], objects[c])
+                   for s, (d, c) in enumerate(source.morphisms)):
+                continue
+            if not all(arrows[source.comp[x][y]] == target.comp[arrows[x]][arrows[y]] for x, y in pairs):
+                continue
+            if functors and any(arrows[i] != target.identity_at[objects[e]] for e, i in enumerate(source.identity_at)):
+                continue
+            found.add((objects, arrows))
+    return found
+
+
 def one_object_monoid(table, identity=0):
     return validate_precategory(1, [(0, 0)] * len(table), table, identity_at=(identity,))
 

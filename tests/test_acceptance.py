@@ -68,6 +68,7 @@ from conftest import (
     HOM_TABLE,
     MAP_SYMBOLS,
     ORDER2_WORDS,
+    brute_force_prefunctors,
     dihedral_group_table,
     quaternion_group_table,
     symmetric_group_table,
@@ -209,21 +210,6 @@ PREFUNCTOR_CATALOGUE_BREAKS = {
     ((0, 2, 3, 4), (1,), ()): (1, 3),  # id_b o u = u
     ((3,), (0, 1, 2, 4), ()): (3, 0),  # u o id_a = u
 }
-
-
-def brute_force_prefunctors(source, target):
-    """Every (object map, morphism map) that keeps dom/cod and composites, read
-    straight off the two composition tables."""
-    found = set()
-    pairs = [(x, y) for x, row in enumerate(source.comp) for y, xy in enumerate(row) if xy is not None]
-    for objects in itertools.product(range(target.object_count), repeat=source.object_count):
-        for arrows in itertools.product(range(target.morphism_count), repeat=source.morphism_count):
-            if any(target.morphisms[arrows[s]] != (objects[d], objects[c])
-                   for s, (d, c) in enumerate(source.morphisms)):
-                continue
-            if all(arrows[source.comp[x][y]] == target.comp[arrows[x]][arrows[y]] for x, y in pairs):
-                found.add((objects, arrows))
-    return found
 
 
 def morphism_map_of_parts(parts):

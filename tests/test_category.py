@@ -36,7 +36,7 @@ from gradeforge.category import (
 )
 from gradeforge.magma import are_isomorphic, matrix_unit_zero_magma
 
-from conftest import one_object_monoid
+from conftest import brute_force_prefunctors, fork_precategory, one_object_monoid, two_arrows_precategory
 
 
 class TestValidate:
@@ -213,13 +213,36 @@ class TestZeroHomReduction:
     def test_inconsistent_object_map_is_flagged(self):
         # two parallel-free arrows out of a shared source object, no identities:
         # a zero-magma homomorphism may send them into different components
-        fork = validate_precategory(3, [(0, 1), (0, 2)], [[None, None], [None, None]], None)
-        two_arrows = validate_precategory(
-            4, [(0, 1), (2, 3)], [[None, None], [None, None]], None
-        )
+        fork, two_arrows = fork_precategory(), two_arrows_precategory()
         assert len(enumerate_prefunctors(fork, two_arrows)) == 2
         with pytest.raises(ReductionMismatchError):
             enumerate_prefunctors_via_zero_homs(fork, two_arrows)
+
+
+class TestMapsAgainstBruteForce:
+    """Both map searches against every map of the raw tables, so that neither
+    the direct search nor the zero-hom reduction is its only check."""
+
+    def categories(self, involution_cat, z2_cat, idem_cat):
+        return [involution_cat, z2_cat, idem_cat, matrix_groupoid(2)]
+
+    @staticmethod
+    def assert_matches(found, expected):
+        assert len(found) == len(expected)
+        assert {(f.object_map, f.morphism_map) for f in found} == expected
+
+    def test_prefunctors(self, involution_cat, z2_cat, idem_cat):
+        structures = self.categories(involution_cat, z2_cat, idem_cat) + [fork_precategory(), two_arrows_precategory()]
+        for source in structures:
+            for target in structures:
+                self.assert_matches(enumerate_prefunctors(source, target), brute_force_prefunctors(source, target))
+
+    def test_functors(self, involution_cat, z2_cat, idem_cat):
+        cats = self.categories(involution_cat, z2_cat, idem_cat)
+        for source in cats:
+            for target in cats:
+                expected = brute_force_prefunctors(source, target, functors=True)
+                self.assert_matches(enumerate_functors(source, target), expected)
 
 
 class TestSubprecategories:

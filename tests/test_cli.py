@@ -1,11 +1,16 @@
 import io as stringio
 import json
+import os
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from gradeforge import algebra, cli
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -16,6 +21,13 @@ def run_cli(*argv):
 
 def data(path, name):
     return str(path / name)
+
+
+def run_module(*argv):
+    """``python -m gradeforge`` in a subprocess that imports the package from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "gradeforge", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, check=False, env=env)
 
 
 class TestCensus:
@@ -75,12 +87,7 @@ class TestSubmagmas:
         # not a traceback from a search that recurses once per pair.
         null41 = tmp_path / "null41.mag"
         null41.write_text("magma 41\nzero 0\n" + "".join(" ".join(["0"] * 41) + "\n" for _ in range(41)), encoding="utf-8")
-        result = subprocess.run(
-            [sys.executable, "-m", "gradeforge", "submagmas", str(null41), str(null41), "--zero"],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
+        result = run_module("submagmas", str(null41), str(null41), "--zero")
         assert result.returncode == 2
         assert "budget" in result.stderr and "Traceback" not in result.stderr
 
@@ -195,6 +202,38 @@ class TestCount:
         code, out, _ = run_cli("count", "groupoid-printed", "2", "2", "1", "1", "--json")
         assert json.loads(out)["closed_form"] == "1"
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("groupoid-printed", "10", "10", "2", "2"),  # 1024**(10**10)
+            ("matrix-group-gradings", "100000000001", "2"),
+            ("surjections", "100000000000", "2"),
+            ("subspaces", "2", "1000000"),  # 10**12 products
+        ],
+    )
+    def test_oversized_closed_forms_exit_on_budget(self, params):
+        start = time.perf_counter()
+        code, out, err = run_cli("count", *params)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "budget" in err
+
+    def test_result_past_the_integer_print_limit_exits_on_budget(self):
+        # within the node budget, but more decimal digits than Python prints
+        for params in (("surjections", "3000", "3000"), ("subspaces", "2", "1000")):
+            code, out, err = run_cli("count", *params)
+            assert code == 2 and out == "" and "print limit" in err
+
+    def test_bounds_admit_large_printable_results(self):
+        code, out, _ = run_cli("count", "subspaces", "2", "200")
+        assert code == 0 and len(out.split()[1]) > 3000
+        code, out, _ = run_cli("count", "surjections", "1", "3000")
+        assert code == 0 and out.startswith("closed_form 0\n")
+
+    def test_budget_flag_caps_the_result_size(self):
+        assert run_cli("count", "matrix-group-gradings", "101", "2", "--budget", "100")[0] == 0
+        code, out, err = run_cli("count", "matrix-group-gradings", "102", "2", "--budget", "100")
+        assert code == 2 and out == "" and "budget" in err
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path):
@@ -211,11 +250,25 @@ class TestExitCodes:
 
     def test_missing_file(self):
         code, _, err = run_cli("hom", "no-such-file.mag", "no-such-file.mag")
-        assert code == 1
+        assert code == 1 and err.startswith("error: cannot read no-such-file.mag")
 
     def test_usage_error(self):
         code, _, err = run_cli("frobnicate")
-        assert code == 1
+        assert code == 1 and err.startswith("usage error: ")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("hom", "gamma.cat", "aabb.mag"), "a magma"),
+            (("submagmas", "aabb.mag", "gamma.cat"), "a magma"),
+            (("functors", "aabb.mag", "gamma.cat"), "a category"),
+            (("gradings", "aabb.mag", "gamma.cat"), "a magma"),
+            (("filters", "gamma.cat", "aabb.mag"), "a category"),
+        ],
+    )
+    def test_operand_of_the_wrong_kind(self, data_dir, argv, expected):
+        code, out, err = run_cli(argv[0], *(data(data_dir, name) for name in argv[1:]))
+        assert code == 1 and out == "" and err.startswith("error: ") and f"expected {expected}" in err
 
     def test_mutually_exclusive_flags_rejected(self, data_dir):
         code, _, err = run_cli(
@@ -258,11 +311,6 @@ class TestDeterminism:
 
 
 def test_module_entry_point(data_dir):
-    result = subprocess.run(
-        [sys.executable, "-m", "gradeforge", "census", "2"],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
+    result = run_module("census", "2")
     assert result.returncode == 0
     assert len(result.stdout.splitlines()) == 10
