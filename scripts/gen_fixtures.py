@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the fixture files under tests/data.
 
-Run from the repository root:  python3 scripts/gen_fixtures.py
+Run from the repository root:  python3 scripts/gen_fixtures.py [OUTPUT_DIR]
+OUTPUT_DIR defaults to tests/data.
 """
 
 import pathlib
@@ -48,8 +49,8 @@ def one_object_monoid(table, identity):
     return validate_precategory(1, [(0, 0)] * n, table, identity_at=(identity,))
 
 
-def main():
-    data = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
+def main(out=None):
+    data = pathlib.Path(out) if out else pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
     data.mkdir(parents=True, exist_ok=True)
 
     for word in ORDER2_WORDS:
@@ -95,4 +96,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])

@@ -12,13 +12,11 @@ class Budget:
     """Caps that turn runaway inputs into a SizeOverflowError instead of a hang.
 
     max_order: largest magma / morphism count a constructor will produce.
-    max_nodes: search nodes a single enumeration may visit.
-    max_perm_order: largest order canonicalized by full permutation scan.
+    max_nodes: search nodes a single enumeration or canonical form may visit.
     """
 
     max_order: int = 64
     max_nodes: int = 10_000_000
-    max_perm_order: int = 8
 
 
 DEFAULT_BUDGET = Budget()

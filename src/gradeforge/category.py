@@ -22,7 +22,8 @@ from .errors import (
     ReductionMismatchError,
     ValidationError,
 )
-from .magma import FiniteMagma, _bits, _closed_subsets, enumerate_zero_homs, enumerate_zero_submagmas
+from .magma import FiniteMagma, _bits, _closed_subsets, _pair_subsets, _pair_table, _zero_adjoined
+from .magma import enumerate_zero_homs, enumerate_zero_submagmas
 
 
 @dataclass(frozen=True)
@@ -203,25 +204,14 @@ def matrix_groupoid(n: int, budget: Budget | None = None) -> FinitePrecategory:
 
 def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> FinitePrecategory:
     """Componentwise product; morphism (s, t) encoded as s*|mor(right)| + t."""
-    budget = budget or DEFAULT_BUDGET
     mr = right.morphism_count
-    m = left.morphism_count * mr
-    check_order(m, budget)
+    check_order(left.morphism_count * mr, budget or DEFAULT_BUDGET)
     nobj_r = right.object_count
     morphisms = tuple(
         (left.dom(s) * nobj_r + right.dom(t), left.cod(s) * nobj_r + right.cod(t))
         for s in range(left.morphism_count)
         for t in range(mr)
     )
-    comp = [[None] * m for _ in range(m)]
-    for s in range(left.morphism_count):
-        for t in range(mr):
-            for s2 in range(left.morphism_count):
-                for t2 in range(mr):
-                    a = left.comp[s][s2]
-                    b = right.comp[t][t2]
-                    if a is not None and b is not None:
-                        comp[s * mr + t][s2 * mr + t2] = a * mr + b
     if left.is_category and right.is_category:
         identity_at = tuple(
             left.identity_at[i] * mr + right.identity_at[j]
@@ -230,7 +220,8 @@ def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: 
         )
     else:
         identity_at = (None,) * (left.object_count * right.object_count)
-    return FinitePrecategory(left.object_count * right.object_count, morphisms, tuple(tuple(r) for r in comp), identity_at)
+    comp = tuple(map(tuple, _pair_table(left.comp, right.comp)))
+    return FinitePrecategory(left.object_count * right.object_count, morphisms, comp, identity_at)
 
 
 def disjoint_union(left: FinitePrecategory, right: FinitePrecategory) -> FinitePrecategory:
@@ -337,20 +328,7 @@ def adjoin_zero(cat: FinitePrecategory, budget: Budget | None = None) -> FiniteM
     s * t is the composite when defined and the zero otherwise; the zero sits
     at the top index, so morphism indices are preserved.
     """
-    budget = budget or DEFAULT_BUDGET
-    m = cat.morphism_count
-    check_order(m + 1, budget)
-    zero = m
-    table = []
-    for s in range(m):
-        row = [zero] * (m + 1)
-        for t in range(m):
-            c = cat.comp[s][t]
-            if c is not None:
-                row[t] = c
-        table.append(tuple(row))
-    table.append((zero,) * (m + 1))
-    return FiniteMagma(order=m + 1, table=tuple(table), zero=zero)
+    return _zero_adjoined(cat.comp, budget)
 
 
 def _expand_free_objects(obj_map, mor_map, target_objects, results):
@@ -529,13 +507,7 @@ def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget | None = N
 
 def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> list:
     """Subprecategories of left x right as sets of (left morphism, right morphism) pairs."""
-    budget = budget or DEFAULT_BUDGET
-    prod = product_category(left, right, budget)
-    mr = right.morphism_count
-    return [
-        frozenset(divmod(e, mr) for e in subset)
-        for subset in enumerate_subprecategories(prod, budget)
-    ]
+    return _pair_subsets(left.comp, right.comp, budget)
 
 
 def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> list:

@@ -65,6 +65,12 @@ def _load(path: str, budget: Budget, kinds: tuple):
     return kind, structure, text
 
 
+def _check_zero(kind: str, zero: bool) -> None:
+    """--zero picks the contracted algebra of a zero magma; a category's algebra has no such choice."""
+    if zero and kind == "category":
+        raise ValidationError("--zero needs magma operands; a category algebra is always contracted")
+
+
 def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
     """The algebra of a category, else of a magma, contracted at its zero when zero is set."""
     if kind == "category":
@@ -128,6 +134,7 @@ _MAGMA_FAMILIES = {
 def _families(args, budget, out):
     kind, source, _ = _load(args.source, budget, ("magma", "category"))
     _, target, target_text = _load(args.target, budget, (kind,))
+    _check_zero(kind, args.zero)
     if kind == "magma":
         algebra = _algebra(kind, source, args.zero, args.field, budget)
         families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
@@ -147,6 +154,7 @@ def _families(args, budget, out):
 
 def _verify(args, budget, out):
     kind, structure, _ = _load(args.algebra, budget, ("magma", "category"))
+    _check_zero(kind, args.zero)
     algebra = _algebra(kind, structure, args.zero, args.field, budget)
     family = io.parse_family(_read(args.family), algebra, budget)
     checks = (alg.is_filter, alg.is_grading, alg.is_strong, alg.is_nonzero, alg.is_elementary)

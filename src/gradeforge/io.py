@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
-from .budget import DEFAULT_BUDGET, Budget
+from .budget import DEFAULT_BUDGET, Budget, check_order
 from .category import FinitePrecategory, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError
@@ -185,6 +185,7 @@ def parse_category(text: str, budget: Budget | None = None) -> FinitePrecategory
         morphism_count = int(head[2])
     except ValueError:
         raise ParseError("bad counts in header", 1, 10) from None
+    check_order(object_count, budget)
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]
     if body and body[0][1] == ["groupoid-presentation"]:
         return _parse_groupoid_presentation(body[1:], object_count, morphism_count, budget)
@@ -284,9 +285,11 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget | None 
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    if doc.get("kind") != "family":
+    if not isinstance(doc, dict) or doc.get("kind") != "family":
         raise ParseError("not a family document", 1, 1)
     target_doc = doc.get("target", {})
+    if not isinstance(target_doc, dict) or not isinstance(target_doc.get("text", ""), str):
+        raise ParseError("target must be an object with a text string", 1, 1)
     fmt = target_doc.get("format")
     if fmt == "magma":
         target = parse_magma(target_doc.get("text", ""))
@@ -295,13 +298,27 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget | None 
     else:
         raise ParseError(f"unknown target format {fmt!r}", 1, 1)
     raw = doc.get("parts", {})
+    if not isinstance(raw, dict):
+        raise ParseError("parts must be an object", 1, 1)
     parts = []
     for h in range(target.order):
         entry = raw.get(str(h), [])
         if not isinstance(entry, list):
             raise ParseError(f"part {h} is not a list", 1, 1)
-        parts.append(frozenset(int(b) for b in entry))
+        parts.append(frozenset(_basis_index(b, h) for b in entry))
     return ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts))
+
+
+def _basis_index(value, h: int) -> int:
+    """A basis index of a family document: an int, or the decimal string --json writes for one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than Python converts
+            pass
+    raise ParseError(f"part {h} holds {value!r}, not a basis index", 1, 1)
 
 
 def _encode(value):

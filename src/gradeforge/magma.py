@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, isqrt
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .errors import (
     IndexOutOfRangeError,
     MissingZeroError,
     NotAbsorbingError,
-    SizeOverflowError,
     ValidationError,
 )
 
@@ -107,30 +106,44 @@ def word_of_magma(magma: FiniteMagma) -> str:
     return "".join(chr(ord("a") + e) for row in magma.table for e in row)
 
 
+def _pair_table(left, right) -> list:
+    """The table on pairs of two (partial) tables, pair (g, h) at g*len(right) + h; an entry is
+    None where either factor's entry is None."""
+    nh = len(right)
+    return [
+        [None if a is None or b is None else a * nh + b for a in lrow for b in rrow]
+        for lrow in left
+        for rrow in right
+    ]
+
+
+def _zero_adjoined(table, budget: Budget | None) -> FiniteMagma:
+    """The zero magma of a (partial) table: a fresh absorbing zero at the top index, which is
+    also the product wherever the table has None."""
+    n = len(table)
+    check_order(n + 1, budget or DEFAULT_BUDGET)
+    rows = tuple(tuple(n if e is None else e for e in row) + (n,) for row in table)
+    return FiniteMagma(order=n + 1, table=rows + ((n,) * (n + 1),), zero=n)
+
+
+def _zero_exempt(table, zero: int) -> tuple:
+    """The table with every product equal to zero blanked to None, so no law binds it."""
+    return tuple(tuple(None if e == zero else e for e in row) for row in table)
+
+
 def product_magma(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
     """Componentwise product on pairs, encoded as (g, h) -> g*|right| + h.
 
     No zero is designated on the result even when both factors carry one.
     """
-    budget = budget or DEFAULT_BUDGET
     order = left.order * right.order
-    check_order(order, budget)
-    nh = right.order
-    table = tuple(
-        tuple(left.table[g][g2] * nh + right.table[h][h2] for g2 in range(left.order) for h2 in range(nh))
-        for g in range(left.order)
-        for h in range(nh)
-    )
-    return FiniteMagma(order=order, table=table)
+    check_order(order, budget or DEFAULT_BUDGET)
+    return FiniteMagma(order=order, table=tuple(map(tuple, _pair_table(left.table, right.table))))
 
 
 def with_zero_adjoined(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
     """Adjoin a fresh absorbing element at the top index."""
-    budget = budget or DEFAULT_BUDGET
-    n = magma.order
-    check_order(n + 1, budget)
-    table = tuple(tuple(magma.table[g]) + (n,) for g in range(n)) + ((n,) * (n + 1),)
-    return FiniteMagma(order=n + 1, table=table, zero=n)
+    return _zero_adjoined(magma.table, budget)
 
 
 def cyclic_group_magma(n: int) -> FiniteMagma:
@@ -177,20 +190,12 @@ def matrix_unit_zero_magma(n: int, budget: Budget | None = None) -> FiniteMagma:
 
     e(i,j) sits at index i*n + j (0-based); the zero is the last index n*n.
     """
-    budget = budget or DEFAULT_BUDGET
     if n < 1:
         raise ValidationError("need n >= 1")
-    order = n * n + 1
-    check_order(order, budget)
-    zero = n * n
-    table = [[zero] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[i * n + j][k * n + l] = i * n + l
-    return FiniteMagma(order=order, table=tuple(tuple(r) for r in table), zero=zero)
+    m = n * n
+    check_order(m + 1, budget or DEFAULT_BUDGET)
+    table = [[x - x % n + y % n if x % n == y // n else None for y in range(m)] for x in range(m)]
+    return _zero_adjoined(table, budget)
 
 
 def closure(magma: FiniteMagma, seed) -> frozenset:
@@ -272,14 +277,26 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget | None = None) -> lis
     return [frozenset(_bits(m)) for m in masks]
 
 
+def _pair_subsets(left, right, budget: Budget | None, forced=(), banned=()) -> list:
+    # Closed subsets of the pair table of two tables that hold every forced
+    # pair and no banned one, each decoded once to a frozenset of (g, h)
+    # pairs, in increasing order of their masks.  The pair count is capped
+    # before the table is built.
+    budget = budget or DEFAULT_BUDGET
+    nh = len(right)
+    check_order(len(left) * nh, budget)
+    pairs = [(g, h) for g in range(len(left)) for h in range(nh)]
+
+    def mask(chosen):
+        return sum(1 << (g * nh + h) for g, h in chosen)
+
+    masks = _closed_subsets(_pair_table(left, right), mask(forced), mask(banned), NodeCounter(budget))
+    return [frozenset(pairs[p] for p in _bits(m)) for m in masks]
+
+
 def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
     """Submagmas of left x right, decoded to pair relations."""
-    prod = product_magma(left, right, budget)
-    nh = right.order
-    return [
-        PairRelation(left, right, frozenset(divmod(e, nh) for e in subset))
-        for subset in enumerate_submagmas(prod, budget)
-    ]
+    return [PairRelation(left, right, pairs) for pairs in _pair_subsets(left.table, right.table, budget)]
 
 
 def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
@@ -289,27 +306,14 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
     and no nonzero g is paired with 0_H -- and f is closed under componentwise
     products whose left component is nonzero.  A forced product landing on
     (g, 0_H) with g nonzero kills the branch, since no such pair may exist.
-    Pairs are encoded as g*|right| + h, and |left|*|right| is capped by the
-    budget's max_order.
+    |left|*|right| is capped by the budget's max_order.
     """
-    budget = budget or DEFAULT_BUDGET
     if left.zero is None or right.zero is None:
         raise MissingZeroError("both operands need a designated zero")
-    ng, nh = left.order, right.order
-    check_order(ng * nh, budget)
     zg, zh = left.zero, right.zero
-    gtab, htab = left.table, right.table
-    table = [
-        [None if gtab[g][g2] == zg else gtab[g][g2] * nh + htab[h][h2] for g2 in range(ng) for h2 in range(nh)]
-        for g in range(ng)
-        for h in range(nh)
-    ]
-    banned = sum(1 << (g * nh + zh) for g in range(ng) if g != zg)
-    masks = _closed_subsets(table, 1 << (zg * nh + zh), banned, NodeCounter(budget))
-    return [
-        PairRelation(left, right, frozenset(divmod(p, nh) for p in _bits(m)))
-        for m in masks
-    ]
+    banned = [(g, zh) for g in range(left.order) if g != zg]
+    sets = _pair_subsets(_zero_exempt(left.table, zg), right.table, budget, [(zg, zh)], banned)
+    return [PairRelation(left, right, pairs) for pairs in sets]
 
 
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
@@ -359,7 +363,6 @@ def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
                 search(trial)
 
     search([None] * n)
-    out.sort()
     return out
 
 
@@ -380,19 +383,7 @@ def enumerate_zero_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget
     zg, zh = source.zero, target.zero
     nonzero = frozenset(h for h in range(target.order) if h != zh)
     allowed = [nonzero if g != zg else frozenset((zh,)) for g in range(source.order)]
-    dom = tuple(
-        tuple(entry if entry != zg else None for entry in row)
-        for row in source.table
-    )
-    return _enumerate_maps(dom, target.table, allowed, counter)
-
-
-def graph_relation(source: FiniteMagma, target: FiniteMagma, images) -> PairRelation:
-    """The graph of a total map as a pair relation."""
-    images = tuple(images)
-    if len(images) != source.order:
-        raise ValidationError(f"map has {len(images)} images for order {source.order}")
-    return PairRelation(source, target, frozenset(enumerate(images)))
+    return _enumerate_maps(_zero_exempt(source.table, zg), target.table, allowed, counter)
 
 
 def _perm_data(n: int):
@@ -412,21 +403,12 @@ def canonical_form(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMa
     A designated zero tags along under the winning permutation; it never
     constrains the minimization because an absorbing element is unique.
     """
-    budget = budget or DEFAULT_BUDGET
     n = magma.order
-    if n > budget.max_perm_order:
-        raise SizeOverflowError(f"order {n} exceeds the permutation-scan cap of {budget.max_perm_order}")
+    NodeCounter(budget or DEFAULT_BUDGET).spend(factorial(n) * n * n)  # one node per table entry read
     flat = [e for row in magma.table for e in row]
-    best = None
-    best_perm = None
-    for perm, src in _perm_data(n):
-        candidate = tuple(perm[flat[s]] for s in src)
-        if best is None or candidate < best:
-            best = candidate
-            best_perm = perm
+    best, perm = min((tuple(p[flat[s]] for s in src), p) for p, src in _perm_data(n))
     table = tuple(best[i * n:(i + 1) * n] for i in range(n))
-    zero = best_perm[magma.zero] if magma.zero is not None else None
-    return FiniteMagma(order=n, table=table, zero=zero)
+    return FiniteMagma(order=n, table=table, zero=None if magma.zero is None else perm[magma.zero])
 
 
 def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> bool:

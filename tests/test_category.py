@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from gradeforge.errors import (
     NotAGroupError,
     NotAssociativeError,
     ReductionMismatchError,
+    SizeOverflowError,
 )
 from gradeforge.category import (
     adjoin_zero,
@@ -37,6 +39,12 @@ from gradeforge.category import (
 from gradeforge.magma import are_isomorphic, matrix_unit_zero_magma
 
 from conftest import brute_force_prefunctors, fork_precategory, one_object_monoid, two_arrows_precategory
+
+
+@pytest.fixture
+def structures(involution_cat, z2_cat, idem_cat):
+    """The conftest categories and the two identity-free precategories."""
+    return [involution_cat, z2_cat, idem_cat, matrix_groupoid(2), fork_precategory(), two_arrows_precategory()]
 
 
 class TestValidate:
@@ -115,6 +123,36 @@ class TestConstructors:
         g = connected_groupoid(2, [[0, 1], [1, 0]])
         validate_precategory(g.object_count, g.morphisms, g.comp, g.identity_at)
         assert is_groupoid(g) and is_connected(g)
+
+
+class TestConstructorsAgainstDefinitions:
+    def test_product_category(self, structures):
+        for left, right in itertools.product(structures, repeat=2):
+            prod = product_category(left, right)
+            pairs = list(itertools.product(range(left.morphism_count), range(right.morphism_count)))
+            objects = list(itertools.product(range(left.object_count), range(right.object_count)))
+            index = {p: i for i, p in enumerate(pairs)}
+            assert prod.object_count == len(objects)
+            assert [(objects[d], objects[c]) for d, c in prod.morphisms] == [
+                ((left.dom(s), right.dom(t)), (left.cod(s), right.cod(t))) for s, t in pairs
+            ]
+            for (x, (s, t)), (y, (s2, t2)) in itertools.product(enumerate(pairs), repeat=2):
+                a, b = left.comp[s][s2], right.comp[t][t2]
+                assert prod.comp[x][y] == (None if a is None or b is None else index[a, b])
+            if left.is_category and right.is_category:
+                assert prod.identity_at == tuple(index[left.identity_at[i], right.identity_at[j]] for i, j in objects)
+            else:
+                assert prod.identity_at == (None,) * len(objects)
+            validate_precategory(prod.object_count, prod.morphisms, prod.comp, prod.identity_at)
+
+    def test_adjoin_zero(self, structures):
+        for cat in structures:
+            m = cat.morphism_count
+            g = adjoin_zero(cat)
+            assert g.order == m + 1 and g.zero == m
+            for s, t in itertools.product(range(m + 1), repeat=2):
+                composite = cat.comp[s][t] if s < m and t < m else None
+                assert g.table[s][t] == (m if composite is None else composite)
 
 
 class TestAdjoinZero:
@@ -281,6 +319,20 @@ class TestSubprecategories:
 
         for cat in (involution_cat, z2_cat, idem_cat, matrix_groupoid(2), product_category(involution_cat, z2_cat)):
             assert enumerate_subprecategories(cat) == brute(cat)
+
+    def test_pairs_are_the_decoded_subprecategories_of_the_product(self, structures):
+        # The pair search reads the two composition tables and never builds
+        # the product category, so the two routes share no product code.
+        for left, right in itertools.product(structures, repeat=2):
+            pairs = list(itertools.product(range(left.morphism_count), range(right.morphism_count)))
+            product = enumerate_subprecategories(product_category(left, right))
+            assert enumerate_subprecategory_pairs(left, right) == [frozenset(pairs[e] for e in s) for s in product]
+
+    def test_pair_cap_fires_before_any_table_is_built(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeOverflowError):
+            enumerate_subprecategory_pairs(matrix_groupoid(3), matrix_groupoid(3))
+        assert time.perf_counter() - start < 0.1
 
     def test_zero_submagma_route_agrees(self, involution_cat, z2_cat, idem_cat):
         for source, target in [

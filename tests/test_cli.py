@@ -171,6 +171,76 @@ class TestGradingsAndVerify:
         assert json.loads(out)["count"] == "6"
 
 
+class TestZeroFlagWithCategories:
+    # A category's algebra is always the contracted algebra of its adjoined
+    # zero magma, so --zero has nothing to choose and is refused.
+    @pytest.mark.parametrize("command", ["gradings", "filters"])
+    def test_families_refuse_zero(self, data_dir, command):
+        code, out, err = run_cli(command, data(data_dir, "gamma.cat"), data(data_dir, "lambda_z2.cat"), "--zero")
+        assert code == 1 and out == "" and err.startswith("error: --zero")
+
+    def test_verify_refuses_zero(self, data_dir, tmp_path):
+        code, out, _ = run_cli("gradings", data(data_dir, "gamma.cat"), data(data_dir, "lambda_z2.cat"), "--json")
+        family_file = tmp_path / "family.json"
+        family_file.write_text(json.dumps(json.loads(out)["items"][1]), encoding="utf-8")
+        code, out, err = run_cli("verify", data(data_dir, "gamma.cat"), str(family_file), "--zero")
+        assert code == 1 and out == "" and err.startswith("error: --zero")
+
+
+class TestMalformedInput:
+    """Documents valid but for one field: a parse error (exit 3) or a budget exit (2), never a traceback."""
+
+    @pytest.fixture
+    def verify_with(self, data_dir, tmp_path):
+        code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"), "--json")
+        base = json.loads(out)["items"][0]
+
+        def verify(**fields):
+            doc = fields["doc"] if "doc" in fields else {**base, **fields}
+            family_file = tmp_path / "family.json"
+            family_file.write_text(json.dumps(doc), encoding="utf-8")
+            return run_cli("verify", data(data_dir, "aabb.mag"), str(family_file))
+
+        return verify
+
+    def assert_parse_error(self, result):
+        code, out, err = result
+        assert code == 3 and out == "" and err.startswith("parse error:")
+
+    def test_string_and_int_indices_parse(self, verify_with):
+        assert verify_with(parts={"0": ["0", 1], "1": []})[0] == 0
+
+    def test_non_numeric_index(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": ["x"]}))
+
+    def test_overflowing_float_index(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [1e400]}))
+
+    def test_fractional_index(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [1.5]}))
+
+    def test_boolean_index(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [True]}))
+
+    def test_parts_as_a_list(self, verify_with):
+        self.assert_parse_error(verify_with(parts=[]))
+
+    def test_parts_as_a_string(self, verify_with):
+        self.assert_parse_error(verify_with(parts="ab"))
+
+    def test_top_level_list(self, verify_with):
+        self.assert_parse_error(verify_with(doc=[1, 2]))
+
+    def test_target_as_a_string(self, verify_with):
+        self.assert_parse_error(verify_with(target="x"))
+
+    def test_huge_object_count_in_category_header(self, tmp_path):
+        huge = tmp_path / "huge.cat"
+        huge.write_text("category 1000000000000000000000 1\nm 0 0 id\nc 0 0 0\n", encoding="utf-8")
+        code, out, err = run_cli("functors", str(huge), str(huge))
+        assert code == 2 and out == "" and err.startswith("budget exhausted:")
+
+
 class TestRoundtripCommand:
     def test_reports_all_nine(self, data_dir):
         code, out, _ = run_cli("roundtrip", data(data_dir, "aaaa.mag"), data(data_dir, "aaaa.mag"))

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from gradeforge.errors import MissingZeroError
+from gradeforge.io import parse_magma
 from gradeforge.magma import (
     cyclic_group_magma,
     enumerate_homs,
@@ -36,6 +37,19 @@ def test_full_order_two_table(order2):
         for hw in ORDER2_WORDS:
             found = symbols(enumerate_homs(order2[gw], order2[hw]))
             assert found == "".join(sorted(HOM_TABLE[gw][hw])), (gw, hw)
+
+
+def test_maps_come_strictly_increasing_on_every_fixture_pair(data_dir):
+    # The search branches on the lowest unassigned element with images in
+    # increasing order, so its output order needs no sort.
+    magmas = [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+    for source, target in itertools.product(magmas, repeat=2):
+        searches = [enumerate_homs]
+        if source.zero is not None and target.zero is not None:
+            searches.append(enumerate_zero_homs)
+        for search in searches:
+            maps = search(source, target)
+            assert all(a < b for a, b in zip(maps, maps[1:]))
 
 
 def test_cyclic_hom_count_is_gcd():

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -178,3 +180,14 @@ class TestFixtureFiles:
                 value = parse_category(text)
                 printed = print_category(value)
                 assert parse_category(printed) == value
+
+    def test_generator_reproduces_every_fixture(self, data_dir, tmp_path):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "gen_fixtures.py"
+        spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main(tmp_path)
+        written = sorted(tmp_path.iterdir())
+        assert written
+        for path in written:
+            assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name

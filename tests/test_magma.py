@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from gradeforge.errors import (
     ValidationError,
 )
 from gradeforge.category import enumerate_subprecategories, matrix_groupoid
+from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
     abelian_group_magma,
@@ -91,6 +93,48 @@ class TestProduct:
         g = cyclic_group_magma(9)
         with pytest.raises(SizeOverflowError):
             product_magma(g, g)
+
+
+@pytest.fixture(scope="module")
+def fixture_magmas(data_dir):
+    return [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+
+
+class TestConstructorsAgainstDefinitions:
+    def test_product_magma(self, fixture_magmas):
+        for left, right in itertools.product(fixture_magmas, repeat=2):
+            pairs = list(itertools.product(range(left.order), range(right.order)))
+            index = {p: i for i, p in enumerate(pairs)}
+            expected = tuple(
+                tuple(index[left.table[g][g2], right.table[h][h2]] for g2, h2 in pairs) for g, h in pairs
+            )
+            assert product_magma(left, right) == FiniteMagma(order=len(pairs), table=expected)
+
+    def test_with_zero_adjoined(self, fixture_magmas):
+        for magma in fixture_magmas:
+            n = magma.order
+            expected = tuple(
+                tuple(magma.table[g][h] if g < n and h < n else n for h in range(n + 1)) for g in range(n + 1)
+            )
+            assert with_zero_adjoined(magma) == FiniteMagma(order=n + 1, table=expected, zero=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrix_unit_zero_magma(self, n):
+        units = list(itertools.product(range(n), repeat=2))
+        zero = len(units)
+        expected = [[zero] * (zero + 1) for _ in range(zero + 1)]
+        for (x, (i, j)), (y, (k, l)) in itertools.product(enumerate(units), repeat=2):
+            if j == k:
+                expected[x][y] = units.index((i, l))
+        assert matrix_unit_zero_magma(n) == FiniteMagma(zero + 1, tuple(map(tuple, expected)), zero)
+
+    def test_caps_fire_before_any_table_is_built(self):
+        nine = cyclic_group_magma(9)
+        for build in (lambda: matrix_unit_zero_magma(10**4), lambda: product_magma(nine, nine)):
+            start = time.perf_counter()
+            with pytest.raises(SizeOverflowError):
+                build()
+            assert time.perf_counter() - start < 0.1
 
 
 class TestClosure:
@@ -249,6 +293,15 @@ class TestIsomorphism:
         g = cyclic_group_magma(9)
         with pytest.raises(SizeOverflowError):
             canonical_form(g)
+
+    def test_node_budget_gates_the_scan(self):
+        # n! * n^2 nodes, one per table entry read: 54 at order 3.
+        g = cyclic_group_magma(3)
+        canonical_form(g, Budget(max_nodes=54))
+        with pytest.raises(SizeOverflowError):
+            canonical_form(g, Budget(max_nodes=53))
+        with pytest.raises(SizeOverflowError):
+            canonical_form(abelian_group_magma([2, 2, 2]), Budget(max_nodes=1))
 
 
 class TestCensus:
