@@ -163,9 +163,6 @@ class ElementaryFamily:
                 if not 0 <= b < self.algebra.basis_size:
                     raise BasisMismatchError(f"basis index {b} outside 0..{self.algebra.basis_size - 1}")
 
-    def part(self, h: int) -> frozenset:
-        return self.parts[h]
-
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:
     """The fixed base family: one basis line per source element (empty at a contracted zero)."""
@@ -524,7 +521,6 @@ def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMa
     """One grading per magma homomorphism source -> target."""
     if algebra.contracted:
         raise ValidationError("plain gradings live on the plain magma algebra")
-    budget = budget or DEFAULT_BUDGET
     return _families(algebra, target, map(enumerate, enumerate_homs(algebra.source, target, budget)))
 
 
@@ -532,7 +528,6 @@ def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: 
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero gradings live on the contracted algebra")
-    budget = budget or DEFAULT_BUDGET
     return _families(algebra, target, map(enumerate, enumerate_zero_homs(algebra.source, target, budget)))
 
 
@@ -540,18 +535,14 @@ def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMag
     """One filter per submagma of source x target, including the zero filter from the empty set."""
     if algebra.contracted:
         raise ValidationError("plain filters live on the plain magma algebra")
-    budget = budget or DEFAULT_BUDGET
-    relations = enumerate_product_submagmas(algebra.source, target, budget)
-    return _families(algebra, target, [rel.pairs for rel in relations])
+    return _families(algebra, target, enumerate_product_submagmas(algebra.source, target, budget))
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero filters live on the contracted algebra")
-    budget = budget or DEFAULT_BUDGET
-    relations = enumerate_zero_submagmas(algebra.source, target, budget)
-    return _families(algebra, target, [rel.pairs for rel in relations])
+    return _families(algebra, target, enumerate_zero_submagmas(algebra.source, target, budget))
 
 
 def enumerate_category_gradings(

@@ -411,7 +411,6 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
                 search(mm, om)
 
     search([None] * m, [None] * source.object_count)
-    results.sort(key=lambda f: (f.morphism_map, f.object_map))
     return results
 
 
@@ -452,7 +451,6 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
                         f"zero-magma homomorphism {images} induces no consistent object map"
                     )
         _expand_free_objects(obj_map, images[: source.morphism_count], target.object_count, results)
-    results.sort(key=lambda f: (f.morphism_map, f.object_map))
     return results
 
 
@@ -529,6 +527,6 @@ def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: Fini
     h = adjoin_zero(right, budget)
     zg, zh = g.zero, h.zero
     seen = set()
-    for rel in enumerate_zero_submagmas(g, h, budget):
-        seen.add(frozenset((s, t) for (s, t) in rel.pairs if s != zg and t != zh))
+    for pairs in enumerate_zero_submagmas(g, h, budget):
+        seen.add(frozenset((s, t) for (s, t) in pairs if s != zg and t != zh))
     return sorted(seen, key=lambda f: sorted(f))

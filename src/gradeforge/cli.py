@@ -65,10 +65,13 @@ def _load(path: str, budget: Budget, kinds: tuple):
     return kind, structure, text
 
 
-def _check_zero(kind: str, zero: bool) -> None:
-    """--zero picks the contracted algebra of a zero magma; a category's algebra has no such choice."""
-    if zero and kind == "category":
+def _check_flags(kind: str, args) -> None:
+    """--zero picks the contracted algebra of a zero magma, which a category's algebra always is;
+    --prefunctors and --functors pick the map search of a category, which a magma has no choice of."""
+    if args.zero and kind == "category":
         raise ValidationError("--zero needs magma operands; a category algebra is always contracted")
+    if kind == "magma" and (getattr(args, "prefunctors", False) or getattr(args, "functors", False)):
+        raise ValidationError("--prefunctors and --functors need category operands")
 
 
 def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
@@ -106,7 +109,7 @@ def _submagmas(args, budget, out):
         subs = [sorted(s) for s in mg.enumerate_submagmas(source, budget)]
         return _write(out, args, subs, lambda s: {"elements": s}, lambda s: "{" + ",".join(map(str, s)) + "}")
     search = mg.enumerate_zero_submagmas if args.zero else mg.enumerate_product_submagmas
-    rels = [sorted(rel.pairs) for rel in search(source, _load(args.target, budget, ("magma",))[1], budget)]
+    rels = [sorted(pairs) for pairs in search(source, _load(args.target, budget, ("magma",))[1], budget)]
     return _write(
         out, args, rels, lambda r: {"pairs": [list(p) for p in r]},
         lambda r: "{" + " ".join(f"{g}:{h}" for g, h in r) + "}",
@@ -134,7 +137,7 @@ _MAGMA_FAMILIES = {
 def _families(args, budget, out):
     kind, source, _ = _load(args.source, budget, ("magma", "category"))
     _, target, target_text = _load(args.target, budget, (kind,))
-    _check_zero(kind, args.zero)
+    _check_flags(kind, args)
     if kind == "magma":
         algebra = _algebra(kind, source, args.zero, args.field, budget)
         families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
@@ -154,7 +157,7 @@ def _families(args, budget, out):
 
 def _verify(args, budget, out):
     kind, structure, _ = _load(args.algebra, budget, ("magma", "category"))
-    _check_zero(kind, args.zero)
+    _check_flags(kind, args)
     algebra = _algebra(kind, structure, args.zero, args.field, budget)
     family = io.parse_family(_read(args.family), algebra, budget)
     checks = (alg.is_filter, alg.is_grading, alg.is_strong, alg.is_nonzero, alg.is_elementary)
@@ -167,7 +170,7 @@ def _verify(args, budget, out):
 def _roundtrip(args, budget, out):
     source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
     algebra = alg.magma_algebra(source, args.field)
-    rels = mg.enumerate_product_submagmas(source, target, budget)
+    rels = [mg.PairRelation(source, target, pairs) for pairs in mg.enumerate_product_submagmas(source, target, budget)]
 
     def round_trips(rel):
         family = alg.grading_from_relation(algebra, rel)

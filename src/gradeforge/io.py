@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
-from .budget import DEFAULT_BUDGET, Budget, check_order
+from .budget import DEFAULT_BUDGET, Budget
 from .category import FinitePrecategory, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
-from .errors import ParseError
+from .errors import ParseError, SizeOverflowError
 from .magma import FiniteMagma, validate_magma
 
 
@@ -185,7 +185,8 @@ def parse_category(text: str, budget: Budget | None = None) -> FinitePrecategory
         morphism_count = int(head[2])
     except ValueError:
         raise ParseError("bad counts in header", 1, 10) from None
-    check_order(object_count, budget)
+    if object_count > budget.max_order:
+        raise SizeOverflowError(f"object count {object_count} exceeds the cap of {budget.max_order}")
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]
     if body and body[0][1] == ["groupoid-presentation"]:
         return _parse_groupoid_presentation(body[1:], object_count, morphism_count, budget)

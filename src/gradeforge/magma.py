@@ -19,8 +19,6 @@ from .errors import (
     ValidationError,
 )
 
-ElementSet = frozenset
-
 
 @dataclass(frozen=True)
 class FiniteMagma:
@@ -37,10 +35,6 @@ class FiniteMagma:
 
     def product(self, g: int, h: int) -> int:
         return self.table[g][h]
-
-    @property
-    def elements(self) -> range:
-        return range(self.order)
 
 
 @dataclass(frozen=True)
@@ -295,12 +289,12 @@ def _pair_subsets(left, right, budget: Budget | None, forced=(), banned=()) -> l
 
 
 def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
-    """Submagmas of left x right, decoded to pair relations."""
-    return [PairRelation(left, right, pairs) for pairs in _pair_subsets(left.table, right.table, budget)]
+    """Submagmas of left x right, each a frozenset of (g, h) pairs."""
+    return _pair_subsets(left.table, right.table, budget)
 
 
 def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
-    """Zero submagmas of left x right.
+    """Zero submagmas of left x right, each a frozenset of (g, h) pairs.
 
     A pair set f qualifies when f^{-1}(0_H) = {0_G} -- i.e. (0,0) is present
     and no nonzero g is paired with 0_H -- and f is closed under componentwise
@@ -312,8 +306,7 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
         raise MissingZeroError("both operands need a designated zero")
     zg, zh = left.zero, right.zero
     banned = [(g, zh) for g in range(left.order) if g != zg]
-    sets = _pair_subsets(_zero_exempt(left.table, zg), right.table, budget, [(zg, zh)], banned)
-    return [PairRelation(left, right, pairs) for pairs in sets]
+    return _pair_subsets(_zero_exempt(left.table, zg), right.table, budget, [(zg, zh)], banned)
 
 
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
@@ -386,15 +379,26 @@ def enumerate_zero_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget
     return _enumerate_maps(_zero_exempt(source.table, zg), target.table, allowed, counter)
 
 
-def _perm_data(n: int):
-    data = []
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        src = [inv[k // n] * n + inv[k % n] for k in range(n * n)]
-        data.append((perm, src))
-    return data
+def _relabellings(n: int):
+    # (perm, order) for every permutation of 0..n-1: perm sends old index i
+    # to perm[i], and order lists the old indices by new index.
+    for order in itertools.permutations(range(n)):
+        perm = [0] * n
+        for new, old in enumerate(order):
+            perm[old] = new
+        yield perm, order
+
+
+def _least_relabelling(rows, relabellings) -> tuple:
+    # The least relabelled table over relabellings, row-major in one flat
+    # tuple, with its perm.  The entry at new (i, j) is
+    # perm[rows[order[i]][order[j]]].
+    return min((tuple([p[rows[i][j]] for i in order for j in order]), p) for p, order in relabellings)
+
+
+def _unflattened(flat, n: int) -> tuple:
+    """The rows of a row-major flat table of order n."""
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
 def canonical_form(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
@@ -405,10 +409,8 @@ def canonical_form(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMa
     """
     n = magma.order
     NodeCounter(budget or DEFAULT_BUDGET).spend(factorial(n) * n * n)  # one node per table entry read
-    flat = [e for row in magma.table for e in row]
-    best, perm = min((tuple(p[flat[s]] for s in src), p) for p, src in _perm_data(n))
-    table = tuple(best[i * n:(i + 1) * n] for i in range(n))
-    return FiniteMagma(order=n, table=table, zero=None if magma.zero is None else perm[magma.zero])
+    flat, perm = _least_relabelling(magma.table, _relabellings(n))
+    return FiniteMagma(order=n, table=_unflattened(flat, n), zero=None if magma.zero is None else perm[magma.zero])
 
 
 def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> bool:
@@ -427,15 +429,8 @@ def census(order: int, budget: Budget | None = None) -> list:
     budget = budget or DEFAULT_BUDGET
     if order < 1:
         raise ValidationError("order must be positive")
-    counter = NodeCounter(budget)
-    counter.spend(order ** (order * order))
-    perms = _perm_data(order)
-    seen = set()
-    for flat in itertools.product(range(order), repeat=order * order):
-        canon = min(tuple(perm[flat[s]] for s in src) for perm, src in perms)
-        seen.add(canon)
-    out = []
-    for flat in sorted(seen):
-        table = tuple(flat[i * order:(i + 1) * order] for i in range(order))
-        out.append(FiniteMagma(order=order, table=table))
-    return out
+    NodeCounter(budget).spend(order ** (order * order))
+    relabellings = list(_relabellings(order))
+    rows = list(itertools.product(range(order), repeat=order))
+    seen = {_least_relabelling(table, relabellings)[0] for table in itertools.product(rows, repeat=order)}
+    return [FiniteMagma(order=order, table=_unflattened(flat, order)) for flat in sorted(seen)]

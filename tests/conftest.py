@@ -91,6 +91,11 @@ def two_arrows_precategory():
     return validate_precategory(4, [(0, 1), (2, 3)], [[None, None], [None, None]], None)
 
 
+def bare_object_precategory():
+    """The two-element group at object 0 beside an object 1 that no morphism touches."""
+    return validate_precategory(2, [(0, 0), (0, 0)], [[0, 1], [1, 0]], identity_at=(0, None))
+
+
 def brute_force_prefunctors(source, target, functors=False):
     """Every (object map, morphism map) that keeps dom/cod and composites, read
     straight off the two composition tables.  With functors, each identity must

@@ -50,6 +50,7 @@ from gradeforge.io import (
     print_magma,
 )
 from gradeforge.magma import (
+    PairRelation,
     abelian_group_magma,
     canonical_form,
     census,
@@ -388,14 +389,13 @@ def test_criterion_09_round_trip_laws(order2):
         for hw in ORDER2_WORDS:
             left, right = order2[gw], order2[hw]
             algebra = magma_algebra(left)
-            rels = enumerate_product_submagmas(left, right)
             fams = []
-            for rel in rels:
-                fam = grading_from_relation(algebra, rel)
+            for pairs in enumerate_product_submagmas(left, right):
+                fam = grading_from_relation(algebra, PairRelation(left, right, pairs))
                 back = relation_from_filter(algebra, fam)
-                ok = ok and back.pairs == rel.pairs
+                ok = ok and back.pairs == pairs
                 ok = ok and grading_from_relation(algebra, back).parts == fam.parts
-                fams.append((rel.pairs, fam))
+                fams.append((pairs, fam))
                 checked += 1
             for (p1, f1), (p2, f2) in itertools.product(fams, fams):
                 if p1 <= p2:

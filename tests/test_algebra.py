@@ -69,9 +69,9 @@ class TestRelationFromFilter:
     def test_round_trip_over_all_submagmas(self, order2):
         g, h = order2["aaaa"], order2["aaaa"]
         a = magma_algebra(g)
-        for rel in enumerate_product_submagmas(g, h):
-            fam = grading_from_relation(a, rel)
-            assert relation_from_filter(a, fam).pairs == rel.pairs
+        for pairs in enumerate_product_submagmas(g, h):
+            fam = grading_from_relation(a, PairRelation(g, h, pairs))
+            assert relation_from_filter(a, fam).pairs == pairs
 
     def test_zero_family_maps_to_empty_relation(self, order2):
         a = magma_algebra(order2["abab"])
@@ -88,11 +88,11 @@ class TestRelationFromFilter:
         g, h = order2["abaa"], order2["aabb"]
         a = magma_algebra(g)
         rels = enumerate_product_submagmas(g, h)
-        fams = {rel.pairs: grading_from_relation(a, rel) for rel in rels}
+        fams = {pairs: grading_from_relation(a, PairRelation(g, h, pairs)) for pairs in rels}
         for r1 in rels:
             for r2 in rels:
-                if r1.pairs <= r2.pairs:
-                    f1, f2 = fams[r1.pairs], fams[r2.pairs]
+                if r1 <= r2:
+                    f1, f2 = fams[r1], fams[r2]
                     assert all(p1 <= p2 for p1, p2 in zip(f1.parts, f2.parts))
 
 
@@ -145,18 +145,18 @@ class TestAxiomChecks:
 
     def test_elementary_always_holds_for_subset_families(self, order2):
         a = magma_algebra(order2["aabb"])
-        for rel in enumerate_product_submagmas(order2["aabb"], order2["aabb"]):
-            assert is_elementary(a, grading_from_relation(a, rel))
+        for pairs in enumerate_product_submagmas(order2["aabb"], order2["aabb"]):
+            assert is_elementary(a, grading_from_relation(a, PairRelation(order2["aabb"], order2["aabb"], pairs)))
 
     def test_field_independence(self, order2, involution_cat, idem_cat):
         for word in ("aaaa", "abba", "abaa"):
             g = order2[word]
-            for rel in enumerate_product_submagmas(g, g):
+            for pairs in enumerate_product_submagmas(g, g):
                 verdicts2 = []
                 verdicts5 = []
                 for p, sink in ((2, verdicts2), (5, verdicts5)):
                     a = magma_algebra(g, p)
-                    fam = grading_from_relation(a, rel)
+                    fam = grading_from_relation(a, PairRelation(g, g, pairs))
                     for check in (is_filter, is_grading, is_strong, is_nonzero, is_elementary):
                         sink.append(check(a, fam).holds)
                 assert verdicts2 == verdicts5
@@ -294,9 +294,9 @@ class TestZeroEnumerations:
         # trip is exact for every zero submagma, including relations pairing
         # the source zero with nonzero targets
         a = magma_algebra(idem_pair_zero3)
-        for rel in enumerate_zero_submagmas(idem_pair_zero3, idem_zero2):
-            fam = grading_from_relation(a, rel)
-            assert relation_from_filter(a, fam).pairs == rel.pairs
+        for pairs in enumerate_zero_submagmas(idem_pair_zero3, idem_zero2):
+            fam = grading_from_relation(a, PairRelation(idem_pair_zero3, idem_zero2, pairs))
+            assert relation_from_filter(a, fam).pairs == pairs
 
     def test_counterexample_family_fails_plain_filter_axiom(self, idem_pair_zero3, idem_zero2):
         # over the plain algebra the zero-hom image is not a filter: a*b = 0 is a

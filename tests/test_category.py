@@ -36,9 +36,16 @@ from gradeforge.category import (
     validate_precategory,
     vertex_group_table,
 )
+from gradeforge.io import parse_category
 from gradeforge.magma import are_isomorphic, matrix_unit_zero_magma
 
-from conftest import brute_force_prefunctors, fork_precategory, one_object_monoid, two_arrows_precategory
+from conftest import (
+    bare_object_precategory,
+    brute_force_prefunctors,
+    fork_precategory,
+    one_object_monoid,
+    two_arrows_precategory,
+)
 
 
 @pytest.fixture
@@ -239,7 +246,7 @@ class TestPrefunctorsAndFunctors:
 class TestZeroHomReduction:
     def pairs(self, involution_cat, z2_cat, idem_cat):
         mg2 = matrix_groupoid(2)
-        cats = [involution_cat, z2_cat, idem_cat, mg2]
+        cats = [involution_cat, z2_cat, idem_cat, mg2, bare_object_precategory()]
         return [(s, t) for s in cats for t in cats]
 
     def test_reduction_agrees_with_direct_enumeration(self, involution_cat, z2_cat, idem_cat):
@@ -270,7 +277,9 @@ class TestMapsAgainstBruteForce:
         assert {(f.object_map, f.morphism_map) for f in found} == expected
 
     def test_prefunctors(self, involution_cat, z2_cat, idem_cat):
-        structures = self.categories(involution_cat, z2_cat, idem_cat) + [fork_precategory(), two_arrows_precategory()]
+        structures = self.categories(involution_cat, z2_cat, idem_cat) + [
+            fork_precategory(), two_arrows_precategory(), bare_object_precategory()
+        ]
         for source in structures:
             for target in structures:
                 self.assert_matches(enumerate_prefunctors(source, target), brute_force_prefunctors(source, target))
@@ -281,6 +290,33 @@ class TestMapsAgainstBruteForce:
             for target in cats:
                 expected = brute_force_prefunctors(source, target, functors=True)
                 self.assert_matches(enumerate_functors(source, target), expected)
+
+
+class TestMapOrder:
+    """The map searches branch on the lowest unassigned morphism with images
+    in increasing order, and free objects take their images in increasing
+    order, so their output needs no sort."""
+
+    @pytest.mark.parametrize(
+        "search", [enumerate_functors, enumerate_prefunctors, enumerate_prefunctors_via_zero_homs]
+    )
+    def test_strictly_increasing_on_every_pair(self, search, data_dir, involution_cat, z2_cat, idem_cat):
+        fixtures = [parse_category(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.cat"))]
+        structures = fixtures + [
+            involution_cat, z2_cat, idem_cat, fork_precategory(), two_arrows_precategory(), bare_object_precategory()
+        ]
+        checked = 0
+        for source, target in itertools.product(structures, repeat=2):
+            if search is enumerate_functors and not (source.is_category and target.is_category):
+                continue
+            try:
+                maps = search(source, target)
+            except ReductionMismatchError:  # the reduction's documented refusal (fork -> two arrows)
+                continue
+            keys = [(f.morphism_map, f.object_map) for f in maps]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (source, target)
+            checked += len(keys) > 1
+        assert checked >= 60
 
 
 class TestSubprecategories:

@@ -187,6 +187,15 @@ class TestZeroFlagWithCategories:
         assert code == 1 and out == "" and err.startswith("error: --zero")
 
 
+class TestCategoryFlagsWithMagmas:
+    # --prefunctors and --functors choose the map search behind category
+    # gradings; a magma algebra is graded by homomorphisms, so both are refused.
+    @pytest.mark.parametrize("flag", ["--prefunctors", "--functors"])
+    def test_gradings_refuse_map_flags(self, data_dir, flag):
+        code, out, err = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "abab.mag"), flag)
+        assert code == 1 and out == "" and err.startswith("error: --prefunctors and --functors need category")
+
+
 class TestMalformedInput:
     """Documents valid but for one field: a parse error (exit 3) or a budget exit (2), never a traceback."""
 
@@ -239,6 +248,7 @@ class TestMalformedInput:
         huge.write_text("category 1000000000000000000000 1\nm 0 0 id\nc 0 0 0\n", encoding="utf-8")
         code, out, err = run_cli("functors", str(huge), str(huge))
         assert code == 2 and out == "" and err.startswith("budget exhausted:")
+        assert "object count 1000000000000000000000 exceeds the cap of 64" in err
 
 
 class TestRoundtripCommand:

@@ -18,7 +18,7 @@ from gradeforge.io import (
     print_category,
     print_magma,
 )
-from gradeforge.magma import enumerate_product_submagmas, magma_from_word, matrix_unit_zero_magma
+from gradeforge.magma import PairRelation, enumerate_product_submagmas, magma_from_word, matrix_unit_zero_magma
 
 from conftest import ORDER2_WORDS, involution_arrow_category
 
@@ -145,7 +145,7 @@ class TestReports:
     def test_nine_filter_listing(self, order2):
         g = order2["aaaa"]
         algebra = magma_algebra(g)
-        fams = [grading_from_relation(algebra, rel) for rel in enumerate_product_submagmas(g, g)]
+        fams = [grading_from_relation(algebra, PairRelation(g, g, pairs)) for pairs in enumerate_product_submagmas(g, g)]
         text = enumeration_report([family_to_doc(f, print_magma(g), "magma") for f in fams])
         doc = json.loads(text)
         assert doc["count"] == "9" and len(doc["items"]) == 9
@@ -153,8 +153,8 @@ class TestReports:
     def test_family_document_round_trip(self, order2):
         g = order2["abaa"]
         algebra = magma_algebra(g)
-        rel = enumerate_product_submagmas(g, order2["aabb"])[3]
-        fam = grading_from_relation(algebra, rel)
+        pairs = enumerate_product_submagmas(g, order2["aabb"])[3]
+        fam = grading_from_relation(algebra, PairRelation(g, order2["aabb"], pairs))
         text = emit_report(family_to_doc(fam, print_magma(order2["aabb"]), "magma"))
         parsed = parse_family(text, algebra)
         assert parsed.parts == fam.parts and parsed.target == fam.target

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -212,16 +213,15 @@ class TestZeroSubmagmas:
             enumerate_zero_submagmas(order2["aaaa"], idem_pair_zero3)
 
     def test_zero_pair_alone_is_always_present(self, idem_pair_zero3, idem_zero2):
-        rels = enumerate_zero_submagmas(idem_pair_zero3, idem_zero2)
-        assert frozenset({(2, 1)}) in {rel.pairs for rel in rels}
+        assert frozenset({(2, 1)}) in enumerate_zero_submagmas(idem_pair_zero3, idem_zero2)
 
     def test_no_nonzero_element_maps_to_zero(self, idem_pair_zero3, idem_zero2):
-        for rel in enumerate_zero_submagmas(idem_pair_zero3, idem_zero2):
-            assert rel.preimage(idem_zero2.zero) == frozenset({idem_pair_zero3.zero})
+        for pairs in enumerate_zero_submagmas(idem_pair_zero3, idem_zero2):
+            assert {g for g, h in pairs if h == idem_zero2.zero} == {idem_pair_zero3.zero}
 
     def test_matrix_unit_hom_graphs_appear(self):
         g2 = matrix_unit_zero_magma(2)
-        rels = {rel.pairs for rel in enumerate_zero_submagmas(g2, g2)}
+        rels = set(enumerate_zero_submagmas(g2, g2))
         # e(i,j) -> e(p(i),p(j)) for each map p of the two index values
         for p in itertools.product(range(2), repeat=2):
             graph = {(4, 4)}
@@ -256,7 +256,15 @@ class TestZeroSubmagmas:
         ]
         for left, right in cases:
             expected = brute(left, right)
-            assert {rel.pairs for rel in enumerate_zero_submagmas(left, right)} == expected
+            assert set(enumerate_zero_submagmas(left, right)) == expected
+
+    def test_results_are_frozensets_of_pairs(self, order2, idem_pair_zero3, idem_zero2):
+        for found in (
+            enumerate_product_submagmas(order2["aabb"], order2["abab"]),
+            enumerate_zero_submagmas(idem_pair_zero3, idem_zero2),
+        ):
+            assert found and all(type(s) is frozenset for s in found)
+            assert all(type(p) is tuple and len(p) == 2 for s in found for p in s)
 
     def test_matrix_unit_pair_count_regression(self):
         # enumerator output, pinned to catch regressions
@@ -302,6 +310,52 @@ class TestIsomorphism:
             canonical_form(g, Budget(max_nodes=53))
         with pytest.raises(SizeOverflowError):
             canonical_form(abelian_group_magma([2, 2, 2]), Budget(max_nodes=1))
+
+
+def brute_force_canonical(magma):
+    """The least relabelled table, with the zero's new label, written out by
+    scattering each product g*h = k to images[g]*images[h] = images[k]."""
+    n = magma.order
+    best = None
+    for images in itertools.permutations(range(n)):
+        relabelled = [[None] * n for _ in range(n)]
+        for g in range(n):
+            for h in range(n):
+                relabelled[images[g]][images[h]] = images[magma.table[g][h]]
+        table = tuple(tuple(row) for row in relabelled)
+        if best is None or table < best[0]:
+            best = (table, None if magma.zero is None else images[magma.zero])
+    return best
+
+
+def random_magmas(seed, count, max_order):
+    """Seeded random tables of every order up to max_order; every other one
+    has an absorbing zero at a random index."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % max_order
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        zero = rng.randrange(n) if i % 2 else None
+        if zero is not None:
+            for g in range(n):
+                table[zero][g] = table[g][zero] = zero
+        out.append(validate_magma(n, table, zero))
+    return out
+
+
+class TestCanonicalFormAgainstBruteForce:
+    def test_fixtures(self, fixture_magmas):
+        for magma in fixture_magmas:
+            c = canonical_form(magma)
+            assert (c.table, c.zero) == brute_force_canonical(magma)
+
+    def test_random_tables(self):
+        magmas = random_magmas(seed=2011, count=60, max_order=5)
+        assert sum(m.zero is not None and m.order > 1 for m in magmas) >= 20
+        for magma in magmas:
+            c = canonical_form(magma)
+            assert (c.table, c.zero) == brute_force_canonical(magma)
 
 
 class TestCensus:

@@ -6,6 +6,7 @@ from gradeforge.algebra import grading_from_relation, magma_algebra, relation_fr
 from gradeforge.io import parse_magma, print_magma
 from gradeforge.magma import (
     FiniteMagma,
+    PairRelation,
     canonical_form,
     closure,
     enumerate_homs,
@@ -91,17 +92,17 @@ def test_canonical_form_is_relabeling_invariant(magma, rng):
 @given(magmas(max_order=3), magmas(max_order=3))
 def test_relation_filter_round_trip(left, right):
     algebra = magma_algebra(left)
-    for rel in enumerate_product_submagmas(left, right):
-        family = grading_from_relation(algebra, rel)
+    for pairs in enumerate_product_submagmas(left, right):
+        family = grading_from_relation(algebra, PairRelation(left, right, pairs))
         back = relation_from_filter(algebra, family)
-        assert back.pairs == rel.pairs
+        assert back.pairs == pairs
         assert grading_from_relation(algebra, back).parts == family.parts
 
 
 @settings(max_examples=40, deadline=None)
 @given(magmas(max_order=3), magmas(max_order=3))
 def test_hom_graphs_are_submagmas(left, right):
-    submagmas = {rel.pairs for rel in enumerate_product_submagmas(left, right)}
+    submagmas = set(enumerate_product_submagmas(left, right))
     for images in enumerate_homs(left, right):
         assert frozenset(enumerate(images)) in submagmas
 
