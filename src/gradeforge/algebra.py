@@ -139,9 +139,9 @@ def contracted_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraP
     )
 
 
-def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2, budget: Budget | None = None) -> AlgebraPresentation:
+def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2, budget: Budget = DEFAULT_BUDGET) -> AlgebraPresentation:
     """Basis = morphisms; products of non-composable pairs are the ring zero."""
-    return contracted_algebra(adjoin_zero(cat, budget or DEFAULT_BUDGET), scalar_modulus)
+    return contracted_algebra(adjoin_zero(cat, budget), scalar_modulus)
 
 
 @dataclass(frozen=True)
@@ -517,28 +517,28 @@ def is_elementary(algebra: AlgebraPresentation, family: ElementaryFamily) -> Ver
 # enumerations via the correspondence
 
 
-def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per magma homomorphism source -> target."""
     if algebra.contracted:
         raise ValidationError("plain gradings live on the plain magma algebra")
     return _families(algebra, target, map(enumerate, enumerate_homs(algebra.source, target, budget)))
 
 
-def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero gradings live on the contracted algebra")
     return _families(algebra, target, map(enumerate, enumerate_zero_homs(algebra.source, target, budget)))
 
 
-def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per submagma of source x target, including the zero filter from the empty set."""
     if algebra.contracted:
         raise ValidationError("plain filters live on the plain magma algebra")
     return _families(algebra, target, enumerate_product_submagmas(algebra.source, target, budget))
 
 
-def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero filters live on the contracted algebra")
@@ -551,7 +551,7 @@ def enumerate_category_gradings(
     *,
     prefunctors: bool = False,
     scalar_modulus: int = 2,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ):
     """Gradings of the category algebra of ``source`` indexed by ``target``'s morphisms.
 
@@ -559,7 +559,6 @@ def enumerate_category_gradings(
     indexed by the zero magma adjoined to the target, whose zero part is empty.
     Returns (algebra, families).
     """
-    budget = budget or DEFAULT_BUDGET
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
     maps = (
@@ -575,13 +574,12 @@ def enumerate_category_filters(
     target: FinitePrecategory,
     *,
     scalar_modulus: int = 2,
-    budget: Budget | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ):
     """Filters of the category algebra of ``source``: one per subprecategory of source x target.
 
     Returns (algebra, families).
     """
-    budget = budget or DEFAULT_BUDGET
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
     return algebra, _families(algebra, target_magma, enumerate_subprecategory_pairs(source, target, budget))

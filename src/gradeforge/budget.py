@@ -1,4 +1,11 @@
-"""Size and search-frontier budgets enforced by constructors and search kernels."""
+"""Size and search-frontier budgets enforced by constructors and search kernels.
+
+Every public function that takes a budget declares ``budget: Budget =
+DEFAULT_BUDGET``; ``Budget`` is frozen, so the shared default is safe.  A
+constructor or kernel that runs out raises SizeOverflowError, except the
+brute-force oracles of ``counting``, which report an exhausted oracle as a
+null ``brute_force_value`` next to the closed form.
+"""
 
 from __future__ import annotations
 

@@ -66,9 +66,8 @@ class MorphismMap:
     morphism_map: tuple
 
 
-def validate_precategory(object_count, morphisms, comp, identity_at=None, budget: Budget | None = None) -> FinitePrecategory:
+def validate_precategory(object_count, morphisms, comp, identity_at=None, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """Check shapes, composability, dom/cod of composites, associativity and identities."""
-    budget = budget or DEFAULT_BUDGET
     morphisms = tuple((int(d), int(c)) for d, c in morphisms)
     m = len(morphisms)
     check_order(m, budget)
@@ -162,21 +161,20 @@ def group_as_category(table) -> FinitePrecategory:
     )
 
 
-def connected_groupoid(object_count: int, vertex_group, budget: Budget | None = None) -> FinitePrecategory:
+def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """The connected groupoid on the given objects with the given vertex group.
 
     Morphism (i, g, j): j -> i sits at index (i*n + j)*q + g, and
     (i, g, j) o (j, h, k) = (i, gh, k).
     """
-    budget = budget or DEFAULT_BUDGET
     table = tuple(tuple(row) for row in vertex_group)
-    e = _check_group(table)
     q = len(table)
     n = object_count
     if n < 1:
         raise ValidationError("need at least one object")
     m = n * n * q
-    check_order(m, budget)
+    check_order(m, budget)  # before the O(q^3) group check
+    e = _check_group(table)
 
     def idx(i, g, j):
         return (i * n + j) * q + g
@@ -197,15 +195,15 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget | None = 
     return FinitePrecategory(n, tuple(morphisms), tuple(tuple(r) for r in comp), identity_at)
 
 
-def matrix_groupoid(n: int, budget: Budget | None = None) -> FinitePrecategory:
+def matrix_groupoid(n: int, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """The thin connected groupoid on n objects: morphisms e(i,j): j -> i."""
     return connected_groupoid(n, ((0,),), budget)
 
 
-def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> FinitePrecategory:
+def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """Componentwise product; morphism (s, t) encoded as s*|mor(right)| + t."""
     mr = right.morphism_count
-    check_order(left.morphism_count * mr, budget or DEFAULT_BUDGET)
+    check_order(left.morphism_count * mr, budget)
     nobj_r = right.object_count
     morphisms = tuple(
         (left.dom(s) * nobj_r + right.dom(t), left.cod(s) * nobj_r + right.cod(t))
@@ -322,7 +320,7 @@ def vertex_group_table(cat: FinitePrecategory, obj: int):
     return tuple(table)
 
 
-def adjoin_zero(cat: FinitePrecategory, budget: Budget | None = None) -> FiniteMagma:
+def adjoin_zero(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """The zero magma on mor(cat) plus a fresh absorbing element.
 
     s * t is the composite when defined and the zero otherwise; the zero sits
@@ -414,28 +412,25 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
     return results
 
 
-def enumerate_prefunctors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget | None = None) -> list:
+def enumerate_prefunctors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """All maps preserving dom/cod and composition; identities are not required to map to identities."""
-    budget = budget or DEFAULT_BUDGET
     return _search_morphism_maps(source, target, False, NodeCounter(budget))
 
 
-def enumerate_functors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget | None = None) -> list:
+def enumerate_functors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Prefunctors that also send each identity to the identity at the image object."""
-    budget = budget or DEFAULT_BUDGET
     if not source.is_category or not target.is_category:
         raise NotACategoryError("functor enumeration needs total identities on both sides")
     return _search_morphism_maps(source, target, True, NodeCounter(budget))
 
 
-def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: FinitePrecategory, budget: Budget | None = None) -> list:
+def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Prefunctor enumeration reduced to zero-magma homomorphisms of the adjoined magmas.
 
     Every zero-magma homomorphism must induce a consistent object assignment;
     an inconsistent one raises ReductionMismatchError rather than being
     silently discarded.  Objects touched by no morphism take every image.
     """
-    budget = budget or DEFAULT_BUDGET
     g = adjoin_zero(source, budget)
     h = adjoin_zero(target, budget)
     results: list[MorphismMap] = []
@@ -492,23 +487,22 @@ def compose_morphism_maps(first: MorphismMap, second: MorphismMap) -> MorphismMa
     )
 
 
-def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget | None = None) -> list:
+def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """All morphism subsets closed under defined composition, sorted by bit pattern.
 
     Objects of a subprecategory are induced as the doms and cods of its
     morphisms; identities are not required to belong.
     """
-    budget = budget or DEFAULT_BUDGET
     masks = _closed_subsets(cat.comp, 0, 0, NodeCounter(budget))
     return [frozenset(_bits(m)) for m in masks]
 
 
-def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> list:
+def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Subprecategories of left x right as sets of (left morphism, right morphism) pairs."""
     return _pair_subsets(left.comp, right.comp, budget)
 
 
-def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: FinitePrecategory, budget: Budget | None = None) -> list:
+def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Subprecategory pair-sets recovered from zero submagmas of the adjoined magmas.
 
     Each zero submagma contributes the pairs of genuine morphisms it contains;
@@ -522,7 +516,6 @@ def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: Fini
     forbidden zero column of the zero submagma.  When the right factor has one
     object this is all subprecategories and the two enumerations coincide.
     """
-    budget = budget or DEFAULT_BUDGET
     g = adjoin_zero(left, budget)
     h = adjoin_zero(right, budget)
     zg, zh = g.zero, h.zero

@@ -10,9 +10,9 @@ is silently "fixed".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
-from .budget import DEFAULT_BUDGET, Budget
+from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .category import (
     FinitePrecategory,
     connected_components,
@@ -61,6 +61,15 @@ def _report(name, parameters, closed, brute, extras=None) -> CountReport:
     )
 
 
+def _within(oracle):
+    """oracle(), or None when the oracle runs out of budget: a report's brute force is
+    skipped, never fatal."""
+    try:
+        return oracle()
+    except SizeOverflowError:
+        return None
+
+
 def count_matrix_group_gradings(n: int, q: int) -> int:
     """q^(n-1): gradings of the n x n matrix algebra by a group of order q."""
     if n < 1 or q < 1:
@@ -68,17 +77,16 @@ def count_matrix_group_gradings(n: int, q: int) -> int:
     return q ** (n - 1)
 
 
-def matrix_group_gradings_report(n: int, q: int, budget: Budget | None = None) -> CountReport:
+def matrix_group_gradings_report(n: int, q: int, budget: Budget = DEFAULT_BUDGET) -> CountReport:
     """Closed form against zero-homomorphism enumeration into a group with a zero adjoined."""
-    budget = budget or DEFAULT_BUDGET
     closed = count_matrix_group_gradings(n, q)
-    try:
+
+    def oracle():
         source = matrix_unit_zero_magma(n, budget)
-        target = with_zero_adjoined(cyclic_group_magma(q), budget)
-        brute = len(enumerate_zero_homs(source, target, budget))
-    except SizeOverflowError:
-        brute = None
-    return _report("matrix_group_gradings", {"n": n, "q": q}, closed, brute)
+        check_order(q + 1, budget)  # before the group table is built
+        return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q), budget), budget))
+
+    return _report("matrix_group_gradings", {"n": n, "q": q}, closed, _within(oracle))
 
 
 def count_groupoid_gradings_as_printed(m: int, n: int, p: int, q: int) -> int:
@@ -88,18 +96,8 @@ def count_groupoid_gradings_as_printed(m: int, n: int, p: int, q: int) -> int:
     return (p * q ** (m - 1)) ** (n ** m)
 
 
-def count_functors_connected_groupoids(
-    source: FinitePrecategory, target: FinitePrecategory, budget: Budget | None = None
-) -> CountReport:
-    """Functor count between connected groupoids: printed formula, corrected candidate, brute force.
-
-    The corrected candidate multiplies the two stages of the count instead of
-    exponentiating and reads q as the order of the target's vertex group:
-    |ob(target)|^|ob(source)| * |hom(vertex(source), vertex(target))| *
-    |vertex(target)|^(|ob(source)|-1).  It is validated empirically, never
-    asserted as a formula of record.
-    """
-    budget = budget or DEFAULT_BUDGET
+def _connected_closed_form(source: FinitePrecategory, target: FinitePrecategory, budget: Budget) -> tuple:
+    """((m, n, p, q), n^m * p * q^(m-1)) for connected groupoids; see count_functors_connected_groupoids."""
     for cat, name in ((source, "source"), (target, "target")):
         if not (is_groupoid(cat) and is_connected(cat)):
             raise ValidationError(f"{name} is not a connected groupoid")
@@ -115,12 +113,23 @@ def count_functors_connected_groupoids(
         )
     )
     q = len(vg_target)
+    return (m, n, p, q), n ** m * p * q ** (m - 1)
+
+
+def count_functors_connected_groupoids(
+    source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET
+) -> CountReport:
+    """Functor count between connected groupoids: printed formula, corrected candidate, brute force.
+
+    The corrected candidate multiplies the two stages of the count instead of
+    exponentiating and reads q as the order of the target's vertex group:
+    |ob(target)|^|ob(source)| * |hom(vertex(source), vertex(target))| *
+    |vertex(target)|^(|ob(source)|-1).  It is validated empirically, never
+    asserted as a formula of record.
+    """
+    (m, n, p, q), corrected = _connected_closed_form(source, target, budget)
     printed = count_groupoid_gradings_as_printed(m, n, p, q)
-    corrected = n ** m * p * q ** (m - 1)
-    try:
-        brute = len(enumerate_functors(source, target, budget))
-    except SizeOverflowError:
-        brute = None
+    brute = _within(lambda: len(enumerate_functors(source, target, budget)))
     return _report(
         "connected_groupoid_functors",
         {"m": m, "n": n, "p": p, "q": q},
@@ -140,14 +149,14 @@ def count_surjective_functions(m: int, n: int) -> int:
     return sum((-1) ** i * comb(n, i) * (n - i) ** m for i in range(n + 1))
 
 
-def surjective_functions_report(m: int, n: int, budget: Budget | None = None) -> CountReport:
+def surjective_functions_report(m: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountReport:
     """Inclusion-exclusion count against direct enumeration; the 1/n!-scaled value rides along."""
-    budget = budget or DEFAULT_BUDGET
     closed = count_surjective_functions(m, n)
     prefactored, remainder = divmod(closed, factorial(n))
-    brute = None
-    if n ** m <= budget.max_nodes:
-        brute = 0
+
+    def oracle():
+        NodeCounter(budget).spend(n ** m)  # one node per function
+        count = 0
         for code in range(n ** m):
             digits = []
             x = code
@@ -155,7 +164,10 @@ def surjective_functions_report(m: int, n: int, budget: Budget | None = None) ->
                 digits.append(x % n)
                 x //= n
             if len(set(digits)) == n:
-                brute += 1
+                count += 1
+        return count
+
+    brute = _within(oracle)
     return _report(
         "surjective_functions",
         {"m": m, "n": n},
@@ -186,22 +198,20 @@ def count_abelian_homs(source_factors, target_factors) -> int:
     return total
 
 
-def abelian_homs_report(source_factors, target_factors, budget: Budget | None = None) -> CountReport:
-    budget = budget or DEFAULT_BUDGET
+def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT_BUDGET) -> CountReport:
     closed = count_abelian_homs(source_factors, target_factors)
-    try:
-        brute = len(
-            enumerate_homs(
-                abelian_group_magma(source_factors), abelian_group_magma(target_factors), budget
-            )
-        )
-    except SizeOverflowError:
-        brute = None
+
+    def oracle():
+        for factors in (source_factors, target_factors):
+            check_order(prod(factors), budget)  # before the group tables are built
+        source, target = abelian_group_magma(source_factors), abelian_group_magma(target_factors)
+        return len(enumerate_homs(source, target, budget))
+
     return _report(
         "abelian_homs",
         {"source": list(source_factors), "target": list(target_factors)},
         closed,
-        brute,
+        _within(oracle),
     )
 
 
@@ -233,64 +243,49 @@ def count_subspaces(p: int, n: int) -> CountReport:
     )
 
 
-def subspaces_report(p: int, n: int, budget: Budget | None = None) -> CountReport:
+def subspaces_report(p: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountReport:
     """Printed sum against subgroup enumeration of the elementary abelian group.
 
     The submagma enumerator returns the subgroups plus the empty set; dropping
     the empty set and the zero subspace leaves the k >= 1 sum.
     """
-    budget = budget or DEFAULT_BUDGET
     report = count_subspaces(p, n)
-    try:
-        group = abelian_group_magma([p] * n)
-        subs = enumerate_submagmas(group, budget)
-        brute_all = len(subs) - 1  # drop the empty set: subgroups = subspaces
-        brute = brute_all - 1  # drop the zero subspace to match the k >= 1 sum
-    except SizeOverflowError:
-        brute_all = None
-        brute = None
+
+    def oracle():
+        check_order(p ** n, budget)  # before the group table is built
+        # drop the empty set: subgroups = subspaces
+        return len(enumerate_submagmas(abelian_group_magma([p] * n), budget)) - 1
+
+    brute_all = _within(oracle)
+    brute = None if brute_all is None else brute_all - 1  # drop the zero subspace to match the k >= 1 sum
     extras = dict(report.extras)
     extras["oracle_including_zero_subspace"] = brute_all
     return _report("subspace_count", report.parameters, report.closed_form_value, brute, extras)
 
 
 def count_disconnected(
-    source: FinitePrecategory, target: FinitePrecategory, budget: Budget | None = None
+    source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET
 ) -> CountReport:
     """Functor count for disconnected groupoids, factored over components.
 
     Each connected source component maps wholly into a single target
     component, so the count is the product over source components of the sum
-    over target components; the plain product over all component pairs is
-    reported alongside (the two coincide when the target is connected).
+    over target components of the connected closed form; the plain product
+    over all component pairs is reported alongside (the two coincide when the
+    target is connected).  Brute force over the whole pair is the oracle.
     """
-    budget = budget or DEFAULT_BUDGET
     source_parts = connected_components(source)
     target_parts = connected_components(target)
-    grid = [
-        [count_functors_connected_groupoids(sp, tp, budget) for tp in target_parts]
-        for sp in source_parts
-    ]
-    if any(cell.brute_force_value is None for row in grid for cell in row):
-        raise SizeOverflowError("component-pair oracle exceeded the budget")
-    closed = 1
-    for row in grid:
-        closed *= sum(cell.brute_force_value for cell in row)
-    pairwise = 1
-    for row in grid:
-        for cell in row:
-            pairwise *= cell.brute_force_value
-    try:
-        brute = len(enumerate_functors(source, target, budget))
-    except SizeOverflowError:
-        brute = None
+    grid = [[_connected_closed_form(sp, tp, budget)[1] for tp in target_parts] for sp in source_parts]
+    brute = _within(lambda: len(enumerate_functors(source, target, budget)))
+    pairwise = prod(cell for row in grid for cell in row)
     return _report(
         "disconnected_functors",
         {
             "source_components": len(source_parts),
             "target_components": len(target_parts),
         },
-        closed,
+        prod(sum(row) for row in grid),
         brute,
         extras={
             "pairwise_product": pairwise,

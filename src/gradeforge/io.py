@@ -164,7 +164,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
     return cat
 
 
-def parse_category(text: str, budget: Budget | None = None) -> FinitePrecategory:
+def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """Parse the category format.
 
     Explicit form: 'category <objects> <morphisms>', one 'm <dom> <cod> [id]'
@@ -173,7 +173,6 @@ def parse_category(text: str, budget: Budget | None = None) -> FinitePrecategory
     'groupoid-presentation' body gives per-component vertex-group tables and
     spanning trees, from which the groupoid is generated.
     """
-    budget = budget or DEFAULT_BUDGET
     lines = _lines_of(text)
     if not lines:
         raise ParseError("empty input", 1, 1)
@@ -275,13 +274,12 @@ def family_to_doc(family: ElementaryFamily, target_text: str, target_format: str
     }
 
 
-def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget | None = None) -> ElementaryFamily:
+def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAULT_BUDGET) -> ElementaryFamily:
     """Rebuild a family document against a given algebra presentation.
 
     A category target is adjoined a zero, matching the indexing that the
     grading and filter enumerations emit.
     """
-    budget = budget or DEFAULT_BUDGET
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -346,11 +344,11 @@ def count_report_to_doc(report: CountReport) -> dict:
     return {
         "kind": "report",
         "formula": report.formula_name,
-        "parameters": _encode(report.parameters),
-        "closed_form": _encode(report.closed_form_value),
-        "brute_force": _encode(report.brute_force_value),
+        "parameters": report.parameters,
+        "closed_form": report.closed_form_value,
+        "brute_force": report.brute_force_value,
         "agrees": report.agrees,
-        "extras": _encode(report.extras),
+        "extras": report.extras,
     }
 
 

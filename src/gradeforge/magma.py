@@ -111,11 +111,11 @@ def _pair_table(left, right) -> list:
     ]
 
 
-def _zero_adjoined(table, budget: Budget | None) -> FiniteMagma:
+def _zero_adjoined(table, budget: Budget) -> FiniteMagma:
     """The zero magma of a (partial) table: a fresh absorbing zero at the top index, which is
     also the product wherever the table has None."""
     n = len(table)
-    check_order(n + 1, budget or DEFAULT_BUDGET)
+    check_order(n + 1, budget)
     rows = tuple(tuple(n if e is None else e for e in row) + (n,) for row in table)
     return FiniteMagma(order=n + 1, table=rows + ((n,) * (n + 1),), zero=n)
 
@@ -125,17 +125,17 @@ def _zero_exempt(table, zero: int) -> tuple:
     return tuple(tuple(None if e == zero else e for e in row) for row in table)
 
 
-def product_magma(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
+def product_magma(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Componentwise product on pairs, encoded as (g, h) -> g*|right| + h.
 
     No zero is designated on the result even when both factors carry one.
     """
     order = left.order * right.order
-    check_order(order, budget or DEFAULT_BUDGET)
+    check_order(order, budget)
     return FiniteMagma(order=order, table=tuple(map(tuple, _pair_table(left.table, right.table))))
 
 
-def with_zero_adjoined(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
+def with_zero_adjoined(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Adjoin a fresh absorbing element at the top index."""
     return _zero_adjoined(magma.table, budget)
 
@@ -179,7 +179,7 @@ def abelian_group_magma(factors) -> FiniteMagma:
     return FiniteMagma(order=order, table=table)
 
 
-def matrix_unit_zero_magma(n: int, budget: Budget | None = None) -> FiniteMagma:
+def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Matrix units e(i,j) plus an absorbing zero; e(i,j)e(k,l) = e(i,l) if j = k, else 0.
 
     e(i,j) sits at index i*n + j (0-based); the zero is the last index n*n.
@@ -187,7 +187,7 @@ def matrix_unit_zero_magma(n: int, budget: Budget | None = None) -> FiniteMagma:
     if n < 1:
         raise ValidationError("need n >= 1")
     m = n * n
-    check_order(m + 1, budget or DEFAULT_BUDGET)
+    check_order(m + 1, budget)
     table = [[x - x % n + y % n if x % n == y // n else None for y in range(m)] for x in range(m)]
     return _zero_adjoined(table, budget)
 
@@ -259,24 +259,22 @@ def _closed_subsets(table, forced: int, banned: int, counter) -> list:
     return results
 
 
-def enumerate_submagmas(magma: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_submagmas(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """All subsets closed under the product, including the empty set.
 
     Depth-first include/exclude search over elements, keeping the closure of
     the included part and pruning branches whose closure meets an excluded
     element.  Output is sorted by bit pattern, so the empty set comes first.
     """
-    budget = budget or DEFAULT_BUDGET
     masks = _closed_subsets(magma.table, 0, 0, NodeCounter(budget))
     return [frozenset(_bits(m)) for m in masks]
 
 
-def _pair_subsets(left, right, budget: Budget | None, forced=(), banned=()) -> list:
+def _pair_subsets(left, right, budget: Budget, forced=(), banned=()) -> list:
     # Closed subsets of the pair table of two tables that hold every forced
     # pair and no banned one, each decoded once to a frozenset of (g, h)
     # pairs, in increasing order of their masks.  The pair count is capped
     # before the table is built.
-    budget = budget or DEFAULT_BUDGET
     nh = len(right)
     check_order(len(left) * nh, budget)
     pairs = [(g, h) for g in range(len(left)) for h in range(nh)]
@@ -288,12 +286,12 @@ def _pair_subsets(left, right, budget: Budget | None, forced=(), banned=()) -> l
     return [frozenset(pairs[p] for p in _bits(m)) for m in masks]
 
 
-def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """Submagmas of left x right, each a frozenset of (g, h) pairs."""
     return _pair_subsets(left.table, right.table, budget)
 
 
-def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """Zero submagmas of left x right, each a frozenset of (g, h) pairs.
 
     A pair set f qualifies when f^{-1}(0_H) = {0_G} -- i.e. (0,0) is present
@@ -359,17 +357,15 @@ def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
     return out
 
 
-def enumerate_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """All total maps f with f(gg') = f(g)f(g') for all g, g', in sorted order."""
-    budget = budget or DEFAULT_BUDGET
     counter = NodeCounter(budget)
     allowed = [frozenset(range(target.order))] * source.order
     return _enumerate_maps(source.table, target.table, allowed, counter)
 
 
-def enumerate_zero_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget | None = None) -> list:
+def enumerate_zero_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """All total maps with f^{-1}(0_H) = {0_G} and f(gg') = f(g)f(g') whenever gg' != 0_G."""
-    budget = budget or DEFAULT_BUDGET
     if source.zero is None or target.zero is None:
         raise MissingZeroError("both operands need a designated zero")
     counter = NodeCounter(budget)
@@ -401,32 +397,31 @@ def _unflattened(flat, n: int) -> tuple:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def canonical_form(magma: FiniteMagma, budget: Budget | None = None) -> FiniteMagma:
+def canonical_form(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Lexicographically least relabeled table over all element permutations.
 
     A designated zero tags along under the winning permutation; it never
     constrains the minimization because an absorbing element is unique.
     """
     n = magma.order
-    NodeCounter(budget or DEFAULT_BUDGET).spend(factorial(n) * n * n)  # one node per table entry read
+    NodeCounter(budget).spend(factorial(n) * n * n)  # one node per table entry read
     flat, perm = _least_relabelling(magma.table, _relabellings(n))
     return FiniteMagma(order=n, table=_unflattened(flat, n), zero=None if magma.zero is None else perm[magma.zero])
 
 
-def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget | None = None) -> bool:
+def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> bool:
     """True when some relabeling of elements carries one table onto the other."""
     if left.order != right.order:
         return False
     return canonical_form(left, budget).table == canonical_form(right, budget).table
 
 
-def census(order: int, budget: Budget | None = None) -> list:
+def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     """One canonical representative per isomorphism class of the given order.
 
     Scans all order^(order^2) tables, so the node budget gates anything past
     order 3 (order 4 already has 178,981,952 classes).
     """
-    budget = budget or DEFAULT_BUDGET
     if order < 1:
         raise ValidationError("order must be positive")
     NodeCounter(budget).spend(order ** (order * order))

@@ -131,6 +131,11 @@ class TestConstructors:
         validate_precategory(g.object_count, g.morphisms, g.comp, g.identity_at)
         assert is_groupoid(g) and is_connected(g)
 
+    def test_connected_groupoid_caps_before_checking_the_group(self):
+        # n*n*q = 65 is over the cap; the O(q^3) group check never runs
+        with pytest.raises(SizeOverflowError):
+            connected_groupoid(1, [[0] * 65 for _ in range(65)])
+
 
 class TestConstructorsAgainstDefinitions:
     def test_product_category(self, structures):

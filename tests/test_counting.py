@@ -1,5 +1,6 @@
 import pytest
 
+from gradeforge import counting
 from gradeforge.budget import Budget
 from gradeforge.category import (
     connected_groupoid,
@@ -154,6 +155,26 @@ class TestSubspaces:
         assert report.extras["oracle_including_zero_subspace"] == report.closed_form_value + 1
 
 
+class TestOracleCaps:
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda: abelian_homs_report([100], [2]),
+            lambda: subspaces_report(2, 7),
+            lambda: matrix_group_gradings_report(2, 2000),
+        ],
+        ids=["abelian_homs", "subspaces", "matrix_group_gradings"],
+    )
+    def test_over_cap_group_is_never_built(self, report, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("group table built past the order cap")
+
+        monkeypatch.setattr(counting, "abelian_group_magma", refuse)
+        monkeypatch.setattr(counting, "cyclic_group_magma", refuse)
+        result = report()
+        assert result.brute_force_value is None and result.agrees is None
+
+
 class TestDisconnected:
     def test_product_over_components(self):
         two = disjoint_union(matrix_groupoid(2), matrix_groupoid(2))
@@ -170,6 +191,16 @@ class TestDisconnected:
         assert report.closed_form_value == 2 and report.agrees
         assert report.extras["pairwise_product"] == 1
         assert report.extras["pairwise_agrees"] is False
+
+    def test_closed_form_stands_when_the_oracle_runs_out(self):
+        # thin3 -> thin3 has 27 functors and thin2 -> thin3 has 9; the budget
+        # covers each vertex-group hom count but not the brute force
+        source = disjoint_union(matrix_groupoid(3), matrix_groupoid(2))
+        report = count_disconnected(source, matrix_groupoid(3), Budget(max_nodes=20))
+        assert report.closed_form_value == 27 * 9
+        assert report.extras["pairwise_product"] == 27 * 9
+        assert report.brute_force_value is None and report.agrees is None
+        assert count_disconnected(source, matrix_groupoid(3)).brute_force_value == 27 * 9
 
     def test_empty_source(self):
         from gradeforge.category import FinitePrecategory
