@@ -329,11 +329,12 @@ def adjoin_zero(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> Fini
     return _zero_adjoined(cat.comp, budget)
 
 
-def _expand_free_objects(obj_map, mor_map, target_objects, results):
+def _expand_free_objects(obj_map, mor_map, target_objects, results, counter):
     free = [o for o, v in enumerate(obj_map) if v is None]
     if not free:
         results.append(MorphismMap(tuple(obj_map), tuple(mor_map)))
         return
+    counter.spend(target_objects ** len(free))  # one node per map, before any is built
     for combo in itertools.product(range(target_objects), repeat=len(free)):
         om = list(obj_map)
         for o, img in zip(free, combo):
@@ -394,7 +395,7 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
             if mor_map[s] is None:
                 break
         else:
-            _expand_free_objects(obj_map, mor_map, target.object_count, results)
+            _expand_free_objects(obj_map, mor_map, target.object_count, results, counter)
             return
         ds, cs = source.morphisms[s]
         for u in range(target.morphism_count):
@@ -434,6 +435,7 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
     g = adjoin_zero(source, budget)
     h = adjoin_zero(target, budget)
     results: list[MorphismMap] = []
+    counter = NodeCounter(budget)
     for images in enumerate_zero_homs(g, h, budget):
         obj_map: list = [None] * source.object_count
         for s in range(source.morphism_count):
@@ -445,7 +447,7 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
                     raise ReductionMismatchError(
                         f"zero-magma homomorphism {images} induces no consistent object map"
                     )
-        _expand_free_objects(obj_map, images[: source.morphism_count], target.object_count, results)
+        _expand_free_objects(obj_map, images[: source.morphism_count], target.object_count, results, counter)
     return results
 
 

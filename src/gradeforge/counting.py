@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd, prod
 
+from .algebra import _check_modulus
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .category import (
     FinitePrecategory,
@@ -199,6 +200,7 @@ def count_abelian_homs(source_factors, target_factors) -> int:
 
 
 def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT_BUDGET) -> CountReport:
+    source_factors, target_factors = tuple(source_factors), tuple(target_factors)  # each is read three times
     closed = count_abelian_homs(source_factors, target_factors)
 
     def oracle():
@@ -221,11 +223,11 @@ def count_subspaces(p: int, n: int) -> CountReport:
     The closed form sums A_k/B_k for k = 1..n with
     A_k = (p^n - 1)(p^n - p)...(p^n - p^(k-1)) and B_k the same at exponent k,
     which omits the zero subspace; the report also carries the k >= 0 reading.
+    p must be a prime below 2**64, the rule of every scalar field here.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    if p < 2:
-        raise ValidationError("need a prime p >= 2")
+    _check_modulus(p)
     total = 0
     for k in range(1, n + 1):
         a = 1

@@ -149,12 +149,14 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         components.append((objs, table))
     if covered != set(range(object_count)):
         raise ParseError("components do not cover all objects", lines[-1][0] if lines else 1, 1)
-    cat = None
+    cat = FinitePrecategory(0, (), (), ())
     for objs, table in components:
-        piece = connected_groupoid(len(objs), table, budget)
-        cat = piece if cat is None else disjoint_union(cat, piece)
-    if cat is None:
-        cat = FinitePrecategory(0, (), (), ())
+        cat = disjoint_union(cat, connected_groupoid(len(objs), table, budget))
+    # The union numbers objects in the order the components list them; give each its label.
+    label = [o for objs, _ in components for o in objs]
+    index_of = sorted(range(object_count), key=label.__getitem__)
+    morphisms = tuple((label[d], label[c]) for d, c in cat.morphisms)
+    cat = FinitePrecategory(object_count, morphisms, cat.comp, tuple(cat.identity_at[k] for k in index_of))
     if cat.morphism_count != morphism_count:
         raise ParseError(
             f"presentation yields {cat.morphism_count} morphisms, header says {morphism_count}",

@@ -54,10 +54,6 @@ class PairRelation:
             if not (0 <= g < self.left.order and 0 <= h < self.right.order):
                 raise IndexOutOfRangeError(f"pair ({g}, {h}) outside {self.left.order}x{self.right.order}")
 
-    def preimage(self, h: int) -> frozenset:
-        """The set of g with (g, h) in the relation."""
-        return frozenset(g for (g, h2) in self.pairs if h2 == h)
-
 
 def validate_magma(order: int, table, zero: int | None = None) -> FiniteMagma:
     """Check shape, entry range and (if given) the absorbing law, then freeze."""
@@ -424,6 +420,7 @@ def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     """
     if order < 1:
         raise ValidationError("order must be positive")
+    check_order(order, budget)  # before order ** (order * order) is formed
     NodeCounter(budget).spend(order ** (order * order))
     relabellings = list(_relabellings(order))
     rows = list(itertools.product(range(order), repeat=order))

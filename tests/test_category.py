@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from gradeforge.budget import Budget
 from gradeforge.errors import (
     BadCompositionError,
     BadIdentityError,
@@ -240,6 +241,20 @@ class TestPrefunctorsAndFunctors:
         for f in functors:
             for s in z2_endos:
                 assert compose_morphism_maps(f, s).morphism_map in closed
+
+    @pytest.mark.parametrize("search", [enumerate_prefunctors, enumerate_prefunctors_via_zero_homs])
+    def test_maps_of_free_objects_spend_the_budget(self, search):
+        # objects no morphism touches take every image: one node per map, spent before any is built
+        def bare(n):
+            return validate_precategory(n, [], [], None)
+
+        start = time.perf_counter()
+        with pytest.raises(SizeOverflowError):
+            search(bare(12), bare(12), Budget(max_nodes=1000))  # 12**12 maps
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(SizeOverflowError):
+            search(bare(3), bare(3), Budget(max_nodes=1))
+        assert len(search(bare(3), bare(3), Budget(max_nodes=30))) == 27
 
     def test_validity_predicates(self, involution_cat, idem_cat):
         for f in enumerate_prefunctors(involution_cat, idem_cat):

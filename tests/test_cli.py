@@ -46,6 +46,12 @@ class TestCensus:
         code, _, err = run_cli("census", "4")
         assert code == 2 and "budget" in err
 
+    def test_order_past_the_cap_exits_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("census", "3000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err == "budget exhausted: order 3000 exceeds the cap of 64\n"
+
 
 class TestHom:
     def test_three_maps(self, data_dir):
@@ -277,6 +283,10 @@ class TestCount:
         code, out, _ = run_cli("count", "subspaces", "2", "3", "--json")
         doc = json.loads(out)
         assert doc["closed_form"] == "15" and doc["extras"]["including_zero_subspace"] == "16"
+
+    def test_subspaces_needs_a_prime(self):
+        code, out, err = run_cli("count", "subspaces", "4", "1")
+        assert code == 1 and out == "" and err.startswith("error:")
 
     def test_groupoid_printed(self):
         code, out, _ = run_cli("count", "groupoid-printed", "2", "2", "1", "1", "--json")

@@ -124,6 +124,9 @@ class TestAbelianHoms:
         report = abelian_homs_report([4], [6])
         assert report.agrees
 
+    def test_iterator_arguments_are_read_once(self):
+        assert abelian_homs_report(iter([4]), iter([6])) == abelian_homs_report([4], [6])
+
     def test_klein_to_cyclic(self):
         assert count_abelian_homs([2, 2], [2]) == 4
 
@@ -153,6 +156,17 @@ class TestSubspaces:
         report = subspaces_report(p, n)
         assert report.agrees
         assert report.extras["oracle_including_zero_subspace"] == report.closed_form_value + 1
+
+
+    @pytest.mark.parametrize("p", [4, 6, 9, (1 << 64) + 13])
+    def test_p_must_be_a_prime_below_two_to_the_64(self, p):
+        for count in (count_subspaces, subspaces_report):
+            with pytest.raises(ValidationError):
+                count(p, 1)
+
+    def test_large_prime_is_counted(self):
+        p = (1 << 61) - 1
+        assert count_subspaces(p, 2).closed_form_value == p + 2  # p + 1 lines and the plane
 
 
 class TestOracleCaps:

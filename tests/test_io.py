@@ -56,6 +56,37 @@ class TestMagmaFormat:
             parse_magma("magma 2\n0 0\n")
 
 
+PRESENTED = "category 2 2\ngroupoid-presentation\ncomponent 0 1\nvertex-group 1\n"
+
+
+class TestParseErrorPositions:
+    """Every integer field that does not parse names itself at its line and column."""
+
+    @pytest.mark.parametrize(
+        "parse,text,message,line,column",
+        [
+            (parse_magma, "magma x\n", "bad order 'x'", 1, 7),
+            (parse_magma, "magma 1\nzero x\n0\n", "bad zero index 'x'", 2, 6),
+            (parse_magma, "magma 2\n0 x\n0 0\n", "bad entry 'x'", 2, 2),
+            (parse_category, "category x 1\n", "bad counts in header", 1, 10),
+            (parse_category, "category 1 x\n", "bad counts in header", 1, 10),
+            (parse_category, "category 1 1\nm 0 x id\n", "bad object index", 2, 3),
+            (parse_category, "category 1 1\nm 0 0 id\nc 0 0 x\n", "bad morphism index", 3, 3),
+            (parse_category, "category 1 1\ngroupoid-presentation\ncomponent x\n", "bad object index in component", 3, 1),
+            (parse_category, "category 1 1\ngroupoid-presentation\ncomponent 0\nvertex-group x\n", "bad vertex group order 'x'", 4, 14),
+            (parse_category, PRESENTED.replace("group 1", "group 2") + "0 x\n", "bad vertex group entry", 5, 1),
+            (parse_category, PRESENTED + "0\ntree 1 x\n", "bad tree edge", 6, 1),
+            (parse_category, PRESENTED + "0\ntree 1 2\n", "tree edge leaves the component", 6, 1),
+        ],
+    )
+    def test_message_line_and_column(self, parse, text, message, line, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.line, info.value.column) == (
+            f"{message} (line {line}, column {column})", line, column
+        )
+
+
 class TestCategoryFormat:
     def test_matrix_groupoid_round_trip(self):
         mg = matrix_groupoid(2)
@@ -101,6 +132,22 @@ class TestCategoryFormat:
         )
         cat = parse_category(text)
         assert cat.object_count == 3 and cat.morphism_count == 5
+
+    def test_groupoid_presentation_keeps_object_labels(self):
+        text = (
+            "category 3 5\n"
+            "groupoid-presentation\n"
+            "component 0 2\n"
+            "vertex-group 1\n"
+            "0\n"
+            "tree 2 0\n"
+            "component 1\n"
+            "vertex-group 1\n"
+            "0\n"
+        )
+        cat = parse_category(text)
+        assert cat.hom(0, 1) == cat.hom(1, 0) == () and len(cat.hom(0, 2)) == len(cat.hom(2, 0)) == 1
+        assert [cat.morphisms[i] for i in cat.identity_at] == [(0, 0), (1, 1), (2, 2)]
 
     def test_groupoid_presentation_checks_morphism_count(self):
         text = (

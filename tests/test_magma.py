@@ -370,6 +370,12 @@ class TestCensus:
         with pytest.raises(SizeOverflowError):
             census(4)
 
+    def test_order_past_the_cap_is_refused_before_the_table_count(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeOverflowError, match="order 65 exceeds the cap of 64"):
+            census(65)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestMatrixUnits:
     def test_order_one(self):
