@@ -166,11 +166,7 @@ class ElementaryFamily:
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:
     """The fixed base family: one basis line per source element (empty at a contracted zero)."""
-    parts = tuple(
-        frozenset(() if algebra.basis_of_source[g] is None else (algebra.basis_of_source[g],))
-        for g in range(algebra.source.order)
-    )
-    return ElementaryFamily(algebra=algebra, target=algebra.source, parts=parts)
+    return _families(algebra, algebra.source, [[(g, g) for g in range(algebra.source.order)]])[0]
 
 
 @dataclass(frozen=True)
@@ -365,14 +361,19 @@ def _agree(prop, set_verdict, span_verdict):
     return Verdict(prop, holds, witness)
 
 
-def _filter_set(algebra, family):
+def _products_set(algebra, family, fits):
+    """(True, None) when fits(W_h W_h', W_hh') holds for all h, h', else (False, the first (h, h') where
+    it fails); W_h W_h' is the set of nonzero basis products."""
     target = family.target
     for h in range(target.order):
         for h2 in range(target.order):
-            prod = _set_product(algebra, family.parts[h], family.parts[h2])
-            if not prod <= family.parts[target.table[h][h2]]:
+            if not fits(_set_product(algebra, family.parts[h], family.parts[h2]), family.parts[target.table[h][h2]]):
                 return False, (h, h2)
     return True, None
+
+
+def _filter_set(algebra, family):
+    return _products_set(algebra, family, frozenset.issubset)
 
 
 def _filter_span(algebra, family):
@@ -398,13 +399,7 @@ def is_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> Verdict
 
 
 def _strong_set(algebra, family):
-    target = family.target
-    for h in range(target.order):
-        for h2 in range(target.order):
-            prod = _set_product(algebra, family.parts[h], family.parts[h2])
-            if prod != family.parts[target.table[h][h2]]:
-                return False, (h, h2)
-    return True, None
+    return _products_set(algebra, family, frozenset.__eq__)
 
 
 def _strong_span(algebra, family):

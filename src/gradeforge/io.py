@@ -24,6 +24,14 @@ def _lines_of(text: str) -> list:
     return lines
 
 
+def _int(token: str, message: str, line: int, column: int) -> int:
+    """token as an int, else a ParseError at line and column; token fills any {!r} of message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(message.format(token), line, column) from None
+
+
 def parse_magma(text: str) -> FiniteMagma:
     """Parse the magma format: a header line, an optional zero line, then the table rows."""
     lines = _lines_of(text)
@@ -32,20 +40,14 @@ def parse_magma(text: str) -> FiniteMagma:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "magma":
         raise ParseError("expected 'magma <order>'", 1, 1)
-    try:
-        order = int(head[1])
-    except ValueError:
-        raise ParseError(f"bad order {head[1]!r}", 1, 7) from None
+    order = _int(head[1], "bad order {!r}", 1, 7)
     zero = None
     row_start = 1
     if len(lines) > 1 and lines[1].startswith("zero"):
         ztok = lines[1].split()
         if len(ztok) != 2:
             raise ParseError("expected 'zero <index>'", 2, 1)
-        try:
-            zero = int(ztok[1])
-        except ValueError:
-            raise ParseError(f"bad zero index {ztok[1]!r}", 2, 6) from None
+        zero = _int(ztok[1], "bad zero index {!r}", 2, 6)
         row_start = 2
     rows = []
     if len(lines) != row_start + order:
@@ -55,13 +57,7 @@ def parse_magma(text: str) -> FiniteMagma:
         toks = lines[row_start + k].split()
         if len(toks) != order:
             raise ParseError(f"expected {order} entries", lineno, 1)
-        row = []
-        for j, tok in enumerate(toks):
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise ParseError(f"bad entry {tok!r}", lineno, j + 1) from None
-        rows.append(row)
+        rows.append([_int(tok, "bad entry {!r}", lineno, j + 1) for j, tok in enumerate(toks)])
     return validate_magma(order, rows, zero)
 
 
@@ -83,10 +79,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         lineno, toks = lines[i]
         if toks[0] != "component":
             raise ParseError("expected 'component <objects...>'", lineno, 1)
-        try:
-            objs = [int(t) for t in toks[1:]]
-        except ValueError:
-            raise ParseError("bad object index in component", lineno, 1) from None
+        objs = [_int(t, "bad object index in component", lineno, 1) for t in toks[1:]]
         if not objs or objs != sorted(objs) or len(set(objs)) != len(objs):
             raise ParseError("component objects must be distinct and ascending", lineno, 1)
         if set(objs) & covered:
@@ -98,20 +91,14 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         lineno, toks = lines[i]
         if len(toks) != 2:
             raise ParseError("expected 'vertex-group <order>'", lineno, 1)
-        try:
-            q = int(toks[1])
-        except ValueError:
-            raise ParseError(f"bad vertex group order {toks[1]!r}", lineno, 14) from None
+        q = _int(toks[1], "bad vertex group order {!r}", lineno, 14)
         i += 1
         table = []
         for _ in range(q):
             if i >= len(lines):
                 raise ParseError("missing vertex group row", lineno, 1)
             lineno, toks = lines[i]
-            try:
-                row = [int(t) for t in toks]
-            except ValueError:
-                raise ParseError("bad vertex group entry", lineno, 1) from None
+            row = [_int(t, "bad vertex group entry", lineno, 1) for t in toks]
             if len(row) != q:
                 raise ParseError(f"expected {q} entries in vertex group row", lineno, 1)
             table.append(row)
@@ -121,30 +108,17 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
             lineno, toks = lines[i]
             if len(toks) != 3:
                 raise ParseError("expected 'tree <child> <parent>'", lineno, 1)
-            try:
-                edges.append((int(toks[1]), int(toks[2])))
-            except ValueError:
-                raise ParseError("bad tree edge", lineno, 1) from None
+            edges.append(tuple(_int(t, "bad tree edge", lineno, 1) for t in toks[1:]))
             i += 1
         if len(edges) != len(objs) - 1:
             raise ParseError(f"expected {len(objs) - 1} tree edges", lineno, 1)
-        # the edges must span the component's objects
-        parent = {o: o for o in objs}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for child, par in edges:
-            if child not in parent or par not in parent:
-                raise ParseError("tree edge leaves the component", lineno, 1)
-            a, b = find(child), find(par)
-            if a == b:
-                raise ParseError("tree edges contain a cycle", lineno, 1)
-            parent[a] = b
-        if len({find(o) for o in objs}) != 1:
+        if not set(objs).issuperset(o for edge in edges for o in edge):
+            raise ParseError("tree edge leaves the component", lineno, 1)
+        # k - 1 edges on k objects span them exactly when they hold no cycle
+        reached = {objs[0]}
+        for _ in edges:
+            reached.update(*(edge for edge in edges if reached.intersection(edge)))
+        if reached != set(objs):
             raise ParseError("tree does not span the component", lineno, 1)
         components.append((objs, table))
     if covered != set(range(object_count)):
@@ -181,11 +155,7 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
     head = lines[0].split()
     if len(head) != 3 or head[0] != "category":
         raise ParseError("expected 'category <objects> <morphisms>'", 1, 1)
-    try:
-        object_count = int(head[1])
-        morphism_count = int(head[2])
-    except ValueError:
-        raise ParseError("bad counts in header", 1, 10) from None
+    object_count, morphism_count = (_int(t, "bad counts in header", 1, 10) for t in head[1:])
     if object_count > budget.max_order:
         raise SizeOverflowError(f"object count {object_count} exceeds the cap of {budget.max_order}")
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]
@@ -198,10 +168,7 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
         lineno, toks = body[idx]
         if len(toks) not in (3, 4) or (len(toks) == 4 and toks[3] != "id"):
             raise ParseError("expected 'm <dom> <cod> [id]'", lineno, 1)
-        try:
-            dom, cod = int(toks[1]), int(toks[2])
-        except ValueError:
-            raise ParseError("bad object index", lineno, 3) from None
+        dom, cod = (_int(t, "bad object index", lineno, 3) for t in toks[1:3])
         if len(toks) == 4:
             if dom != cod:
                 raise ParseError("identity must have dom == cod", lineno, 1)
@@ -219,10 +186,7 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
     for lineno, toks in body[idx:]:
         if toks[0] != "c" or len(toks) != 4:
             raise ParseError("expected 'c <s> <t> <st>'", lineno, 1)
-        try:
-            s, t, st = int(toks[1]), int(toks[2]), int(toks[3])
-        except ValueError:
-            raise ParseError("bad morphism index", lineno, 3) from None
+        s, t, st = (_int(x, "bad morphism index", lineno, 3) for x in toks[1:])
         if not all(0 <= x < morphism_count for x in (s, t, st)):
             raise ParseError("morphism index out of range", lineno, 3)
         if (s, t) in given:

@@ -23,7 +23,11 @@ PREFIXES = ("usage error: ", "parse error: ", "budget exhausted: ", "error: ")
 PRINT_THEN_FAIL = ("verify", "roundtrip")
 
 MAGMA_TEXTS = sorted(p.read_text(encoding="utf-8") for p in DATA_DIR.glob("*.mag"))
-CATEGORY_TEXTS = sorted(p.read_text(encoding="utf-8") for p in DATA_DIR.glob("*.cat"))
+# The fixtures, and a presentation whose components interleave object labels and whose tree has two edges.
+CATEGORY_TEXTS = sorted(p.read_text(encoding="utf-8") for p in DATA_DIR.glob("*.cat")) + [
+    "category 4 10\ngroupoid-presentation\ncomponent 0 1 3\nvertex-group 1\n0\ntree 1 0\ntree 3 1\n"
+    "component 2\nvertex-group 1\n0\n"
+]
 
 
 def _family_texts():

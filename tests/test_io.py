@@ -77,6 +77,8 @@ class TestParseErrorPositions:
             (parse_category, PRESENTED.replace("group 1", "group 2") + "0 x\n", "bad vertex group entry", 5, 1),
             (parse_category, PRESENTED + "0\ntree 1 x\n", "bad tree edge", 6, 1),
             (parse_category, PRESENTED + "0\ntree 1 2\n", "tree edge leaves the component", 6, 1),
+            (parse_category, "category 3 9\ngroupoid-presentation\ncomponent 0 1 2\nvertex-group 1\n0\ntree 1 0\ntree 0 1\n",
+             "tree does not span the component", 7, 1),
         ],
     )
     def test_message_line_and_column(self, parse, text, message, line, column):
