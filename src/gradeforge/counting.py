@@ -200,7 +200,7 @@ def count_abelian_homs(source_factors, target_factors) -> int:
 
 
 def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT_BUDGET) -> CountReport:
-    source_factors, target_factors = tuple(source_factors), tuple(target_factors)  # each is read three times
+    source_factors, target_factors = tuple(source_factors), tuple(target_factors)  # read more than once
     closed = count_abelian_homs(source_factors, target_factors)
 
     def oracle():
