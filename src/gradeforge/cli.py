@@ -191,7 +191,8 @@ def _log2_bound(x: int) -> int:
 def _bit_bounds(formula, v):
     """Bounds on the bit lengths of the numbers a closed form computes, in the order it forms
     them; the last bounds every value its report prints.  Outside a formula's domain nothing is
-    bounded, since the formula rejects its parameters before computing."""
+    bounded, since the formula rejects its parameters before computing.  The p of subspaces is
+    checked here, so no n turns a p that is not a prime below 2**64 into a budget exit."""
     if formula == "abelian-homs":
         left, right = v
         yield len(right) * sum(_log2_bound(f) + 1 for f in left)  # one gcd per pair of factors
@@ -206,8 +207,9 @@ def _bit_bounds(formula, v):
         m, n = v
         yield n * n  # n + 1 terms, each with a binomial below 2**n
         yield m * _log2_bound(n)
-    elif formula == "subspaces" and v[0] >= 2 and v[1] >= 1:
+    elif formula == "subspaces" and v[1] >= 1:
         p, n = v
+        alg._check_modulus(p)
         yield n * n  # products in the sum over k
         yield (n * n // 4 + n + 2) * _log2_bound(p)  # each of the n terms [n, k]_p is below 4 p**(k(n-k))
 

@@ -284,9 +284,10 @@ class TestCount:
         doc = json.loads(out)
         assert doc["closed_form"] == "15" and doc["extras"]["including_zero_subspace"] == "16"
 
-    def test_subspaces_needs_a_prime(self):
-        code, out, err = run_cli("count", "subspaces", "4", "1")
-        assert code == 1 and out == "" and err.startswith("error:")
+    @pytest.mark.parametrize("n", ["1", "3000"])
+    def test_subspaces_needs_a_prime(self, n):
+        code, out, err = run_cli("count", "subspaces", "4", n)
+        assert code == 1 and out == "" and err == "error: scalar modulus 4 is not prime\n"
 
     def test_groupoid_printed(self):
         code, out, _ = run_cli("count", "groupoid-printed", "2", "2", "1", "1", "--json")

@@ -33,9 +33,10 @@ CATEGORY_TEXTS = sorted(p.read_text(encoding="utf-8") for p in DATA_DIR.glob("*.
 def _family_texts():
     """The first --json item of a magma and of a category gradings run, as family documents."""
     texts = []
-    for argv in (("gradings", "aabb.mag", "abab.mag"), ("gradings", "gamma.cat", "lambda_z2.cat", "--prefunctors")):
+    for argv in (["gradings", "aabb.mag", "abab.mag"], ["gradings", "gamma.cat", "lambda_z2.cat", "--prefunctors"]):
+        argv[1:3] = [str(DATA_DIR / name) for name in argv[1:3]]
         out = stringio.StringIO()
-        assert cli.run([argv[0], *(str(DATA_DIR / a) if "." in a else a for a in argv[1:]), "--json"], out) == 0
+        assert cli.run(argv + ["--json"], out) == 0
         texts.append(json.dumps(json.loads(out.getvalue())["items"][0]))
     return texts
 
@@ -161,7 +162,8 @@ def _rarely(draw):
 
 @st.composite
 def invocations(draw):
-    """(argv with None for each operand file, the operand documents, None for a missing file)."""
+    """(argv, documents): argv holds None where an operand path goes, and each document is the
+    text of one operand, or None for a file that does not exist."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     docs = []
     if command == "census":
