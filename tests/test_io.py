@@ -60,7 +60,7 @@ PRESENTED = "category 2 2\ngroupoid-presentation\ncomponent 0 1\nvertex-group 1\
 
 
 class TestParseErrorPositions:
-    """Every integer field that does not parse names itself at its line and column."""
+    """Each integer field that does not parse, and each bad spanning tree, has a fixed message, line and column."""
 
     @pytest.mark.parametrize(
         "parse,text,message,line,column",
