@@ -122,6 +122,8 @@ def _enumerations():
     for order in ("1", "2", "3"):
         yield ("census", order)
     yield ("census", "3", "--budget", "10000000")
+    # The benchmarked run: 65,536 filters, the only golden case with megabytes of output.
+    yield ("filters", "prod_aabb_aabb.mag", "prod_aabb_aabb.mag", "--budget", "1000000")
     yield from COUNTS
     yield from ERRORS
 
