@@ -20,17 +20,17 @@ from .category import (
     adjoin_zero,
     enumerate_functors,
     enumerate_prefunctors,
-    enumerate_subprecategory_pairs,
 )
 from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
 from .magma import (
     FiniteMagma,
     PairRelation,
     _bits,
+    _pair_mask,
+    _pair_masks,
+    _zero_pair_masks,
     enumerate_homs,
-    enumerate_product_submagmas,
     enumerate_zero_homs,
-    enumerate_zero_submagmas,
 )
 
 RING_ZERO = None
@@ -158,15 +158,17 @@ class ElementaryFamily:
             raise BasisMismatchError(
                 f"{len(self.parts)} parts for a target of order {self.target.order}"
             )
-        for part in self.parts:
-            for b in part:
-                if not 0 <= b < self.algebra.basis_size:
-                    raise BasisMismatchError(f"basis index {b} outside 0..{self.algebra.basis_size - 1}")
+        # Every index once, in one union of the (often shared) parts, then its two ends.
+        indices = frozenset().union(*self.parts)
+        size = self.algebra.basis_size
+        if indices and (min(indices) < 0 or max(indices) >= size):
+            bad = min(indices) if min(indices) < 0 else max(indices)
+            raise BasisMismatchError(f"basis index {bad} outside 0..{size - 1}")
 
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:
     """The fixed base family: one basis line per source element (empty at a contracted zero)."""
-    return _families(algebra, algebra.source, [[(g, g) for g in range(algebra.source.order)]])[0]
+    return _gradings(algebra, algebra.source, [range(algebra.source.order)])[0]
 
 
 @dataclass(frozen=True)
@@ -181,29 +183,46 @@ class Verdict:
         return self.holds
 
 
-def _families(algebra: AlgebraPresentation, target: FiniteMagma, pair_sets) -> list:
-    """One family per pair set, with parts[h] spanned by the base lines at the g paired with h.
+def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: int) -> list:
+    """One family per mask over pairs, pair (g, h) at bit g*width + h, with parts[h] spanned by
+    the base lines at the g paired with h.
 
     Source elements outside the basis (a contracted zero) contribute nothing.
     Equal parts across the list are one shared frozenset.
     """
-    basis_of_source = algebra.basis_of_source
+    nb = algebra.basis_size
+    # The parts of a family packed into one int, nb bits per h: a pair sets the bit of its
+    # base line in its h's field.  Each byte of a mask is unpacked once and remembered.
+    line = [0 if b is None else 1 << (h * nb + b) for b in algebra.basis_of_source for h in range(width)]
+    windows = [255 << k for k in range(0, len(line), 8)]
+    packed_of = {0: 0}
+    shifts = [h * nb for h in range(target.order)]
+    full = (1 << nb) - 1
     shared = {}
     families = []
-    for pairs in pair_sets:
-        masks = [0] * target.order
-        for g, h in pairs:
-            b = basis_of_source[g]
-            if b is not None:
-                masks[h] |= 1 << b
+    for mask in masks:
+        packed = 0
+        for window in windows:
+            byte = mask & window
+            bits = packed_of.get(byte)
+            if bits is None:
+                bits = packed_of[byte] = sum(line[p] for p in _bits(byte))
+            packed |= bits
         parts = []
-        for mask in masks:
-            part = shared.get(mask)
+        for shift in shifts:
+            field = packed >> shift & full
+            part = shared.get(field)
             if part is None:
-                part = shared[mask] = frozenset(_bits(mask))
+                part = shared[field] = frozenset(_bits(field))
             parts.append(part)
         families.append(ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts)))
     return families
+
+
+def _gradings(algebra: AlgebraPresentation, target: FiniteMagma, maps) -> list:
+    """One family per map g -> f(g), whose pair mask holds the bits g*|target| + f(g)."""
+    width = target.order
+    return _families(algebra, target, [_pair_mask(enumerate(f), width) for f in maps], width)
 
 
 def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) -> ElementaryFamily:
@@ -213,7 +232,8 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
     """
     if relation.left != algebra.source:
         raise BasisMismatchError("relation's left magma is not the algebra's source")
-    return _families(algebra, relation.right, [relation.pairs])[0]
+    width = relation.right.order
+    return _families(algebra, relation.right, [_pair_mask(relation.pairs, width)], width)[0]
 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
@@ -516,28 +536,28 @@ def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMa
     """One grading per magma homomorphism source -> target."""
     if algebra.contracted:
         raise ValidationError("plain gradings live on the plain magma algebra")
-    return _families(algebra, target, map(enumerate, enumerate_homs(algebra.source, target, budget)))
+    return _gradings(algebra, target, enumerate_homs(algebra.source, target, budget))
 
 
 def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero gradings live on the contracted algebra")
-    return _families(algebra, target, map(enumerate, enumerate_zero_homs(algebra.source, target, budget)))
+    return _gradings(algebra, target, enumerate_zero_homs(algebra.source, target, budget))
 
 
 def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per submagma of source x target, including the zero filter from the empty set."""
     if algebra.contracted:
         raise ValidationError("plain filters live on the plain magma algebra")
-    return _families(algebra, target, enumerate_product_submagmas(algebra.source, target, budget))
+    return _families(algebra, target, _pair_masks(algebra.source.table, target.table, budget), target.order)
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
     if not algebra.contracted:
         raise ValidationError("nonzero filters live on the contracted algebra")
-    return _families(algebra, target, enumerate_zero_submagmas(algebra.source, target, budget))
+    return _families(algebra, target, _zero_pair_masks(algebra.source, target, budget), target.order)
 
 
 def enumerate_category_gradings(
@@ -561,7 +581,7 @@ def enumerate_category_gradings(
         if prefunctors
         else enumerate_functors(source, target, budget)
     )
-    return algebra, _families(algebra, target_magma, [enumerate(mm.morphism_map) for mm in maps])
+    return algebra, _gradings(algebra, target_magma, [mm.morphism_map for mm in maps])
 
 
 def enumerate_category_filters(
@@ -577,4 +597,5 @@ def enumerate_category_filters(
     """
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
-    return algebra, _families(algebra, target_magma, enumerate_subprecategory_pairs(source, target, budget))
+    masks = _pair_masks(source.comp, target.comp, budget)
+    return algebra, _families(algebra, target_magma, masks, target.morphism_count)

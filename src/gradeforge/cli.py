@@ -7,7 +7,8 @@ OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard out
 so identical invocations are byte-identical.
 
 Each subcommand is a thin call into the library: ``_load`` reads every
-operand, ``_algebra`` picks the algebra, ``_write`` prints every enumeration.
+operand, ``_algebra`` picks the algebra, ``_write`` prints every enumeration
+but gradings and filters, which the io family writers print.
 """
 
 from __future__ import annotations
@@ -149,10 +150,11 @@ def _families(args, budget, out):
         algebra, families = alg.enumerate_category_filters(source, target, scalar_modulus=args.field, budget=budget)
     if args.nonzero_only:
         families = [f for f in families if alg.is_nonzero(algebra, f)]
-    return _write(
-        out, args, families, lambda f: io.family_to_doc(f, target_text, kind),
-        lambda f: " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(f.parts)),
-    )
+    if args.json:
+        io.write_family_report(out, families, target_text, kind)
+    else:
+        io.write_family_lines(out, families)
+    return 0
 
 
 def _verify(args, budget, out):

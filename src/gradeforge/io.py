@@ -7,6 +7,7 @@ for every value; print(parse(t)) == t for canonical text.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
@@ -318,13 +319,85 @@ def count_report_to_doc(report: CountReport) -> dict:
     }
 
 
+def _dumps(value) -> str:
+    """Compact JSON with sorted keys and arbitrary-size integers as decimal strings."""
+    return json.dumps(_encode(value), sort_keys=True, separators=(",", ":"))
+
+
 def emit_report(payload) -> str:
     """Serialize a report payload: compact JSON, sorted keys, arbitrary-size
     integer values as decimal strings, one trailing newline."""
-    return json.dumps(_encode(payload), sort_keys=True, separators=(",", ":")) + "\n"
+    return _dumps(payload) + "\n"
+
+
+def _envelope(count: int) -> tuple:
+    """The text before and after the items of an enumeration payload, as emit_report writes it."""
+    return _dumps({"count": count, "items": []})[:-2], "]}\n"
 
 
 def enumeration_report(items) -> str:
     """The standard enumeration payload: a count and the items in enumeration order."""
     items = list(items)
-    return emit_report({"count": len(items), "items": items})
+    head, tail = _envelope(len(items))
+    return head + _dumps(items)[1:-1] + tail
+
+
+# Items per write of the family writers.
+_CHUNK = 4096
+
+
+class _Memo(dict):
+    """encode(key) for each key, computed on its first lookup."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key):
+        value = self[key] = self.encode(key)
+        return value
+
+
+def _write_joined(out, items, sep: str) -> None:
+    """Write the strings of items joined by sep, _CHUNK of them per write."""
+    items = iter(items)
+    lead = ""
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        out.write(lead + sep.join(chunk))
+        lead = sep
+
+
+def write_family_report(out, families, target_text: str, target_format: str) -> None:
+    """Write enumeration_report([family_to_doc(f, target_text, target_format) for f in families]).
+
+    The bytes are the same, but each distinct part is encoded once, the
+    target once, and the items go out a chunk at a time.
+    """
+    families = list(families)
+    head, tail = _envelope(len(families))
+    # family_to_doc's keys in sorted order: "kind" < "parts" < "target", and part "10" < "2".
+    open_parts = '{"kind":"family","parts":{'
+    close_parts = '},"target":' + _dumps({"format": target_format, "text": target_text}) + "}"
+    keyed = _Memo(lambda order: [(h, _dumps(str(h)) + ":") for h in sorted(range(order), key=str)])
+    part_json = _Memo(lambda part: _dumps(sorted(part)))
+
+    def item(family):
+        parts = family.parts
+        return open_parts + ",".join([key + part_json[parts[h]] for h, key in keyed[len(parts)]]) + close_parts
+
+    out.write(head)
+    _write_joined(out, map(item, families), ",")
+    out.write(tail)
+
+
+def write_family_lines(out, families) -> None:
+    """Write one line 'h:{b,...}' per part, space-separated, per family; each distinct part is
+    spelled once, and the lines go out a chunk at a time."""
+    part_text = _Memo(lambda part: "{" + ",".join(map(str, sorted(part))) + "}")
+    labels = _Memo(lambda order: [f"{h}:" for h in range(order)])
+
+    def line(family):
+        parts = family.parts
+        return " ".join([label + part_text[part] for label, part in zip(labels[len(parts)], parts)]) + "\n"
+
+    _write_joined(out, map(line, families), "")

@@ -266,25 +266,40 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> 
     return [frozenset(_bits(m)) for m in masks]
 
 
-def _pair_subsets(left, right, budget: Budget, forced=(), banned=()) -> list:
+def _pair_masks(left, right, budget: Budget, forced=(), banned=()) -> list:
     # Closed subsets of the pair table of two tables that hold every forced
-    # pair and no banned one, each decoded once to a frozenset of (g, h)
-    # pairs, in increasing order of their masks.  The pair count is capped
-    # before the table is built.
+    # pair and no banned one, as masks with pair (g, h) at bit g*len(right) + h,
+    # in increasing order.  The pair count is capped before the table is built.
     nh = len(right)
     check_order(len(left) * nh, budget)
-    pairs = [(g, h) for g in range(len(left)) for h in range(nh)]
+    return _closed_subsets(
+        _pair_table(left, right), _pair_mask(forced, nh), _pair_mask(banned, nh), NodeCounter(budget)
+    )
 
-    def mask(chosen):
-        return sum(1 << (g * nh + h) for g, h in chosen)
 
-    masks = _closed_subsets(_pair_table(left, right), mask(forced), mask(banned), NodeCounter(budget))
+def _pair_mask(pairs, width: int) -> int:
+    """The mask of a set of pairs, pair (g, h) at bit g*width + h."""
+    return sum(1 << (g * width + h) for g, h in pairs)
+
+
+def _pair_subsets(masks, width: int) -> list:
+    # Each mask of _pair_masks decoded once to a frozenset of (g, h) pairs.
+    pairs = [divmod(p, width) for p in range(max(masks, default=0).bit_length())]
     return [frozenset(pairs[p] for p in _bits(m)) for m in masks]
+
+
+def _zero_pair_masks(left: FiniteMagma, right: FiniteMagma, budget: Budget) -> list:
+    # The masks of the zero submagmas of left x right (see enumerate_zero_submagmas).
+    if left.zero is None or right.zero is None:
+        raise MissingZeroError("both operands need a designated zero")
+    zg, zh = left.zero, right.zero
+    banned = [(g, zh) for g in range(left.order) if g != zg]
+    return _pair_masks(_zero_exempt(left.table, zg), right.table, budget, [(zg, zh)], banned)
 
 
 def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """Submagmas of left x right, each a frozenset of (g, h) pairs."""
-    return _pair_subsets(left.table, right.table, budget)
+    return _pair_subsets(_pair_masks(left.table, right.table, budget), right.order)
 
 
 def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
@@ -296,11 +311,7 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
     (g, 0_H) with g nonzero kills the branch, since no such pair may exist.
     |left|*|right| is capped by the budget's max_order.
     """
-    if left.zero is None or right.zero is None:
-        raise MissingZeroError("both operands need a designated zero")
-    zg, zh = left.zero, right.zero
-    banned = [(g, zh) for g in range(left.order) if g != zg]
-    return _pair_subsets(_zero_exempt(left.table, zg), right.table, budget, [(zg, zh)], banned)
+    return _pair_subsets(_zero_pair_masks(left, right, budget), right.order)
 
 
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:

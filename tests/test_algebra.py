@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import pytest
@@ -24,8 +25,16 @@ from gradeforge.algebra import (
     magma_algebra,
     relation_from_filter,
 )
-from gradeforge.category import adjoin_zero
-from gradeforge.errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
+from gradeforge.budget import Budget
+from gradeforge.category import adjoin_zero, enumerate_subprecategory_pairs
+from gradeforge.errors import (
+    BasisMismatchError,
+    MissingZeroError,
+    OracleDisagreementError,
+    SizeOverflowError,
+    ValidationError,
+)
+from gradeforge.io import emit_report, family_to_doc, parse_category, parse_family, parse_magma, print_magma
 from gradeforge.magma import (
     PairRelation,
     cyclic_group_magma,
@@ -36,6 +45,7 @@ from gradeforge.magma import (
 )
 
 from conftest import ORDER2_WORDS
+from pair_families import pair_families
 
 
 def parts_of(family):
@@ -63,6 +73,24 @@ class TestGradingFromRelation:
         a = magma_algebra(order2["aaaa"])
         with pytest.raises(BasisMismatchError):
             ElementaryFamily(algebra=a, target=order2["aaaa"], parts=(frozenset({5}), frozenset()))
+
+    @pytest.mark.parametrize("bad", [2, -1, 10 ** 30])
+    def test_out_of_range_index_named(self, order2, bad):
+        # once in a part shared by both targets' elements, once next to valid indices
+        a = magma_algebra(order2["aaaa"])
+        for parts in ((frozenset({0, bad}),) * 2, (frozenset({1}), frozenset({0, 1, bad}))):
+            with pytest.raises(BasisMismatchError, match=f"basis index {bad} outside 0..1"):
+                ElementaryFamily(algebra=a, target=order2["aaaa"], parts=parts)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_parsed_family_out_of_range(self, order2, bad):
+        a = magma_algebra(order2["aaaa"])
+        target = {"format": "magma", "text": print_magma(order2["abab"])}
+        text = json.dumps({"kind": "family", "target": target, "parts": {"1": [0, bad]}})
+        with pytest.raises(BasisMismatchError, match=f"basis index {bad} outside"):
+            parse_family(text, a)
+        good = family_to_doc(ElementaryFamily(a, order2["abab"], (frozenset(), frozenset({0, 1}))), print_magma(order2["abab"]), "magma")
+        assert parse_family(emit_report(good), a).parts == (frozenset(), frozenset({0, 1}))
 
 
 class TestRelationFromFilter:
@@ -360,3 +388,65 @@ class TestCategoryEnumerations:
         assert len(fams) == len(enumerate_subprecategory_pairs(involution_cat, z2_cat))
         for fam in fams:
             assert is_filter(a, fam)
+
+
+# Small enough that the order-4 products run out on both paths at the same node.
+ORACLE_BUDGET = Budget(max_nodes=5_000)
+
+
+def _same_or_both_exhausted(build, reference):
+    """1 if the mask-built parts equal the reference parts, 0 if both run out of budget."""
+    try:
+        want = reference()
+    except SizeOverflowError:
+        with pytest.raises(SizeOverflowError):
+            build()
+        return 0
+    assert [f.parts for f in build()] == want
+    return 1
+
+
+class TestMaskBuiltFamilies:
+    """The three filter enumerators build families from kernel masks; the decoded pair sets of
+    the public submagma searches, put through tests/pair_families.py, are the reference."""
+
+    @pytest.fixture(scope="class")
+    def magmas(self, data_dir):
+        return [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+
+    def test_filters_on_every_fixture_pair(self, magmas):
+        checked = 0
+        for source, target in itertools.product(magmas, repeat=2):
+            a = magma_algebra(source)
+            checked += _same_or_both_exhausted(
+                lambda: enumerate_elementary_filters(a, target, ORACLE_BUDGET),
+                lambda: pair_families(a, target, enumerate_product_submagmas(source, target, ORACLE_BUDGET)),
+            )
+        assert checked >= 370
+
+    def test_nonzero_filters_on_every_zero_fixture_pair(self, magmas, idem_pair_zero3, idem_zero2):
+        zero_magmas = [m for m in magmas if m.zero is not None] + [idem_pair_zero3, idem_zero2, matrix_unit_zero_magma(2)]
+        checked = 0
+        for source, target in itertools.product(zero_magmas, repeat=2):
+            a = contracted_algebra(source)
+            checked += _same_or_both_exhausted(
+                lambda: enumerate_nonzero_elementary_filters(a, target, ORACLE_BUDGET),
+                lambda: pair_families(a, target, enumerate_zero_submagmas(source, target, ORACLE_BUDGET)),
+            )
+        assert checked >= 45
+
+    def test_category_filters_on_every_fixture_pair(self, data_dir, involution_cat, z2_cat, idem_cat):
+        categories = [parse_category(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.cat"))]
+        categories += [involution_cat, z2_cat, idem_cat, parse_category("category 0 0\n")]  # last: empty basis
+        checked = 0
+        for source, target in itertools.product(categories, repeat=2):
+
+            def reference():
+                a = category_algebra(source)
+                return pair_families(a, adjoin_zero(target), enumerate_subprecategory_pairs(source, target, ORACLE_BUDGET))
+
+            checked += _same_or_both_exhausted(
+                lambda: enumerate_category_filters(source, target, budget=ORACLE_BUDGET)[1],
+                reference,
+            )
+        assert checked >= 45

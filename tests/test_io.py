@@ -1,10 +1,21 @@
 import importlib.util
+import io as stringio
 import json
 import pathlib
 
 import pytest
 
-from gradeforge.algebra import grading_from_relation, magma_algebra
+from gradeforge import cli
+from gradeforge import io as gio
+from gradeforge.algebra import (
+    enumerate_category_filters,
+    enumerate_category_gradings,
+    enumerate_elementary_filters,
+    enumerate_elementary_gradings,
+    grading_from_relation,
+    is_nonzero,
+    magma_algebra,
+)
 from gradeforge.category import connected_groupoid, matrix_groupoid
 from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError
 from gradeforge.io import (
@@ -17,8 +28,16 @@ from gradeforge.io import (
     parse_magma,
     print_category,
     print_magma,
+    write_family_lines,
+    write_family_report,
 )
-from gradeforge.magma import PairRelation, enumerate_product_submagmas, magma_from_word, matrix_unit_zero_magma
+from gradeforge.magma import (
+    PairRelation,
+    cyclic_group_magma,
+    enumerate_product_submagmas,
+    magma_from_word,
+    matrix_unit_zero_magma,
+)
 
 from conftest import ORDER2_WORDS, involution_arrow_category
 
@@ -240,3 +259,99 @@ class TestFixtureFiles:
         assert written
         for path in written:
             assert path.read_bytes() == (data_dir / path.name).read_bytes(), path.name
+
+
+def _wide_enumerations():
+    """(label, families, target text, target format) on targets of 12 and 13 parts, where the
+    part key "10" sorts before "2"."""
+    aabb, z12 = magma_from_word("aabb"), cyclic_group_magma(12)
+    algebra = magma_algebra(aabb)
+    filters = enumerate_elementary_filters(algebra, z12)
+    groupoid = connected_groupoid(2, cyclic_group_magma(3).table)
+    point = connected_groupoid(1, ((0,),))
+    cat_algebra, cat_filters = enumerate_category_filters(point, groupoid)
+    magma_text, cat_text = print_magma(z12), print_category(groupoid)
+    return [
+        ("gradings", enumerate_elementary_gradings(algebra, z12), magma_text, "magma"),
+        ("filters", filters, magma_text, "magma"),
+        ("nonzero-only filters", [f for f in filters if is_nonzero(algebra, f)], magma_text, "magma"),
+        ("category gradings", enumerate_category_gradings(point, groupoid)[1], cat_text, "category"),
+        ("category filters", cat_filters, cat_text, "category"),
+        ("nonzero-only category filters", [f for f in cat_filters if is_nonzero(cat_algebra, f)], cat_text, "category"),
+        ("none", [], magma_text, "magma"),
+    ]
+
+
+def _written(writer, *args):
+    out = stringio.StringIO()
+    writer(out, *args)
+    return out.getvalue()
+
+
+class TestFamilyWriters:
+    """The fragment writers of gradings and filters against the generic encoder."""
+
+    # Two items per write, so the joins between writes are checked too.
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(gio, "_CHUNK", 2)
+
+    def test_report_matches_the_generic_encoder(self):
+        for label, families, text, fmt in _wide_enumerations():
+            assert families or label == "none"
+            assert all(len(f.parts) >= 11 for f in families)
+            want = enumeration_report([family_to_doc(f, text, fmt) for f in families])
+            assert _written(write_family_report, families, text, fmt) == want, label
+
+    def test_lines_match_the_part_listing(self):
+        for label, families, _, _ in _wide_enumerations():
+            want = "".join(
+                " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(f.parts)) + "\n"
+                for f in families
+            )
+            assert _written(write_family_lines, families) == want, label
+
+    def test_keys_sort_as_strings(self):
+        report = _written(write_family_report, _wide_enumerations()[0][1], "", "magma")
+        keys = list(json.loads(report)["items"][0]["parts"])
+        assert keys == sorted(map(str, range(12))) and keys[2] == "10"
+
+    @pytest.mark.parametrize(
+        "source, target, argv",
+        [
+            ("aabb", "z12", ("filters", "--nonzero-only")),
+            ("aabb", "z12", ("gradings",)),
+            ("point", "groupoid", ("filters", "--nonzero-only")),
+            ("point", "groupoid", ("gradings", "--prefunctors")),
+        ],
+    )
+    def test_cli_json_matches_the_generic_encoder(self, source, target, argv, tmp_path):
+        structures = {
+            "aabb": print_magma(magma_from_word("aabb")),
+            "z12": print_magma(cyclic_group_magma(12)),
+            "point": print_category(connected_groupoid(1, ((0,),))),
+            "groupoid": print_category(connected_groupoid(2, cyclic_group_magma(3).table)),
+        }
+        paths = []
+        for name in (source, target):
+            path = tmp_path / name
+            path.write_text(structures[name], encoding="utf-8")
+            paths.append(str(path))
+        out = stringio.StringIO()
+        assert cli.run([argv[0], *paths, *argv[1:], "--json"], out, stringio.StringIO()) == 0
+        fmt = "magma" if source == "aabb" else "category"
+        if fmt == "magma":
+            algebra = magma_algebra(magma_from_word("aabb"))
+            build = enumerate_elementary_filters if argv[0] == "filters" else enumerate_elementary_gradings
+            families = build(algebra, cyclic_group_magma(12))
+        else:
+            point, groupoid = (parse_category(structures[name]) for name in (source, target))
+            if argv[0] == "filters":
+                algebra, families = enumerate_category_filters(point, groupoid)
+            else:
+                algebra, families = enumerate_category_gradings(point, groupoid, prefunctors=True)
+        if "--nonzero-only" in argv:
+            families = [f for f in families if is_nonzero(algebra, f)]
+        assert families
+        docs = [family_to_doc(f, structures[target], fmt) for f in families]
+        assert out.getvalue() == enumeration_report(docs)
