@@ -311,11 +311,6 @@ class TestFamilyWriters:
             )
             assert _written(write_family_lines, families) == want, label
 
-    def test_keys_sort_as_strings(self):
-        report = _written(write_family_report, _wide_enumerations()[0][1], "", "magma")
-        keys = list(json.loads(report)["items"][0]["parts"])
-        assert keys == sorted(map(str, range(12))) and keys[2] == "10"
-
     @pytest.mark.parametrize(
         "source, target, argv",
         [
