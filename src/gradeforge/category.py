@@ -501,7 +501,7 @@ def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget = DEFAULT_
 
 def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Subprecategories of left x right as sets of (left morphism, right morphism) pairs."""
-    return _pair_subsets(_pair_masks(left.comp, right.comp, budget), right.morphism_count)
+    return _pair_subsets(_pair_masks(left.comp, right.comp, budget), left.morphism_count, right.morphism_count)
 
 
 def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:

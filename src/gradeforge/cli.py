@@ -7,8 +7,8 @@ OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard out
 so identical invocations are byte-identical.
 
 Each subcommand is a thin call into the library: ``_load`` reads every
-operand, ``_algebra`` picks the algebra, ``_write`` prints every enumeration
-but gradings and filters, which the io family writers print.
+operand, ``_algebra`` picks the algebra, and ``_write`` prints every
+enumeration through ``io.write_enumeration``, from one encoder per result.
 """
 
 from __future__ import annotations
@@ -83,37 +83,40 @@ def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
 
 
 def _write(out, args, results, item, line) -> int:
-    """Print an enumeration: a JSON report of item(r) with --json, else line(r) per result."""
-    if args.json:
-        out.write(io.enumeration_report(map(item, results)))
-    else:
-        out.write("".join(line(r) + "\n" for r in results))
+    """Print a list of results: the JSON item(r) of each inside the enumeration report with
+    --json, else the line line(r) of each."""
+    io.write_enumeration(out, results, item if args.json else line, args.json)
     return 0
 
 
 def _census(args, budget, out):
     classes, word = mg.census(args.order, budget), mg.word_of_magma
-    return _write(out, args, classes, lambda m: {"text": io.print_magma(m), "word": word(m)}, word)
+    return _write(out, args, classes, lambda m: io._dumps({"text": io.print_magma(m), "word": word(m)}), word)
 
 
 def _hom(args, budget, out):
     source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
     maps = (mg.enumerate_zero_homs if args.zero else mg.enumerate_homs)(source, target, budget)
-    return _write(out, args, maps, lambda m: {"images": list(m)}, lambda m: " ".join(map(str, m)))
+    return _write(out, args, maps, lambda m: io._dumps({"images": m}), lambda m: " ".join(map(str, m)))
 
 
 def _submagmas(args, budget, out):
+    """Each subset is a kernel mask, printed from the spelling of the member at each of its bits."""
     source = _load(args.source, budget, ("magma",))[1]
     if args.target is None:
         if args.zero:
             raise ValidationError("--zero needs a second magma operand")
-        subs = [sorted(s) for s in mg.enumerate_submagmas(source, budget)]
-        return _write(out, args, subs, lambda s: {"elements": s}, lambda s: "{" + ",".join(map(str, s)) + "}")
-    search = mg.enumerate_zero_submagmas if args.zero else mg.enumerate_product_submagmas
-    rels = [sorted(pairs) for pairs in search(source, _load(args.target, budget, ("magma",))[1], budget)]
+        masks, key, members = mg._submagma_masks(source, budget), "elements", range(source.order)
+        text_of, sep = list(map(str, members)), ","
+    else:
+        target = _load(args.target, budget, ("magma",))[1]
+        masks = mg._zero_pair_masks(source, target, budget) if args.zero else mg._pair_masks(source.table, target.table, budget)
+        key, members = "pairs", mg._bit_pairs(source.order, target.order)
+        text_of, sep = [f"{g}:{h}" for g, h in members], " "
+    json_of, head, bits = list(map(io._dumps, members)), "{" + io._dumps(key) + ":[", mg._bits
     return _write(
-        out, args, rels, lambda r: {"pairs": [list(p) for p in r]},
-        lambda r: "{" + " ".join(f"{g}:{h}" for g, h in r) + "}",
+        out, args, masks, lambda m: head + ",".join([json_of[b] for b in bits(m)]) + "]}",
+        lambda m: "{" + sep.join([text_of[b] for b in bits(m)]) + "}",
     )
 
 
@@ -121,7 +124,7 @@ def _functors(args, budget, out):
     source, target = (_load(p, budget, ("category",))[1] for p in (args.source, args.target))
     maps = (cat.enumerate_prefunctors if args.prefunctors else cat.enumerate_functors)(source, target, budget)
     return _write(
-        out, args, maps, lambda m: {"objects": list(m.object_map), "morphisms": list(m.morphism_map)},
+        out, args, maps, lambda m: io._dumps({"objects": m.object_map, "morphisms": m.morphism_map}),
         lambda m: f"objects:{','.join(map(str, m.object_map))} morphisms:{','.join(map(str, m.morphism_map))}",
     )
 
@@ -150,11 +153,7 @@ def _families(args, budget, out):
         algebra, families = alg.enumerate_category_filters(source, target, scalar_modulus=args.field, budget=budget)
     if args.nonzero_only:
         families = [f for f in families if alg.is_nonzero(algebra, f)]
-    if args.json:
-        io.write_family_report(out, families, target_text, kind)
-    else:
-        io.write_family_lines(out, families)
-    return 0
+    return _write(out, args, families, io.family_item_encoder(target_text, kind), io.family_line_encoder())
 
 
 def _verify(args, budget, out):
@@ -273,7 +272,6 @@ def _build_parser() -> _Parser:
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     fmt.add_argument("--table", action="store_true", help="emit plain text (default)")
-    common.add_argument("--field", type=int, default=2, metavar="P", help="prime scalar field for algebra checks")
     common.add_argument("--budget", type=int, default=None, metavar="N", help="search node budget")
 
     parser = _Parser(prog="gradeforge", description="Finite magma and precategory toolkit.")
@@ -309,6 +307,9 @@ def _build_parser() -> _Parser:
     summary = "check the axioms of a family against an algebra"
     command("verify", _verify, summary, ("algebra", "family"), zero="use the contracted algebra of a zero magma")
     command("roundtrip", _roundtrip, "check the relation/filter round trip over all submagmas")
+    summary = "prime scalar field for algebra checks"
+    for name in ("gradings", "filters", "verify", "roundtrip"):  # the commands that build an algebra
+        sub.choices[name].add_argument("--field", type=int, default=2, metavar="P", help=summary)
     p = command("count", _count, "closed-form counts", ())
     p.add_argument("formula", choices=list(_COUNTS))
     p.add_argument("params", nargs="*")

@@ -342,7 +342,7 @@ def enumeration_report(items) -> str:
     return head + _dumps(items)[1:-1] + tail
 
 
-# Items per write of the family writers.
+# Items per write of write_enumeration.
 _CHUNK = 4096
 
 
@@ -358,23 +358,24 @@ class _Memo(dict):
         return value
 
 
-def _write_joined(out, items, sep: str) -> None:
-    """Write the strings of items joined by sep, _CHUNK of them per write."""
-    items = iter(items)
+def write_enumeration(out, results, encode, as_json: bool) -> None:
+    """Write a list of results, _CHUNK of them per write.  With as_json, encode(r) is the JSON
+    of r's item, and the bytes are those of enumeration_report over the items; else encode(r)
+    is r's line."""
+    head, tail = _envelope(len(results)) if as_json else ("", "\n" if results else "")
+    sep = "," if as_json else "\n"
+    items = map(encode, results)
+    out.write(head)
     lead = ""
     while chunk := list(itertools.islice(items, _CHUNK)):
         out.write(lead + sep.join(chunk))
         lead = sep
+    out.write(tail)
 
 
-def write_family_report(out, families, target_text: str, target_format: str) -> None:
-    """Write enumeration_report([family_to_doc(f, target_text, target_format) for f in families]).
-
-    The bytes are the same, but each distinct part is encoded once, the
-    target once, and the items go out a chunk at a time.
-    """
-    families = list(families)
-    head, tail = _envelope(len(families))
+def family_item_encoder(target_text: str, target_format: str):
+    """encode(family) = the JSON of family_to_doc(family, target_text, target_format), with the
+    target encoded once and each distinct part once."""
     # family_to_doc's keys in sorted order: "kind" < "parts" < "target", and part "10" < "2".
     open_parts = '{"kind":"family","parts":{'
     close_parts = '},"target":' + _dumps({"format": target_format, "text": target_text}) + "}"
@@ -385,19 +386,16 @@ def write_family_report(out, families, target_text: str, target_format: str) -> 
         parts = family.parts
         return open_parts + ",".join([key + part_json[parts[h]] for h, key in keyed[len(parts)]]) + close_parts
 
-    out.write(head)
-    _write_joined(out, map(item, families), ",")
-    out.write(tail)
+    return item
 
 
-def write_family_lines(out, families) -> None:
-    """Write one line 'h:{b,...}' per part, space-separated, per family; each distinct part is
-    spelled once, and the lines go out a chunk at a time."""
+def family_line_encoder():
+    """encode(family) = 'h:{b,...}' per part, space-separated, with each distinct part spelled once."""
     part_text = _Memo(lambda part: "{" + ",".join(map(str, sorted(part))) + "}")
     labels = _Memo(lambda order: [f"{h}:" for h in range(order)])
 
     def line(family):
         parts = family.parts
-        return " ".join([label + part_text[part] for label, part in zip(labels[len(parts)], parts)]) + "\n"
+        return " ".join([label + part_text[part] for label, part in zip(labels[len(parts)], parts)])
 
-    _write_joined(out, map(line, families), "")
+    return line

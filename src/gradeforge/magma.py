@@ -262,8 +262,12 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> 
     the included part and pruning branches whose closure meets an excluded
     element.  Output is sorted by bit pattern, so the empty set comes first.
     """
-    masks = _closed_subsets(magma.table, 0, 0, NodeCounter(budget))
-    return [frozenset(_bits(m)) for m in masks]
+    return [frozenset(_bits(m)) for m in _submagma_masks(magma, budget)]
+
+
+def _submagma_masks(magma: FiniteMagma, budget: Budget) -> list:
+    # The masks of enumerate_submagmas, element e at bit e.
+    return _closed_subsets(magma.table, 0, 0, NodeCounter(budget))
 
 
 def _pair_masks(left, right, budget: Budget, forced=(), banned=()) -> list:
@@ -282,9 +286,14 @@ def _pair_mask(pairs, width: int) -> int:
     return sum(1 << (g * width + h) for g, h in pairs)
 
 
-def _pair_subsets(masks, width: int) -> list:
+def _bit_pairs(left_count: int, right_count: int) -> list:
+    """The pair (g, h) at each bit of a pair mask, by bit: sorted (g, h) order."""
+    return list(itertools.product(range(left_count), range(right_count)))
+
+
+def _pair_subsets(masks, left_count: int, right_count: int) -> list:
     # Each mask of _pair_masks decoded once to a frozenset of (g, h) pairs.
-    pairs = [divmod(p, width) for p in range(max(masks, default=0).bit_length())]
+    pairs = _bit_pairs(left_count, right_count)
     return [frozenset(pairs[p] for p in _bits(m)) for m in masks]
 
 
@@ -299,7 +308,7 @@ def _zero_pair_masks(left: FiniteMagma, right: FiniteMagma, budget: Budget) -> l
 
 def enumerate_product_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """Submagmas of left x right, each a frozenset of (g, h) pairs."""
-    return _pair_subsets(_pair_masks(left.table, right.table, budget), right.order)
+    return _pair_subsets(_pair_masks(left.table, right.table, budget), left.order, right.order)
 
 
 def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
@@ -311,7 +320,7 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
     (g, 0_H) with g nonzero kills the branch, since no such pair may exist.
     |left|*|right| is capped by the budget's max_order.
     """
-    return _pair_subsets(_zero_pair_masks(left, right, budget), right.order)
+    return _pair_subsets(_zero_pair_masks(left, right, budget), left.order, right.order)
 
 
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:

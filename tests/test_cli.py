@@ -361,6 +361,22 @@ class TestExitCodes:
         code, out, err = run_cli(argv[0], *(data(data_dir, name) for name in argv[1:]))
         assert code == 1 and out == "" and err.startswith("error: ") and f"expected {expected}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "2"),
+            ("hom", "aabb.mag", "aabb.mag"),
+            ("submagmas", "aabb.mag", "aabb.mag"),
+            ("functors", "gamma.cat", "gamma.cat"),
+            ("count", "subspaces", "2", "3"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_field_only_where_an_algebra_is_built(self, data_dir, argv):
+        operands = (data(data_dir, a) if a.endswith((".mag", ".cat")) else a for a in argv[1:])
+        code, out, err = run_cli(argv[0], *operands, "--field", "3")
+        assert code == 1 and out == "" and err.startswith("usage error: ") and "--field" in err
+
     def test_mutually_exclusive_flags_rejected(self, data_dir):
         code, _, err = run_cli(
             "gradings", data(data_dir, "gamma.cat"), data(data_dir, "lambda_z2.cat"), "--prefunctors", "--functors"

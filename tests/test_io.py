@@ -16,27 +16,35 @@ from gradeforge.algebra import (
     is_nonzero,
     magma_algebra,
 )
-from gradeforge.category import connected_groupoid, matrix_groupoid
+from gradeforge.category import connected_groupoid, enumerate_functors, enumerate_prefunctors, matrix_groupoid
 from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError
 from gradeforge.io import (
     detect_kind,
     emit_report,
     enumeration_report,
+    family_item_encoder,
+    family_line_encoder,
     family_to_doc,
     parse_category,
     parse_family,
     parse_magma,
     print_category,
     print_magma,
-    write_family_lines,
-    write_family_report,
+    write_enumeration,
 )
 from gradeforge.magma import (
     PairRelation,
+    census,
     cyclic_group_magma,
+    enumerate_homs,
     enumerate_product_submagmas,
+    enumerate_submagmas,
+    enumerate_zero_homs,
+    enumerate_zero_submagmas,
     magma_from_word,
     matrix_unit_zero_magma,
+    with_zero_adjoined,
+    word_of_magma,
 )
 
 from conftest import ORDER2_WORDS, involution_arrow_category
@@ -282,14 +290,96 @@ def _wide_enumerations():
     ]
 
 
-def _written(writer, *args):
+def _written(results, encode, as_json):
     out = stringio.StringIO()
-    writer(out, *args)
+    write_enumeration(out, results, encode, as_json)
     return out.getvalue()
 
 
+def _family_line(family):
+    return " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(family.parts))
+
+
+_STRUCTURES = {
+    "aabb": print_magma(magma_from_word("aabb")),
+    "z12": print_magma(cyclic_group_magma(12)),
+    "g2": print_magma(matrix_unit_zero_magma(2)),
+    "z2zero": print_magma(with_zero_adjoined(cyclic_group_magma(2))),
+    "point": print_category(connected_groupoid(1, ((0,),))),
+    "groupoid": print_category(connected_groupoid(2, cyclic_group_magma(3).table)),
+}
+
+# (source, target, argv): argv[0] runs on the named structures (None: no operand), then argv[1:].
+_CLI_CASES = [
+    ("aabb", "z12", ("filters", "--nonzero-only")),
+    ("aabb", "z12", ("gradings",)),
+    ("point", "groupoid", ("filters", "--nonzero-only")),
+    ("point", "groupoid", ("gradings", "--prefunctors")),
+    (None, None, ("census", "2")),
+    ("z12", "z12", ("hom",)),
+    ("g2", "g2", ("hom", "--zero")),
+    ("z12", None, ("submagmas",)),
+    ("aabb", "aabb", ("submagmas",)),
+    ("g2", "z2zero", ("submagmas", "--zero")),
+    ("groupoid", "groupoid", ("functors", "--prefunctors")),
+]
+
+
+def _cli_output(source, target, argv, tmp_path, as_json):
+    paths = []
+    for name in filter(None, (source, target)):
+        path = tmp_path / name
+        path.write_text(_STRUCTURES[name], encoding="utf-8")
+        paths.append(str(path))
+    out = stringio.StringIO()
+    assert cli.run([argv[0], *paths, *argv[1:], *(["--json"] if as_json else [])], out, stringio.StringIO()) == 0
+    return out.getvalue()
+
+
+def _expected(source, target, argv):
+    """(JSON items, text lines) of a CLI enumeration, spelled out here from the library's results."""
+    command, flags = argv[0], argv[1:]
+    if command == "census":
+        classes = census(int(flags[0]))
+        return [{"text": print_magma(m), "word": word_of_magma(m)} for m in classes], list(map(word_of_magma, classes))
+    parsed = {
+        name: (parse_magma if _STRUCTURES[name].startswith("magma") else parse_category)(_STRUCTURES[name])
+        for name in filter(None, (source, target))
+    }
+    s, t = parsed[source], parsed.get(target)
+    if command == "hom":
+        maps = (enumerate_zero_homs if "--zero" in flags else enumerate_homs)(s, t)
+        return [{"images": list(m)} for m in maps], [" ".join(map(str, m)) for m in maps]
+    if command == "submagmas" and t is None:
+        subs = [sorted(sub) for sub in enumerate_submagmas(s)]
+        return [{"elements": sub} for sub in subs], ["{" + ",".join(map(str, sub)) + "}" for sub in subs]
+    if command == "submagmas":
+        search = enumerate_zero_submagmas if "--zero" in flags else enumerate_product_submagmas
+        rels = [sorted(pairs) for pairs in search(s, t)]
+        lines = ["{" + " ".join(f"{g}:{h}" for g, h in rel) + "}" for rel in rels]
+        return [{"pairs": [list(p) for p in rel]} for rel in rels], lines
+    if command == "functors":
+        maps = (enumerate_prefunctors if "--prefunctors" in flags else enumerate_functors)(s, t)
+        items = [{"objects": list(m.object_map), "morphisms": list(m.morphism_map)} for m in maps]
+        spell = ",".join
+        return items, [f"objects:{spell(map(str, m.object_map))} morphisms:{spell(map(str, m.morphism_map))}" for m in maps]
+    fmt = "magma" if _STRUCTURES[source].startswith("magma") else "category"
+    if fmt == "magma":
+        algebra = magma_algebra(s)
+        build = enumerate_elementary_filters if command == "filters" else enumerate_elementary_gradings
+        families = build(algebra, t)
+    elif command == "filters":
+        algebra, families = enumerate_category_filters(s, t)
+    else:
+        algebra, families = enumerate_category_gradings(s, t, prefunctors="--prefunctors" in flags)
+    if "--nonzero-only" in flags:
+        families = [f for f in families if is_nonzero(algebra, f)]
+    return [family_to_doc(f, _STRUCTURES[target], fmt) for f in families], list(map(_family_line, families))
+
+
 class TestFamilyWriters:
-    """The fragment writers of gradings and filters against the generic encoder."""
+    """write_enumeration with the family encoders, and the CLI's enumerations, against the generic
+    encoder and the line formats."""
 
     # Two items per write, so the joins between writes are checked too.
     @pytest.fixture(autouse=True)
@@ -301,52 +391,21 @@ class TestFamilyWriters:
             assert families or label == "none"
             assert all(len(f.parts) >= 11 for f in families)
             want = enumeration_report([family_to_doc(f, text, fmt) for f in families])
-            assert _written(write_family_report, families, text, fmt) == want, label
+            assert _written(families, family_item_encoder(text, fmt), True) == want, label
 
     def test_lines_match_the_part_listing(self):
         for label, families, _, _ in _wide_enumerations():
-            want = "".join(
-                " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(f.parts)) + "\n"
-                for f in families
-            )
-            assert _written(write_family_lines, families) == want, label
+            want = "".join(_family_line(f) + "\n" for f in families)
+            assert _written(families, family_line_encoder(), False) == want, label
 
-    @pytest.mark.parametrize(
-        "source, target, argv",
-        [
-            ("aabb", "z12", ("filters", "--nonzero-only")),
-            ("aabb", "z12", ("gradings",)),
-            ("point", "groupoid", ("filters", "--nonzero-only")),
-            ("point", "groupoid", ("gradings", "--prefunctors")),
-        ],
-    )
+    @pytest.mark.parametrize("source, target, argv", _CLI_CASES)
     def test_cli_json_matches_the_generic_encoder(self, source, target, argv, tmp_path):
-        structures = {
-            "aabb": print_magma(magma_from_word("aabb")),
-            "z12": print_magma(cyclic_group_magma(12)),
-            "point": print_category(connected_groupoid(1, ((0,),))),
-            "groupoid": print_category(connected_groupoid(2, cyclic_group_magma(3).table)),
-        }
-        paths = []
-        for name in (source, target):
-            path = tmp_path / name
-            path.write_text(structures[name], encoding="utf-8")
-            paths.append(str(path))
-        out = stringio.StringIO()
-        assert cli.run([argv[0], *paths, *argv[1:], "--json"], out, stringio.StringIO()) == 0
-        fmt = "magma" if source == "aabb" else "category"
-        if fmt == "magma":
-            algebra = magma_algebra(magma_from_word("aabb"))
-            build = enumerate_elementary_filters if argv[0] == "filters" else enumerate_elementary_gradings
-            families = build(algebra, cyclic_group_magma(12))
-        else:
-            point, groupoid = (parse_category(structures[name]) for name in (source, target))
-            if argv[0] == "filters":
-                algebra, families = enumerate_category_filters(point, groupoid)
-            else:
-                algebra, families = enumerate_category_gradings(point, groupoid, prefunctors=True)
-        if "--nonzero-only" in argv:
-            families = [f for f in families if is_nonzero(algebra, f)]
-        assert families
-        docs = [family_to_doc(f, structures[target], fmt) for f in families]
-        assert out.getvalue() == enumeration_report(docs)
+        items, _ = _expected(source, target, argv)
+        assert items
+        assert _cli_output(source, target, argv, tmp_path, True) == enumeration_report(items)
+
+    @pytest.mark.parametrize("source, target, argv", _CLI_CASES)
+    def test_cli_text_matches_the_line_format(self, source, target, argv, tmp_path):
+        _, lines = _expected(source, target, argv)
+        assert lines
+        assert _cli_output(source, target, argv, tmp_path, False) == "".join(line + "\n" for line in lines)
