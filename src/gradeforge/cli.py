@@ -83,8 +83,8 @@ def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
 
 
 def _write(out, args, results, item, line) -> int:
-    """Print a list of results: the JSON item(r) of each inside the enumeration report with
-    --json, else the line line(r) of each."""
+    """Print a list of results: with --json, item(r) is the JSON of each inside the enumeration
+    report; else line(r) is its line."""
     io.write_enumeration(out, results, item if args.json else line, args.json)
     return 0
 
