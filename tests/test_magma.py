@@ -12,7 +12,13 @@ from gradeforge.errors import (
     SizeOverflowError,
     ValidationError,
 )
-from gradeforge.category import enumerate_subprecategories, matrix_groupoid
+from gradeforge.category import (
+    connected_groupoid,
+    enumerate_functors,
+    enumerate_prefunctors,
+    enumerate_subprecategories,
+    matrix_groupoid,
+)
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
@@ -22,8 +28,10 @@ from gradeforge.magma import (
     census,
     closure,
     cyclic_group_magma,
+    enumerate_homs,
     enumerate_product_submagmas,
     enumerate_submagmas,
+    enumerate_zero_homs,
     enumerate_zero_submagmas,
     magma_from_word,
     matrix_unit_zero_magma,
@@ -438,6 +446,29 @@ class TestBudgets:
 def test_closed_subset_searches_spend_one_node_per_visited_node(search, nodes):
     # The exact minimal budget pins the node accounting: it changes if a
     # search visits nodes in another way or counts them differently.
+    search(Budget(max_nodes=nodes))
+    with pytest.raises(SizeOverflowError):
+        search(Budget(max_nodes=nodes - 1))
+
+
+@pytest.mark.parametrize(
+    "search, nodes",
+    [
+        (lambda budget: enumerate_homs(abelian_group_magma([2, 2, 2]), abelian_group_magma([2, 2, 2]), budget), 586),
+        (lambda budget: enumerate_zero_homs(matrix_unit_zero_magma(4), matrix_unit_zero_magma(4), budget), 1365),
+        (lambda budget: enumerate_prefunctors(matrix_groupoid(4), matrix_groupoid(4), budget), 1109),
+        (
+            lambda budget: enumerate_functors(
+                connected_groupoid(3, cyclic_group_magma(4).table), connected_groupoid(2, cyclic_group_magma(4).table), budget
+            ),
+            1611,
+        ),
+    ],
+    ids=["homs", "zero_homs", "prefunctors", "functors"],
+)
+def test_map_searches_spend_one_node_per_visited_node(search, nodes):
+    # As for the closed-subset searches: the exact minimal budget pins how
+    # the map searches branch and count.
     search(Budget(max_nodes=nodes))
     with pytest.raises(SizeOverflowError):
         search(Budget(max_nodes=nodes - 1))
