@@ -115,6 +115,20 @@ def brute_force_prefunctors(source, target, functors=False):
     return found
 
 
+def brute_force_homs(source, target, zero=False):
+    """Every total map, in increasing order, that keeps the products of the two tables.  With
+    zero, only 0_G goes to 0_H, and products equal to 0_G are exempt from the law."""
+    found = []
+    for images in itertools.product(range(target.order), repeat=source.order):
+        if zero and any((images[g] == target.zero) != (g == source.zero) for g in range(source.order)):
+            continue
+        if all(images[gh] == target.table[images[g]][images[h]]
+               for g, row in enumerate(source.table) for h, gh in enumerate(row)
+               if not (zero and gh == source.zero)):
+            found.append(images)
+    return found
+
+
 def one_object_monoid(table, identity=0):
     return validate_precategory(1, [(0, 0)] * len(table), table, identity_at=(identity,))
 

@@ -10,9 +10,10 @@ from gradeforge.magma import (
     enumerate_homs,
     enumerate_zero_homs,
     matrix_unit_zero_magma,
+    validate_magma,
 )
 
-from conftest import HOM_TABLE, MAP_SYMBOLS, ORDER2_WORDS
+from conftest import HOM_TABLE, MAP_SYMBOLS, ORDER2_WORDS, brute_force_homs
 
 
 def symbols(maps):
@@ -50,6 +51,27 @@ def test_maps_come_strictly_increasing_on_every_fixture_pair(data_dir):
         for search in searches:
             maps = search(source, target)
             assert all(a < b for a, b in zip(maps, maps[1:]))
+
+
+def test_maps_are_the_brute_force_homs_on_every_small_fixture_pair(data_dir):
+    # Every ordered pair of fixtures with at most 4,096 maps to filter, in order.
+    magmas = [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+    pairs = [(s, t) for s, t in itertools.product(magmas, repeat=2) if t.order ** s.order <= 4096]
+    assert pairs
+    for source, target in pairs:
+        assert enumerate_homs(source, target) == brute_force_homs(source, target)
+        if source.zero is not None and target.zero is not None:
+            assert enumerate_zero_homs(source, target) == brute_force_homs(source, target, zero=True)
+
+
+def test_zero_homs_of_the_matrix_units_are_the_brute_force_ones():
+    mu2 = matrix_unit_zero_magma(2)
+    # One nonzero product, a * b = c or b * a = c: a map sending a and b to
+    # units whose product is 0 must not send c to 0.
+    ab = validate_magma(4, [[3, 2, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]], zero=3)
+    ba = validate_magma(4, [[3, 3, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3], [3, 3, 3, 3]], zero=3)
+    for source, target in [(mu2, mu2), (ab, mu2), (ba, mu2), (mu2, ab)]:
+        assert enumerate_zero_homs(source, target) == brute_force_homs(source, target, zero=True)
 
 
 def test_cyclic_hom_count_is_gcd():
