@@ -343,60 +343,79 @@ def _expand_free_objects(obj_map, mor_map, target_objects, results, counter):
 
 
 def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
-    # Same propagation idea as the magma hom search, with the object map
-    # carried alongside: binding a morphism image binds both incident object
-    # images, which in turn prunes every later candidate set.
+    # The magma hom search's propagation over bound elements, with the object
+    # map carried alongside: each branch carries the morphism map, the object
+    # map and the list of its bound morphisms.  Binding a morphism binds both
+    # incident object images (and, for functors, the identities at newly
+    # bound objects).  Binding s to u walks the bound morphisms t only: a
+    # composite s.t or t.s whose image is bound is checked where it is found,
+    # and only a composite whose image is unbound is bound and queued.
     m = source.morphism_count
+    comp, image_comp = source.comp, target.comp
+    cols = [tuple(row[a] for row in comp) for a in range(m)]
 
-    def propagate(mor_map, obj_map, s, u) -> bool:
-        stack = [(s, u)]
-        while stack:
-            a, b = stack.pop()
-            cur = mor_map[a]
-            if cur is not None:
-                if cur != b:
-                    return False
-                continue
-            da, ca = source.morphisms[a]
-            db, cb = target.morphisms[b]
-            for go, lo in ((da, db), (ca, cb)):
-                bound = obj_map[go]
-                if bound is None:
-                    obj_map[go] = lo
-                    if functors:
-                        stack.append((source.identity_at[go], target.identity_at[lo]))
-                elif bound != lo:
-                    return False
-            mor_map[a] = b
-            for t in range(m):
+    def bind(mor_map, obj_map, bound, a, b) -> bool:
+        mor_map[a] = b
+        bound.append(a)
+        for go, lo in zip(source.morphisms[a], target.morphisms[b]):
+            cur = obj_map[go]
+            if cur is None:
+                obj_map[go] = lo
+                if functors:
+                    i, j = source.identity_at[go], target.identity_at[lo]
+                    cur = mor_map[i]
+                    if cur is None:
+                        if not bind(mor_map, obj_map, bound, i, j):
+                            return False
+                    elif cur != j:
+                        return False
+            elif cur != lo:
+                return False
+        return True
+
+    def propagate(mor_map, obj_map, bound, s, u) -> bool:
+        i = len(bound)
+        if not bind(mor_map, obj_map, bound, s, u):
+            return False
+        while i < len(bound):
+            a = bound[i]
+            i += 1
+            b = mor_map[a]
+            row, col, image_row = comp[a], cols[a], image_comp[b]
+            for t in bound[:i]:
                 v = mor_map[t]
-                if v is None:
-                    continue
-                st = source.comp[a][t]
+                st = row[t]
                 if st is not None:
-                    uv = target.comp[b][v]
+                    uv = image_row[v]
                     if uv is None:
                         return False
-                    stack.append((st, uv))
-                if t != a:
-                    ts = source.comp[t][a]
-                    if ts is not None:
-                        vu = target.comp[v][b]
-                        if vu is None:
+                    cur = mor_map[st]
+                    if cur is None:
+                        if not bind(mor_map, obj_map, bound, st, uv):
                             return False
-                        stack.append((ts, vu))
+                    elif cur != uv:
+                        return False
+                ts = col[t]
+                if ts is not None and t != a:
+                    vu = image_comp[v][b]
+                    if vu is None:
+                        return False
+                    cur = mor_map[ts]
+                    if cur is None:
+                        if not bind(mor_map, obj_map, bound, ts, vu):
+                            return False
+                    elif cur != vu:
+                        return False
         return True
 
     results: list[MorphismMap] = []
 
-    def search(mor_map, obj_map):
+    def search(mor_map, obj_map, bound):
         counter.spend()
-        for s in range(m):
-            if mor_map[s] is None:
-                break
-        else:
+        if len(bound) == m:
             _expand_free_objects(obj_map, mor_map, target.object_count, results, counter)
             return
+        s = mor_map.index(None)
         ds, cs = source.morphisms[s]
         for u in range(target.morphism_count):
             du, cu = target.morphisms[u]
@@ -404,12 +423,11 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
                 continue
             if obj_map[cs] is not None and obj_map[cs] != cu:
                 continue
-            mm = list(mor_map)
-            om = list(obj_map)
-            if propagate(mm, om, s, u):
-                search(mm, om)
+            mm, om, trial_bound = list(mor_map), list(obj_map), list(bound)
+            if propagate(mm, om, trial_bound, s, u):
+                search(mm, om, trial_bound)
 
-    search([None] * m, [None] * source.object_count)
+    search([None] * m, [None] * source.object_count, [])
     return results
 
 

@@ -325,51 +325,63 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
 
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
     # Backtracking with constraint propagation: images are assigned in index
-    # order and every already-constrained product f(x)f(y) is propagated to a
-    # forced assignment of f(x*y), failing fast on conflicts.  dom_table
-    # entries of None are exempt from the homomorphism law.
+    # order, and each branch carries f with the list of its bound elements.
+    # Binding a to b walks the bound elements y only: a product a*y or y*a
+    # whose image is bound is checked against f(a)f(y) or f(y)f(a) where it
+    # is found, and only a product whose image is unbound is pushed to be
+    # bound.  dom_table entries of None are exempt from the homomorphism law.
     n = len(dom_table)
+    cols = [tuple(row[a] for row in dom_table) for a in range(n)]
+    choices = [sorted(values) for values in allowed]
     out = []
 
-    def propagate(f, x, v) -> bool:
-        stack = [(x, v)]
-        while stack:
-            a, b = stack.pop()
-            cur = f[a]
-            if cur is not None:
-                if cur != b:
-                    return False
-                continue
-            if b not in allowed[a]:
-                return False
-            f[a] = b
-            for y in range(n):
+    def propagate(f, bound, x, v) -> bool:
+        f[x] = v
+        i = len(bound)
+        bound.append(x)
+        while i < len(bound):
+            a = bound[i]
+            i += 1
+            b = f[a]
+            row, col, image_row = dom_table[a], cols[a], cod_table[b]
+            for y in bound[:i]:
                 w = f[y]
-                if w is None:
-                    continue
-                z = dom_table[a][y]
+                z = row[y]
                 if z is not None:
-                    stack.append((z, cod_table[b][w]))
-                if y != a:
-                    z = dom_table[y][a]
-                    if z is not None:
-                        stack.append((z, cod_table[w][b]))
+                    p = image_row[w]
+                    cur = f[z]
+                    if cur is None:
+                        if p not in allowed[z]:
+                            return False
+                        f[z] = p
+                        bound.append(z)
+                    elif cur != p:
+                        return False
+                z = col[y]
+                if z is not None and y != a:
+                    p = cod_table[w][b]
+                    cur = f[z]
+                    if cur is None:
+                        if p not in allowed[z]:
+                            return False
+                        f[z] = p
+                        bound.append(z)
+                    elif cur != p:
+                        return False
         return True
 
-    def search(f):
+    def search(f, bound):
         counter.spend()
-        for x in range(n):
-            if f[x] is None:
-                break
-        else:
+        if len(bound) == n:
             out.append(tuple(f))
             return
-        for v in sorted(allowed[x]):
-            trial = list(f)
-            if propagate(trial, x, v):
-                search(trial)
+        x = f.index(None)
+        for v in choices[x]:
+            trial, trial_bound = list(f), list(bound)
+            if propagate(trial, trial_bound, x, v):
+                search(trial, trial_bound)
 
-    search([None] * n)
+    search([None] * n, [])
     return out
 
 
