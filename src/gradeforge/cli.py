@@ -95,9 +95,13 @@ def _census(args, budget, out):
 
 
 def _hom(args, budget, out):
+    """Each map is a tuple of target indices, printed from the spelling of each index."""
     source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
     maps = (mg.enumerate_zero_homs if args.zero else mg.enumerate_homs)(source, target, budget)
-    return _write(out, args, maps, lambda m: io._dumps({"images": m}), lambda m: " ".join(map(str, m)))
+    json_of, head = list(map(io._dumps, range(target.order))), "{" + io._dumps("images") + ":["
+    return _write(
+        out, args, maps, lambda m: head + ",".join([json_of[v] for v in m]) + "]}", lambda m: " ".join(map(str, m))
+    )
 
 
 def _submagmas(args, budget, out):
