@@ -345,11 +345,12 @@ def _expand_free_objects(obj_map, mor_map, target_objects, results, counter):
 def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
     # The magma hom search's propagation over bound elements, with the object
     # map carried alongside: each branch carries the morphism map, the object
-    # map and the list of its bound morphisms.  Binding a morphism binds both
-    # incident object images (and, for functors, the identities at newly
-    # bound objects).  Binding s to u walks the bound morphisms t only: a
-    # composite s.t or t.s whose image is bound is checked where it is found,
-    # and only a composite whose image is unbound is bound and queued.
+    # map and the list of its bound morphisms, which is also the propagation
+    # queue.  Binding a morphism binds both incident object images and, for
+    # functors, the identity at each newly bound object.  Reaching the entry
+    # s of the list walks the entries t up to s only: a composite s.t or t.s
+    # whose image is bound is compared where it is found; one whose image is
+    # unbound is bound and appended.
     m = source.morphism_count
     comp, image_comp = source.comp, target.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]

@@ -326,10 +326,12 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
 def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
     # Backtracking with constraint propagation: images are assigned in index
     # order, and each branch carries f with the list of its bound elements.
-    # Binding a to b walks the bound elements y only: a product a*y or y*a
-    # whose image is bound is checked against f(a)f(y) or f(y)f(a) where it
-    # is found, and only a product whose image is unbound is pushed to be
-    # bound.  dom_table entries of None are exempt from the homomorphism law.
+    # That list is also the propagation queue.  Reaching its entry a walks
+    # the entries y up to a only, so each pair of bound elements is checked
+    # once.  A product a*y or y*a whose image is bound is compared with
+    # f(a)f(y) or f(y)f(a) where it is found; one whose image is unbound is
+    # bound to it and appended.  dom_table entries of None are exempt from
+    # the homomorphism law.
     n = len(dom_table)
     cols = [tuple(row[a] for row in dom_table) for a in range(n)]
     choices = [sorted(values) for values in allowed]

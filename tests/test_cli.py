@@ -1,5 +1,4 @@
 import io as stringio
-import itertools
 import json
 import os
 import pathlib
@@ -10,8 +9,6 @@ import time
 import pytest
 
 from gradeforge import algebra, cli
-from gradeforge.io import enumeration_report, parse_magma, print_magma
-from gradeforge.magma import cyclic_group_magma, enumerate_homs, enumerate_zero_homs
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -72,21 +69,6 @@ class TestHom:
     def test_missing_zero_is_a_validation_failure(self, data_dir):
         code, _, err = run_cli("hom", data(data_dir, "aaaa.mag"), data(data_dir, "aaab.mag"), "--zero")
         assert code == 1 and "zero" in err
-
-    def test_json_is_the_enumeration_report_on_every_fixture_pair(self, data_dir, tmp_path):
-        # Items are joined from one fragment per target index; z12 adds two-digit indices.
-        z12 = tmp_path / "z12.mag"
-        z12.write_text(print_magma(cyclic_group_magma(12)), encoding="utf-8")
-        paths = [*sorted(data_dir.glob("*.mag")), z12]
-        magmas = {str(path): parse_magma(path.read_text(encoding="utf-8")) for path in paths}
-        for (source_path, source), (target_path, target) in itertools.product(magmas.items(), repeat=2):
-            searches = [((), enumerate_homs)]
-            if source.zero is not None and target.zero is not None:
-                searches.append((("--zero",), enumerate_zero_homs))
-            for flags, search in searches:
-                code, out, _ = run_cli("hom", source_path, target_path, *flags, "--json")
-                assert code == 0
-                assert out == enumeration_report([{"images": list(m)} for m in search(source, target)])
 
 
 class TestSubmagmas:

@@ -302,6 +302,7 @@ def _family_line(family):
 
 _STRUCTURES = {
     "aabb": print_magma(magma_from_word("aabb")),
+    "z4": print_magma(cyclic_group_magma(4)),
     "z12": print_magma(cyclic_group_magma(12)),
     "g2": print_magma(matrix_unit_zero_magma(2)),
     "z2zero": print_magma(with_zero_adjoined(cyclic_group_magma(2))),
@@ -322,6 +323,9 @@ _CLI_CASES = [
     ("aabb", "aabb", ("submagmas",)),
     ("g2", "z2zero", ("submagmas", "--zero")),
     ("groupoid", "groupoid", ("functors", "--prefunctors")),
+    # Targets larger than the source: hom items are joined from one fragment per target index.
+    ("z4", "z12", ("hom",)),
+    ("z2zero", "g2", ("hom", "--zero")),
 ]
 
 
