@@ -570,9 +570,10 @@ def enumerate_category_gradings(
 ):
     """Gradings of the category algebra of ``source`` indexed by ``target``'s morphisms.
 
-    One grading per functor (or per prefunctor with the flag); families are
-    indexed by the zero magma adjoined to the target, whose zero part is empty.
-    Returns (algebra, families).
+    One grading per morphism map of a functor (or of a prefunctor with the
+    flag): maps that differ only on objects no morphism touches give one
+    grading.  Families are indexed by the zero magma adjoined to the target,
+    whose zero part is empty.  Returns (algebra, families).
     """
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
@@ -581,7 +582,7 @@ def enumerate_category_gradings(
         if prefunctors
         else enumerate_functors(source, target, budget)
     )
-    return algebra, _gradings(algebra, target_magma, [mm.morphism_map for mm in maps])
+    return algebra, _gradings(algebra, target_magma, dict.fromkeys(mm.morphism_map for mm in maps))
 
 
 def enumerate_category_filters(

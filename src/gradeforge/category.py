@@ -351,33 +351,30 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
     # s of the list walks the entries t up to s only: a composite s.t or t.s
     # whose image is bound is compared where it is found; one whose image is
     # unbound is bound and appended.
+    #
+    # No bind conflicts.  The image u.v of a composite s.t runs between the
+    # images of its ends, which are bound, and exists because a validated
+    # precategory composes every composable pair.  Only a branch's first bind
+    # can meet an unbound object, so search filters its images once: a loop
+    # there goes only to a loop and, for functors, an identity only to an
+    # identity.
     m = source.morphism_count
     comp, image_comp = source.comp, target.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]
 
-    def bind(mor_map, obj_map, bound, a, b) -> bool:
+    def bind(mor_map, obj_map, bound, a, b):
         mor_map[a] = b
         bound.append(a)
         for go, lo in zip(source.morphisms[a], target.morphisms[b]):
-            cur = obj_map[go]
-            if cur is None:
+            if obj_map[go] is None:
                 obj_map[go] = lo
-                if functors:
-                    i, j = source.identity_at[go], target.identity_at[lo]
-                    cur = mor_map[i]
-                    if cur is None:
-                        if not bind(mor_map, obj_map, bound, i, j):
-                            return False
-                    elif cur != j:
-                        return False
-            elif cur != lo:
-                return False
-        return True
+                i = source.identity_at[go]
+                if functors and mor_map[i] is None:
+                    bind(mor_map, obj_map, bound, i, target.identity_at[lo])
 
     def propagate(mor_map, obj_map, bound, s, u) -> bool:
         i = len(bound)
-        if not bind(mor_map, obj_map, bound, s, u):
-            return False
+        bind(mor_map, obj_map, bound, s, u)
         while i < len(bound):
             a = bound[i]
             i += 1
@@ -387,24 +384,16 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
                 v = mor_map[t]
                 st = row[t]
                 if st is not None:
-                    uv = image_row[v]
-                    if uv is None:
-                        return False
-                    cur = mor_map[st]
+                    uv, cur = image_row[v], mor_map[st]
                     if cur is None:
-                        if not bind(mor_map, obj_map, bound, st, uv):
-                            return False
+                        bind(mor_map, obj_map, bound, st, uv)
                     elif cur != uv:
                         return False
                 ts = col[t]
                 if ts is not None and t != a:
-                    vu = image_comp[v][b]
-                    if vu is None:
-                        return False
-                    cur = mor_map[ts]
+                    vu, cur = image_comp[v][b], mor_map[ts]
                     if cur is None:
-                        if not bind(mor_map, obj_map, bound, ts, vu):
-                            return False
+                        bind(mor_map, obj_map, bound, ts, vu)
                     elif cur != vu:
                         return False
         return True
@@ -420,7 +409,10 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
         ds, cs = source.morphisms[s]
         for u in range(target.morphism_count):
             du, cu = target.morphisms[u]
-            if obj_map[ds] is not None and obj_map[ds] != du:
+            if obj_map[ds] is None:
+                if ds == cs and du != cu or functors and s == source.identity_at[ds] and u != target.identity_at[du]:
+                    continue
+            elif obj_map[ds] != du:
                 continue
             if obj_map[cs] is not None and obj_map[cs] != cu:
                 continue

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from gradeforge.algebra import category_algebra, enumerate_category_gradings, enumerate_nonzero_elementary_gradings
 from gradeforge.budget import Budget
 from gradeforge.errors import (
     BadCompositionError,
@@ -296,13 +297,33 @@ class TestMapsAgainstBruteForce:
         assert len(found) == len(expected)
         assert {(f.object_map, f.morphism_map) for f in found} == expected
 
-    def test_prefunctors(self, involution_cat, z2_cat, idem_cat):
-        structures = self.categories(involution_cat, z2_cat, idem_cat) + [
-            fork_precategory(), two_arrows_precategory(), bare_object_precategory()
+    def precategories(self, involution_cat, z2_cat, idem_cat):
+        # In the Z2 whose non-identity element is 0, the search branches on
+        # that loop while its object and its square are both unbound.
+        return self.categories(involution_cat, z2_cat, idem_cat) + [
+            fork_precategory(), two_arrows_precategory(), bare_object_precategory(),
+            one_object_monoid([[1, 0], [0, 1]], identity=1),
         ]
+
+    def test_prefunctors(self, involution_cat, z2_cat, idem_cat):
+        structures = self.precategories(involution_cat, z2_cat, idem_cat)
         for source in structures:
             for target in structures:
                 self.assert_matches(enumerate_prefunctors(source, target), brute_force_prefunctors(source, target))
+
+    def test_prefunctor_gradings_are_the_zero_hom_gradings(self, involution_cat, z2_cat, idem_cat):
+        # One grading per morphism map, in order: an object that no morphism
+        # touches takes every image but changes no grading.
+        structures = self.precategories(involution_cat, z2_cat, idem_cat)
+        for source in structures:
+            for target in structures:
+                try:
+                    enumerate_prefunctors_via_zero_homs(source, target)
+                except ReductionMismatchError:  # the reduction's documented refusal (fork sources)
+                    continue
+                _, families = enumerate_category_gradings(source, target, prefunctors=True)
+                expected = enumerate_nonzero_elementary_gradings(category_algebra(source), adjoin_zero(target))
+                assert families == expected, (source, target)
 
     def test_functors(self, involution_cat, z2_cat, idem_cat):
         cats = self.categories(involution_cat, z2_cat, idem_cat)
@@ -377,8 +398,9 @@ class TestSubprecategories:
             assert enumerate_subprecategories(cat) == brute(cat)
 
     def test_pairs_are_the_decoded_subprecategories_of_the_product(self, structures):
-        # The pair search reads the two composition tables and never builds
-        # the product category, so the two routes share no product code.
+        # Both routes run _closed_subsets on the table magma._pair_table
+        # builds, so this checks the pair decode (_pair_subsets) against the
+        # product category's numbering of its morphisms, s*|mor(right)| + t.
         for left, right in itertools.product(structures, repeat=2):
             pairs = list(itertools.product(range(left.morphism_count), range(right.morphism_count)))
             product = enumerate_subprecategories(product_category(left, right))
