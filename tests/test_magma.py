@@ -41,7 +41,7 @@ from gradeforge.magma import (
     word_of_magma,
 )
 
-from conftest import ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
+from conftest import DATA_DIR, ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
 
 
 class TestValidate:
@@ -433,6 +433,10 @@ class TestBudgets:
             enumerate_zero_submagmas(null41, null41, Budget(max_order=2000, max_nodes=5000))
 
 
+# A left-zero band (x*y = x): every one of the 2^16 subsets of its square is closed.
+PROD_AABB_AABB = parse_magma((DATA_DIR / "prod_aabb_aabb.mag").read_text())
+
+
 @pytest.mark.parametrize(
     "search, nodes",
     [
@@ -440,8 +444,10 @@ class TestBudgets:
         (lambda budget: enumerate_zero_submagmas(matrix_unit_zero_magma(2), matrix_unit_zero_magma(2), budget), 2714),
         (lambda budget: enumerate_subprecategories(matrix_groupoid(3), budget), 398),
         (lambda budget: enumerate_product_submagmas(magma_from_word("aabb"), magma_from_word("aabb"), budget), 31),
+        (lambda budget: enumerate_product_submagmas(PROD_AABB_AABB, PROD_AABB_AABB, budget), 131071),
+        (lambda budget: enumerate_zero_submagmas(matrix_unit_zero_magma(3), matrix_unit_zero_magma(2), budget), 212598),
     ],
-    ids=["submagmas", "zero_submagmas", "subprecategories", "product_submagmas"],
+    ids=["submagmas", "zero_submagmas", "subprecategories", "product_submagmas", "left_zero_band_pairs", "zero_submagmas_mu3_mu2"],
 )
 def test_closed_subset_searches_spend_one_node_per_visited_node(search, nodes):
     # The exact minimal budget pins the node accounting: it changes if a
