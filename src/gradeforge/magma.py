@@ -235,22 +235,69 @@ def _closed_subsets(table, forced: int, banned: int, counter) -> list:
     # closure meets an excluded element, spend one node per visited node.
     # Returns the bit masks of all closed supersets of forced that avoid
     # banned, in increasing order.
-    full = (1 << len(table)) - 1
+    #
+    # A branch is free when every product of two allowed (not excluded)
+    # elements lies in included or is one of its factors.  Then every subset
+    # of the k undecided elements joined to included is closed, and the
+    # search below the branch would visit the whole binary tree over them:
+    # its (2 << k) - 1 nodes are spent before the 2**k masks are built.  A
+    # branch that is not free carries a witness: allowed x and y (the mask
+    # xy) with a product outside included that is neither factor (the mask
+    # out of such products).  Children inherit it; once x or y is excluded or
+    # every such product is included, a scan looks for a new one, taking x
+    # from the highest undecided bit down, since the search excludes low bits
+    # first.  The root starts with no witness (out = 0).
+    n = len(table)
+    full = (1 << n) - 1
+    # escapes[x][y]: the bits of x*y and y*x that are neither x nor y;
+    # partners[x]: the mask of the y where that is nonzero.
+    escapes = [[0] * n for _ in range(n)]
+    partners = [0] * n
+    for x, row in enumerate(table):
+        for y, z in enumerate(row):
+            if z is not None and z != x and z != y:
+                escapes[x][y] |= 1 << z
+                escapes[y][x] |= 1 << z
+                partners[x] |= 1 << y
+                partners[y] |= 1 << x
+
+    def witness(included, excluded):
+        allowed = full & ~excluded
+        xs = allowed & ~included
+        while xs:
+            x = xs.bit_length() - 1
+            xs ^= 1 << x
+            row = escapes[x]
+            ys = partners[x] & allowed
+            while ys:
+                y = ys.bit_length() - 1
+                ys ^= 1 << y
+                if row[y] & ~included:
+                    return 1 << x | 1 << y, row[y]
+        return 0, 0
+
     results: list[int] = []
     start = _close(table, forced, list(_bits(forced)), banned)
-    stack = [] if start is None else [(start, banned)]
+    stack = [] if start is None else [(start, banned, 0, 0)]
     while stack:
-        included, excluded = stack.pop()
-        counter.spend()
+        included, excluded, xy, out = stack.pop()
+        if excluded & xy or not out & ~included:
+            xy, out = witness(included, excluded)
         undecided = full & ~(included | excluded)
-        if not undecided:
-            results.append(included)
+        if not out:
+            counter.spend((2 << undecided.bit_count()) - 1)
+            masks = [included]
+            for e in _bits(undecided):
+                bit = 1 << e
+                masks += [m | bit for m in masks]
+            results += masks
             continue
+        counter.spend()
         bit = undecided & -undecided
         closed = _close(table, included | bit, [bit.bit_length() - 1], excluded)
         if closed is not None:
-            stack.append((closed, excluded))
-        stack.append((included, excluded | bit))
+            stack.append((closed, excluded, xy, out))
+        stack.append((included, excluded | bit, xy, out))
     results.sort()
     return results
 
@@ -260,7 +307,13 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> 
 
     Depth-first include/exclude search over elements, keeping the closure of
     the included part and pruning branches whose closure meets an excluded
-    element.  Output is sorted by bit pattern, so the empty set comes first.
+    element.  A branch where every product of two elements not excluded is
+    already included or is one of its factors is free: every subset of its k
+    undecided elements joins the included part as a result.  Such a branch
+    is emitted whole, after the budget is charged the (2 << k) - 1 nodes the
+    search would have visited below it, so the node count is that of the
+    plain search.  Output is sorted by bit pattern, so the empty set comes
+    first.
     """
     return [frozenset(_bits(m)) for m in _submagma_masks(magma, budget)]
 

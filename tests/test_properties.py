@@ -7,6 +7,10 @@ from gradeforge.io import parse_magma, print_magma
 from gradeforge.magma import (
     FiniteMagma,
     PairRelation,
+    _bits,
+    _close,
+    _closed_subsets,
+    abelian_group_magma,
     canonical_form,
     closure,
     enumerate_homs,
@@ -16,6 +20,7 @@ from gradeforge.magma import (
 )
 
 from conftest import naive_closure
+from plain_closed_subsets import plain_closed_subsets
 
 
 @st.composite
@@ -111,3 +116,66 @@ def test_hom_graphs_are_submagmas(left, right):
 @given(magmas(max_order=6, with_zero=True))
 def test_magma_text_round_trip(magma):
     assert parse_magma(print_magma(magma)) == magma
+
+
+class RecordingCounter:
+    """A node counter that records the total spend and the number of spends, and fails a search
+    that spends more than limit."""
+
+    def __init__(self, limit=None):
+        self.spent = self.calls = 0
+        self.limit = limit
+
+    def spend(self, amount: int = 1) -> None:
+        self.spent += amount
+        self.calls += 1
+        assert self.limit is None or self.spent <= self.limit
+
+
+def free_branch_walk(table, included: int, excluded: int) -> int:
+    """The spends of a search that emits each topmost free branch in one: the plain search's tree,
+    with a branch free when every product of two elements not excluded is included or a factor."""
+    allowed = [e for e in range(len(table)) if not excluded >> e & 1]
+    if all(table[x][y] in (None, x, y) or included >> table[x][y] & 1 for x in allowed for y in allowed):
+        return 1
+    undecided = (1 << len(table)) - 1 & ~(included | excluded)
+    bit = undecided & -undecided
+    closed = _close(table, included | bit, [bit.bit_length() - 1], excluded)
+    below = 0 if closed is None else free_branch_walk(table, closed, excluded)
+    return 1 + below + free_branch_walk(table, included, excluded | bit)
+
+
+@st.composite
+def partial_tables(draw, max_order=7):
+    """A partial table of order <= max_order.  Besides random ones, it may be a left-zero band
+    or all None (every branch is free) or Z2^3 (only leaves are); a random entry is None, a
+    factor or any element, so free branches also turn up inside the tree."""
+    shape = draw(st.sampled_from(["random", "left_zero_band", "none", "z2_cubed"]))
+    if shape == "z2_cubed":
+        return abelian_group_magma([2, 2, 2]).table
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    if shape == "left_zero_band":
+        return [[x] * n for x in range(n)]
+    if shape == "none":
+        return [[None] * n for _ in range(n)]
+    entry = st.one_of(st.none(), st.sampled_from(["left", "right"]), st.integers(min_value=0, max_value=n - 1))
+    table = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return [[x if e == "left" else y if e == "right" else e for y, e in enumerate(row)] for x, row in enumerate(table)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_tables(), st.data())
+def test_closed_subsets_match_the_plain_search(table, data):
+    # Same masks in the same order, and the same total spend, as the search
+    # that visits every node one at a time; and every topmost free branch is
+    # emitted with one spend.
+    full = (1 << len(table)) - 1
+    forced = data.draw(st.integers(min_value=0, max_value=full))
+    banned = data.draw(st.integers(min_value=0, max_value=full)) & ~forced
+    plain = RecordingCounter()
+    expected = plain_closed_subsets(table, forced, banned, plain)
+    kernel = RecordingCounter(limit=plain.spent)
+    assert _closed_subsets(table, forced, banned, kernel) == expected
+    assert kernel.spent == plain.spent
+    start = _close(table, forced, list(_bits(forced)), banned)
+    assert kernel.calls == (0 if start is None else free_branch_walk(table, start, banned))
