@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation or usage failure (or, from ``verify``,
-a family that is not a filter), 2 budget exhaustion, 3 parse error.  If the
+a family that is not a filter, or output that cannot be written), 2 budget
+exhaustion, 3 parse error.  If the
 subset and span oracles of an axiom check disagree, the run stops with
 OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard output is deterministic,
 so identical invocations are byte-identical.
@@ -326,7 +327,9 @@ def run(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args, _budget_from(args), out)
+        code = args.run(args, _budget_from(args), out)
+        out.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1
@@ -338,6 +341,15 @@ def run(argv=None, out=None, err=None) -> int:
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=err)
+        return 1
+    except OSError as exc:
+        # Operands are read through _read, so this is a failed write.  A reader that closed the
+        # pipe early needs no message.  Stdout then points at os.devnull, so that the flush at
+        # exit cannot fail a second time.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=err)
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

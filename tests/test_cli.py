@@ -23,10 +23,15 @@ def data(path, name):
     return str(path / name)
 
 
-def run_module(*argv):
-    """``python -m gradeforge`` in a subprocess that imports the package from this checkout's src/."""
+def module_command(*argv):
+    """The argv and environment of ``python -m gradeforge`` importing the package from this checkout's src/."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "gradeforge", *argv]
+    return [sys.executable, "-m", "gradeforge", *argv], env
+
+
+def run_module(*argv):
+    """``python -m gradeforge`` in a subprocess."""
+    argv, env = module_command(*argv)
     return subprocess.run(argv, capture_output=True, text=True, check=False, env=env)
 
 
@@ -346,6 +351,26 @@ class TestExitCodes:
     def test_usage_error(self):
         code, _, err = run_cli("frobnicate")
         assert code == 1 and err.startswith("usage error: ")
+
+    def test_closed_pipe_exits_one_without_a_message(self, data_dir):
+        # The reader takes 100 bytes of the 10.9 MB of filters and closes the pipe, as `| head -c 100` does.
+        square = data(data_dir, "prod_aabb_aabb.mag")
+        argv, env = module_command("filters", square, square)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1 and err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("operands", [("aabb.mag",), ("prod_aabb_aabb.mag", "prod_aabb_aabb.mag")], ids=["flush", "write"])
+    def test_full_device_exits_one_with_an_error_line(self, data_dir, operands):
+        # A 17-byte output fails at the final flush, a 2.2 MB one while it is written.
+        argv, env = module_command("submagmas", *(data(data_dir, name) for name in operands))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, check=False, env=env)
+        assert proc.returncode == 1 and proc.stderr == "error: cannot write output: No space left on device\n"
 
     @pytest.mark.parametrize(
         "argv, expected",
