@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation or usage failure (or, from ``verify``,
-a family that is not a filter, or output that cannot be written), 2 budget
-exhaustion, 3 parse error.  If the
-subset and span oracles of an axiom check disagree, the run stops with
-OracleDisagreementError and exit code 1.  Diagnostics go to stderr; standard output is deterministic,
-so identical invocations are byte-identical.
+Exit codes: 0 success, 1 validation or usage failure, output that cannot be
+written, or (from ``verify``) a family that is not a filter, 2 budget
+exhaustion, 3 parse error.  If the subset and span oracles of an axiom
+check disagree, the run stops with OracleDisagreementError and exit code 1.
+Diagnostics go to stderr; standard output is deterministic, so identical
+invocations are byte-identical.
 
 Each subcommand is a thin call into the library: ``_load`` reads every
 operand, ``_algebra`` picks the algebra, and ``_write`` prints every
