@@ -147,7 +147,11 @@ def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2, budget: Bu
 @dataclass(frozen=True)
 class ElementaryFamily:
     """One basis subset per element of the target magma: the family (W_h) with
-    W_h spanned by exactly the listed basis lines."""
+    W_h spanned by exactly the listed basis lines.
+
+    The constructor checks the part count and every basis index.  The
+    enumerations build their families in _families, whose parts are in range
+    by construction, without it."""
 
     algebra: AlgebraPresentation
     target: FiniteMagma
@@ -168,7 +172,7 @@ class ElementaryFamily:
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:
     """The fixed base family: one basis line per source element (empty at a contracted zero)."""
-    return _gradings(algebra, algebra.source, [range(algebra.source.order)])[0]
+    return next(_gradings(algebra, algebra.source, [range(algebra.source.order)]))
 
 
 @dataclass(frozen=True)
@@ -183,14 +187,19 @@ class Verdict:
         return self.holds
 
 
-def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: int) -> list:
-    """One family per mask over pairs, pair (g, h) at bit g*width + h, with parts[h] spanned by
-    the base lines at the g paired with h.
+def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: int):
+    """An iterator that builds one family per mask over pairs as it is taken, pair (g, h) at bit
+    g*width + h, with parts[h] spanned by the base lines at the g paired with h.
 
-    Source elements outside the basis (a contracted zero) contribute nothing.
-    Equal parts across the list are one shared frozenset.
+    Source elements outside the basis (a contracted zero) contribute nothing.  Equal parts across
+    the families of one call are one shared frozenset.  Each part is an nb-bit field of one int, one
+    field per target element, so once basis_of_source is checked the families hold both conditions
+    of ElementaryFamily.__post_init__ by construction and are built without it.  The check runs at
+    the call, so a caller that writes families as it takes them has met every error first.
     """
     nb = algebra.basis_size
+    if not {None, *range(nb)}.issuperset(algebra.basis_of_source):
+        raise BasisMismatchError(f"the algebra's basis_of_source leaves 0..{nb - 1}")
     # The parts of a family packed into one int, nb bits per h: a pair sets the bit of its
     # base line in its h's field.  Each byte of a mask is unpacked once and remembered.
     line = [0 if b is None else 1 << (h * nb + b) for b in algebra.basis_of_source for h in range(width)]
@@ -199,30 +208,39 @@ def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: i
     shifts = [h * nb for h in range(target.order)]
     full = (1 << nb) - 1
     shared = {}
-    families = []
-    for mask in masks:
-        packed = 0
-        for window in windows:
-            byte = mask & window
-            bits = packed_of.get(byte)
-            if bits is None:
-                bits = packed_of[byte] = sum(line[p] for p in _bits(byte))
-            packed |= bits
-        parts = []
-        for shift in shifts:
-            field = packed >> shift & full
-            part = shared.get(field)
-            if part is None:
-                part = shared[field] = frozenset(_bits(field))
-            parts.append(part)
-        families.append(ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts)))
-    return families
+    new, set_field = object.__new__, object.__setattr__
+
+    def build():
+        for mask in masks:
+            packed = 0
+            for window in windows:
+                byte = mask & window
+                bits = packed_of.get(byte)
+                if bits is None:
+                    bits = packed_of[byte] = sum(line[p] for p in _bits(byte))
+                packed |= bits
+            parts = []
+            for shift in shifts:
+                field = packed >> shift & full
+                part = shared.get(field)
+                if part is None:
+                    part = shared[field] = frozenset(_bits(field))
+                parts.append(part)
+            # The frozen fields, set as __init__ sets them (in order, so instances share one key
+            # table and read their fields as fast), without its __post_init__.
+            family = new(ElementaryFamily)
+            set_field(family, "algebra", algebra)
+            set_field(family, "target", target)
+            set_field(family, "parts", tuple(parts))
+            yield family
+
+    return build()
 
 
-def _gradings(algebra: AlgebraPresentation, target: FiniteMagma, maps) -> list:
-    """One family per map g -> f(g), whose pair mask holds the bits g*|target| + f(g)."""
+def _gradings(algebra: AlgebraPresentation, target: FiniteMagma, maps):
+    """_families of the maps g -> f(g), each taken as the pair mask with the bits g*|target| + f(g)."""
     width = target.order
-    return _families(algebra, target, [_pair_mask(enumerate(f), width) for f in maps], width)
+    return _families(algebra, target, (_pair_mask(enumerate(f), width) for f in maps), width)
 
 
 def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) -> ElementaryFamily:
@@ -233,7 +251,7 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
     if relation.left != algebra.source:
         raise BasisMismatchError("relation's left magma is not the algebra's source")
     width = relation.right.order
-    return _families(algebra, relation.right, [_pair_mask(relation.pairs, width)], width)[0]
+    return next(_families(algebra, relation.right, [_pair_mask(relation.pairs, width)], width))
 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
@@ -532,32 +550,71 @@ def is_elementary(algebra: AlgebraPresentation, family: ElementaryFamily) -> Ver
 # enumerations via the correspondence
 
 
-def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
-    """One grading per magma homomorphism source -> target."""
+def _elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
+    """(count, families) of enumerate_elementary_gradings, the families built as they are taken."""
     if algebra.contracted:
         raise ValidationError("plain gradings live on the plain magma algebra")
-    return _gradings(algebra, target, enumerate_homs(algebra.source, target, budget))
+    maps = enumerate_homs(algebra.source, target, budget)
+    return len(maps), _gradings(algebra, target, maps)
+
+
+def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
+    """One grading per magma homomorphism source -> target."""
+    return list(_elementary_gradings(algebra, target, budget)[1])
+
+
+def _nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
+    """(count, families) of enumerate_nonzero_elementary_gradings, the families built as they are taken."""
+    if not algebra.contracted:
+        raise ValidationError("nonzero gradings live on the contracted algebra")
+    maps = enumerate_zero_homs(algebra.source, target, budget)
+    return len(maps), _gradings(algebra, target, maps)
 
 
 def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
-    if not algebra.contracted:
-        raise ValidationError("nonzero gradings live on the contracted algebra")
-    return _gradings(algebra, target, enumerate_zero_homs(algebra.source, target, budget))
+    return list(_nonzero_elementary_gradings(algebra, target, budget)[1])
+
+
+def _elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
+    """(count, families) of enumerate_elementary_filters, the families built as they are taken."""
+    if algebra.contracted:
+        raise ValidationError("plain filters live on the plain magma algebra")
+    masks = _pair_masks(algebra.source.table, target.table, budget)
+    return len(masks), _families(algebra, target, masks, target.order)
 
 
 def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per submagma of source x target, including the zero filter from the empty set."""
-    if algebra.contracted:
-        raise ValidationError("plain filters live on the plain magma algebra")
-    return _families(algebra, target, _pair_masks(algebra.source.table, target.table, budget), target.order)
+    return list(_elementary_filters(algebra, target, budget)[1])
+
+
+def _nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
+    """(count, families) of enumerate_nonzero_elementary_filters, the families built as they are taken."""
+    if not algebra.contracted:
+        raise ValidationError("nonzero filters live on the contracted algebra")
+    masks = _zero_pair_masks(algebra.source, target, budget)
+    return len(masks), _families(algebra, target, masks, target.order)
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
-    if not algebra.contracted:
-        raise ValidationError("nonzero filters live on the contracted algebra")
-    return _families(algebra, target, _zero_pair_masks(algebra.source, target, budget), target.order)
+    return list(_nonzero_elementary_filters(algebra, target, budget)[1])
+
+
+def _category_gradings(
+    source: FinitePrecategory, target: FinitePrecategory, prefunctors: bool, scalar_modulus: int, budget: Budget
+):
+    """(algebra, count, families) of enumerate_category_gradings, the families built as they are taken."""
+    algebra = category_algebra(source, scalar_modulus, budget)
+    target_magma = adjoin_zero(target, budget)
+    maps = (
+        enumerate_prefunctors(source, target, budget)
+        if prefunctors
+        else enumerate_functors(source, target, budget)
+    )
+    morphism_maps = dict.fromkeys(mm.morphism_map for mm in maps)
+    return algebra, len(morphism_maps), _gradings(algebra, target_magma, morphism_maps)
 
 
 def enumerate_category_gradings(
@@ -575,14 +632,16 @@ def enumerate_category_gradings(
     grading.  Families are indexed by the zero magma adjoined to the target,
     whose zero part is empty.  Returns (algebra, families).
     """
+    algebra, _, families = _category_gradings(source, target, prefunctors, scalar_modulus, budget)
+    return algebra, list(families)
+
+
+def _category_filters(source: FinitePrecategory, target: FinitePrecategory, scalar_modulus: int, budget: Budget):
+    """(algebra, count, families) of enumerate_category_filters, the families built as they are taken."""
     algebra = category_algebra(source, scalar_modulus, budget)
     target_magma = adjoin_zero(target, budget)
-    maps = (
-        enumerate_prefunctors(source, target, budget)
-        if prefunctors
-        else enumerate_functors(source, target, budget)
-    )
-    return algebra, _gradings(algebra, target_magma, dict.fromkeys(mm.morphism_map for mm in maps))
+    masks = _pair_masks(source.comp, target.comp, budget)
+    return algebra, len(masks), _families(algebra, target_magma, masks, target.morphism_count)
 
 
 def enumerate_category_filters(
@@ -596,7 +655,5 @@ def enumerate_category_filters(
 
     Returns (algebra, families).
     """
-    algebra = category_algebra(source, scalar_modulus, budget)
-    target_magma = adjoin_zero(target, budget)
-    masks = _pair_masks(source.comp, target.comp, budget)
-    return algebra, _families(algebra, target_magma, masks, target.morphism_count)
+    algebra, _, families = _category_filters(source, target, scalar_modulus, budget)
+    return algebra, list(families)

@@ -10,6 +10,9 @@ invocations are byte-identical.
 Each subcommand is a thin call into the library: ``_load`` reads every
 operand, ``_algebra`` picks the algebra, and ``_write`` prints every
 enumeration through ``io.write_enumeration``, from one encoder per result.
+Output starts once the search has ended, so a search error leaves stdout
+empty.  ``gradings`` and ``filters`` then build each family as it is
+written; ``--nonzero-only`` checks every family before the first write.
 """
 
 from __future__ import annotations
@@ -83,16 +86,18 @@ def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
     return (alg.contracted_algebra if zero else alg.magma_algebra)(structure, field)
 
 
-def _write(out, args, results, item, line) -> int:
-    """Print a list of results: with --json, item(r) is the JSON of each inside the enumeration
-    report; else line(r) is its line."""
-    io.write_enumeration(out, results, item if args.json else line, args.json)
+def _write(out, args, results, count, item, line) -> int:
+    """Print the count results of an iterable as it yields them: with --json, item(r) is the JSON
+    of each inside the enumeration report; else line(r) is its line."""
+    io.write_enumeration(out, results, count, item if args.json else line, args.json)
     return 0
 
 
 def _census(args, budget, out):
     classes, word = mg.census(args.order, budget), mg.word_of_magma
-    return _write(out, args, classes, lambda m: io._dumps({"text": io.print_magma(m), "word": word(m)}), word)
+    return _write(
+        out, args, classes, len(classes), lambda m: io._dumps({"text": io.print_magma(m), "word": word(m)}), word
+    )
 
 
 def _hom(args, budget, out):
@@ -101,7 +106,8 @@ def _hom(args, budget, out):
     maps = (mg.enumerate_zero_homs if args.zero else mg.enumerate_homs)(source, target, budget)
     json_of, head = list(map(io._dumps, range(target.order))), "{" + io._dumps("images") + ":["
     return _write(
-        out, args, maps, lambda m: head + ",".join([json_of[v] for v in m]) + "]}", lambda m: " ".join(map(str, m))
+        out, args, maps, len(maps),
+        lambda m: head + ",".join([json_of[v] for v in m]) + "]}", lambda m: " ".join(map(str, m)),
     )
 
 
@@ -120,7 +126,7 @@ def _submagmas(args, budget, out):
         text_of, sep = [f"{g}:{h}" for g, h in members], " "
     json_of, head, bits = list(map(io._dumps, members)), "{" + io._dumps(key) + ":[", mg._bits
     return _write(
-        out, args, masks, lambda m: head + ",".join([json_of[b] for b in bits(m)]) + "]}",
+        out, args, masks, len(masks), lambda m: head + ",".join([json_of[b] for b in bits(m)]) + "]}",
         lambda m: "{" + sep.join([text_of[b] for b in bits(m)]) + "}",
     )
 
@@ -129,17 +135,17 @@ def _functors(args, budget, out):
     source, target = (_load(p, budget, ("category",))[1] for p in (args.source, args.target))
     maps = (cat.enumerate_prefunctors if args.prefunctors else cat.enumerate_functors)(source, target, budget)
     return _write(
-        out, args, maps, lambda m: io._dumps({"objects": m.object_map, "morphisms": m.morphism_map}),
+        out, args, maps, len(maps), lambda m: io._dumps({"objects": m.object_map, "morphisms": m.morphism_map}),
         lambda m: f"objects:{','.join(map(str, m.object_map))} morphisms:{','.join(map(str, m.morphism_map))}",
     )
 
 
-# Gradings and filters of a magma algebra, by (command, --zero).
+# (count, lazy families) of the gradings and filters of a magma algebra, by (command, --zero).
 _MAGMA_FAMILIES = {
-    ("gradings", False): alg.enumerate_elementary_gradings,
-    ("gradings", True): alg.enumerate_nonzero_elementary_gradings,
-    ("filters", False): alg.enumerate_elementary_filters,
-    ("filters", True): alg.enumerate_nonzero_elementary_filters,
+    ("gradings", False): alg._elementary_gradings,
+    ("gradings", True): alg._nonzero_elementary_gradings,
+    ("filters", False): alg._elementary_filters,
+    ("filters", True): alg._nonzero_elementary_filters,
 }
 
 
@@ -149,16 +155,15 @@ def _families(args, budget, out):
     _check_flags(kind, args)
     if kind == "magma":
         algebra = _algebra(kind, source, args.zero, args.field, budget)
-        families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
+        count, families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
     elif args.command == "gradings":
-        algebra, families = alg.enumerate_category_gradings(
-            source, target, prefunctors=args.prefunctors, scalar_modulus=args.field, budget=budget
-        )
+        algebra, count, families = alg._category_gradings(source, target, args.prefunctors, args.field, budget)
     else:
-        algebra, families = alg.enumerate_category_filters(source, target, scalar_modulus=args.field, budget=budget)
+        algebra, count, families = alg._category_filters(source, target, args.field, budget)
     if args.nonzero_only:
         families = [f for f in families if alg.is_nonzero(algebra, f)]
-    return _write(out, args, families, io.family_item_encoder(target_text, kind), io.family_line_encoder())
+        count = len(families)
+    return _write(out, args, families, count, io.family_item_encoder(target_text, kind), io.family_line_encoder())
 
 
 def _verify(args, budget, out):

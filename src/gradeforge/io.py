@@ -358,11 +358,12 @@ class _Memo(dict):
         return value
 
 
-def write_enumeration(out, results, encode, as_json: bool) -> None:
-    """Write a list of results, _CHUNK of them per write.  With as_json, encode(r) is the JSON
-    of r's item, and the bytes are those of enumeration_report over the items; else encode(r)
-    is r's line."""
-    head, tail = _envelope(len(results)) if as_json else ("", "\n" if results else "")
+def write_enumeration(out, results, count: int, encode, as_json: bool) -> None:
+    """Write the count results of an iterable as it yields them, _CHUNK per write, so a lazy
+    iterable is held about one chunk at a time.  The caller gives count, which the JSON envelope
+    needs before the first item.  With as_json, encode(r) is the JSON of r's item, and the bytes
+    are those of enumeration_report over the items; else encode(r) is r's line."""
+    head, tail = _envelope(count) if as_json else ("", "\n" if count else "")
     sep = "," if as_json else "\n"
     items = map(encode, results)
     out.write(head)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -450,3 +452,59 @@ class TestMaskBuiltFamilies:
                 reference,
             )
         assert checked >= 45
+
+
+class TestFamiliesPassTheCheckingConstructor:
+    """_families builds each family without ElementaryFamily.__post_init__; every family of the six
+    enumerators must still equal the one the checking constructor builds from its parts."""
+
+    @staticmethod
+    def passes(a, target, enumerate_families):
+        """1 if every family equals its checked rebuild, 0 if the search runs over budget."""
+        try:
+            families = enumerate_families()
+        except SizeOverflowError:
+            return 0
+        if isinstance(families, tuple):  # a category enumerator's (algebra, families)
+            assert families[0] == a
+            families = families[1]
+        for family in families:
+            rebuilt = ElementaryFamily(algebra=a, target=target, parts=family.parts)
+            assert family == rebuilt and hash(family) == hash(rebuilt)
+        return 1
+
+    def test_magma_families_on_every_fixture_pair(self, data_dir):
+        magmas = [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+        checked = 0
+        for source, target in itertools.product(magmas, repeat=2):
+            plain = magma_algebra(source)
+            for enumerate_ in (enumerate_elementary_gradings, enumerate_elementary_filters):
+                checked += self.passes(plain, target, functools.partial(enumerate_, plain, target, ORACLE_BUDGET))
+            if source.zero is not None and target.zero is not None:
+                contracted = contracted_algebra(source)
+                for enumerate_ in (enumerate_nonzero_elementary_gradings, enumerate_nonzero_elementary_filters):
+                    enumerate_families = functools.partial(enumerate_, contracted, target, ORACLE_BUDGET)
+                    checked += self.passes(contracted, target, enumerate_families)
+        assert checked >= 800
+
+    def test_category_families_on_every_fixture_pair(self, data_dir):
+        categories = [parse_category(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.cat"))]
+        checked = 0
+        for source, target in itertools.product(categories, repeat=2):
+            a, indexed_by = category_algebra(source), adjoin_zero(target)
+            for prefunctors in (False, True):
+                gradings = functools.partial(
+                    enumerate_category_gradings, source, target, prefunctors=prefunctors, budget=ORACLE_BUDGET
+                )
+                checked += self.passes(a, indexed_by, gradings)
+            filters = functools.partial(enumerate_category_filters, source, target, budget=ORACLE_BUDGET)
+            checked += self.passes(a, indexed_by, filters)
+        assert checked >= 85
+
+    def test_a_basis_map_out_of_range_is_refused_before_any_family(self, order2):
+        a = magma_algebra(order2["aaaa"])
+        bad = dataclasses.replace(a, basis_of_source=(0, 2))
+        with pytest.raises(BasisMismatchError, match="leaves 0..1"):
+            alg._elementary_filters(bad, order2["aaaa"], ORACLE_BUDGET)  # raised by the call, not by the iteration
+        with pytest.raises(BasisMismatchError):
+            grading_from_relation(bad, PairRelation(order2["aaaa"], order2["aaaa"], frozenset()))

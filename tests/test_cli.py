@@ -9,6 +9,7 @@ import time
 import pytest
 
 from gradeforge import algebra, cli
+from gradeforge import io as gio
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -182,6 +183,65 @@ class TestGradingsAndVerify:
         assert json.loads(out)["count"] == "6"
 
 
+FORMS = pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+
+
+class TestStreamedFamilies:
+    """gradings and filters write their families as they are built, and fail before the first byte."""
+
+    @pytest.mark.parametrize("form, marker", [((), "0:{"), (("--json",), '"kind":"family"')], ids=["text", "json"])
+    def test_first_results_are_written_before_a_second_chunk_is_built(self, data_dir, monkeypatch, form, marker):
+        # Each family is built as its mask is taken, so the masks taken count the families built.
+        taken = [0]
+
+        class CountedMasks(list):
+            def __iter__(self):
+                for mask in super().__iter__():
+                    taken[0] += 1
+                    yield mask
+
+        pair_masks = algebra._pair_masks
+        monkeypatch.setattr(algebra, "_pair_masks", lambda *args: CountedMasks(pair_masks(*args)))
+        taken_at_first_result = []
+
+        class Out(stringio.StringIO):
+            def write(self, text):
+                if marker in text and not taken_at_first_result:
+                    taken_at_first_result.append(taken[0])
+                return super().write(text)
+
+        square = data(data_dir, "prod_aabb_aabb.mag")
+        assert cli.run(["filters", square, square, *form], Out(), stringio.StringIO()) == 0
+        assert taken[0] == 65536
+        assert taken_at_first_result[0] <= gio._CHUNK
+
+    @FORMS
+    def test_nonzero_only_disagreement_leaves_stdout_empty(self, data_dir, monkeypatch, form):
+        # Two families per write, and the oracles disagree only on the last family (every part
+        # full), so a check made as the families were written would have sent the first chunks.
+        monkeypatch.setattr(gio, "_CHUNK", 2)
+        nonzero_span = algebra._nonzero_span
+
+        def disagree_on_the_full_family(a, family):
+            verdict = nonzero_span(a, family)
+            full = all(len(part) == a.basis_size for part in family.parts)
+            return (not verdict[0], None) if full else verdict
+
+        monkeypatch.setattr(algebra, "_nonzero_span", disagree_on_the_full_family)
+        source = data(data_dir, "aabb.mag")
+        code, out, err = run_cli("filters", source, source, "--nonzero-only", *form)
+        assert code == 1 and out == "" and err.startswith("error: nonzero:")
+        monkeypatch.setattr(algebra, "_nonzero_span", nonzero_span)
+        code, out, _ = run_cli("filters", source, source, "--nonzero-only")
+        assert code == 0 and out.splitlines()[-1] == "0:{0,1} 1:{0,1}" and len(out.splitlines()) == 9
+
+    @FORMS
+    def test_budget_too_small_for_the_kernel_leaves_stdout_empty(self, data_dir, form):
+        square = data(data_dir, "prod_aabb_aabb.mag")
+        code, out, err = run_cli("filters", square, square, "--budget", "1000", *form)
+        assert code == 2 and out == "" and err.startswith("budget exhausted: ")
+
+
 class TestZeroFlagWithCategories:
     # A category's algebra is always the contracted algebra of its adjoined
     # zero magma, so --zero has nothing to choose and is refused.
@@ -352,10 +412,12 @@ class TestExitCodes:
         code, _, err = run_cli("frobnicate")
         assert code == 1 and err.startswith("usage error: ")
 
-    def test_closed_pipe_exits_one_without_a_message(self, data_dir):
-        # The reader takes 100 bytes of the 10.9 MB of filters and closes the pipe, as `| head -c 100` does.
+    @FORMS
+    def test_closed_pipe_exits_one_without_a_message(self, data_dir, form):
+        # The reader takes 100 bytes of the filters (2.1 MB as text, 11.0 MB as JSON) and closes the
+        # pipe, as `| head -c 100` does.
         square = data(data_dir, "prod_aabb_aabb.mag")
-        argv, env = module_command("filters", square, square)
+        argv, env = module_command("filters", square, square, *form)
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()

@@ -292,7 +292,7 @@ def _wide_enumerations():
 
 def _written(results, encode, as_json):
     out = stringio.StringIO()
-    write_enumeration(out, results, encode, as_json)
+    write_enumeration(out, results, len(results), encode, as_json)
     return out.getvalue()
 
 
