@@ -550,71 +550,58 @@ def is_elementary(algebra: AlgebraPresentation, family: ElementaryFamily) -> Ver
 # enumerations via the correspondence
 
 
-def _elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
-    """(count, families) of enumerate_elementary_gradings, the families built as they are taken."""
-    if algebra.contracted:
-        raise ValidationError("plain gradings live on the plain magma algebra")
-    maps = enumerate_homs(algebra.source, target, budget)
-    return len(maps), _gradings(algebra, target, maps)
+def _family_enumeration(command: str, variant: bool, source, target, budget: Budget, scalar_modulus: int = 2):
+    """(algebra, count, families) of one of the six enumerations, the families built as they are taken.
+
+    command is "gradings" or "filters".  On a magma algebra (source its AlgebraPresentation, target
+    a FiniteMagma) variant is zero, set exactly when the algebra is contracted (checked before any
+    search): gradings come from enumerate_homs (zero: enumerate_zero_homs) through _gradings, and
+    filters from _pair_masks on the two tables (zero: _zero_pair_masks) through _families.  On two
+    precategories the algebra is category_algebra(source), the families are indexed by
+    adjoin_zero(target) and variant is prefunctors: gradings come from the distinct morphism maps
+    of enumerate_functors (prefunctors: enumerate_prefunctors), filters from _pair_masks on the
+    composition tables.
+    """
+    if isinstance(source, FinitePrecategory):
+        algebra, indexed_by = category_algebra(source, scalar_modulus, budget), adjoin_zero(target, budget)
+        if command == "filters":
+            masks, width = _pair_masks(source.comp, target.comp, budget), target.morphism_count
+        else:
+            functors = (enumerate_prefunctors if variant else enumerate_functors)(source, target, budget)
+            maps = dict.fromkeys(f.morphism_map for f in functors)
+    else:
+        algebra, indexed_by = source, target
+        if algebra.contracted != variant:
+            kind, home = ("nonzero", "contracted algebra") if variant else ("plain", "plain magma algebra")
+            raise ValidationError(f"{kind} {command} live on the {home}")
+        if command == "filters":
+            width = target.order
+            masks = _zero_pair_masks(algebra.source, target, budget) if variant else _pair_masks(algebra.source.table, target.table, budget)
+        else:
+            maps = (enumerate_zero_homs if variant else enumerate_homs)(algebra.source, target, budget)
+    if command == "filters":
+        return algebra, len(masks), _families(algebra, indexed_by, masks, width)
+    return algebra, len(maps), _gradings(algebra, indexed_by, maps)
 
 
 def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per magma homomorphism source -> target."""
-    return list(_elementary_gradings(algebra, target, budget)[1])
-
-
-def _nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
-    """(count, families) of enumerate_nonzero_elementary_gradings, the families built as they are taken."""
-    if not algebra.contracted:
-        raise ValidationError("nonzero gradings live on the contracted algebra")
-    maps = enumerate_zero_homs(algebra.source, target, budget)
-    return len(maps), _gradings(algebra, target, maps)
+    return list(_family_enumeration("gradings", False, algebra, target, budget)[2])
 
 
 def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
-    return list(_nonzero_elementary_gradings(algebra, target, budget)[1])
-
-
-def _elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
-    """(count, families) of enumerate_elementary_filters, the families built as they are taken."""
-    if algebra.contracted:
-        raise ValidationError("plain filters live on the plain magma algebra")
-    masks = _pair_masks(algebra.source.table, target.table, budget)
-    return len(masks), _families(algebra, target, masks, target.order)
+    return list(_family_enumeration("gradings", True, algebra, target, budget)[2])
 
 
 def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per submagma of source x target, including the zero filter from the empty set."""
-    return list(_elementary_filters(algebra, target, budget)[1])
-
-
-def _nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget):
-    """(count, families) of enumerate_nonzero_elementary_filters, the families built as they are taken."""
-    if not algebra.contracted:
-        raise ValidationError("nonzero filters live on the contracted algebra")
-    masks = _zero_pair_masks(algebra.source, target, budget)
-    return len(masks), _families(algebra, target, masks, target.order)
+    return list(_family_enumeration("filters", False, algebra, target, budget)[2])
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
-    return list(_nonzero_elementary_filters(algebra, target, budget)[1])
-
-
-def _category_gradings(
-    source: FinitePrecategory, target: FinitePrecategory, prefunctors: bool, scalar_modulus: int, budget: Budget
-):
-    """(algebra, count, families) of enumerate_category_gradings, the families built as they are taken."""
-    algebra = category_algebra(source, scalar_modulus, budget)
-    target_magma = adjoin_zero(target, budget)
-    maps = (
-        enumerate_prefunctors(source, target, budget)
-        if prefunctors
-        else enumerate_functors(source, target, budget)
-    )
-    morphism_maps = dict.fromkeys(mm.morphism_map for mm in maps)
-    return algebra, len(morphism_maps), _gradings(algebra, target_magma, morphism_maps)
+    return list(_family_enumeration("filters", True, algebra, target, budget)[2])
 
 
 def enumerate_category_gradings(
@@ -632,16 +619,8 @@ def enumerate_category_gradings(
     grading.  Families are indexed by the zero magma adjoined to the target,
     whose zero part is empty.  Returns (algebra, families).
     """
-    algebra, _, families = _category_gradings(source, target, prefunctors, scalar_modulus, budget)
+    algebra, _, families = _family_enumeration("gradings", prefunctors, source, target, budget, scalar_modulus)
     return algebra, list(families)
-
-
-def _category_filters(source: FinitePrecategory, target: FinitePrecategory, scalar_modulus: int, budget: Budget):
-    """(algebra, count, families) of enumerate_category_filters, the families built as they are taken."""
-    algebra = category_algebra(source, scalar_modulus, budget)
-    target_magma = adjoin_zero(target, budget)
-    masks = _pair_masks(source.comp, target.comp, budget)
-    return algebra, len(masks), _families(algebra, target_magma, masks, target.morphism_count)
 
 
 def enumerate_category_filters(
@@ -655,5 +634,5 @@ def enumerate_category_filters(
 
     Returns (algebra, families).
     """
-    algebra, _, families = _category_filters(source, target, scalar_modulus, budget)
+    algebra, _, families = _family_enumeration("filters", False, source, target, budget, scalar_modulus)
     return algebra, list(families)

@@ -11,7 +11,8 @@ Each subcommand is a thin call into the library: ``_load`` reads every
 operand, ``_algebra`` picks the algebra, and ``_write`` prints every
 enumeration through ``io.write_enumeration``, from one encoder per result.
 Output starts once the search has ended, so a search error leaves stdout
-empty.  ``gradings`` and ``filters`` then build each family as it is
+empty.  ``gradings`` and ``filters`` take the count and the families from one
+call, ``algebra._family_enumeration``, and build each family as it is
 written; ``--nonzero-only`` checks every family before the first write.
 """
 
@@ -140,26 +141,14 @@ def _functors(args, budget, out):
     )
 
 
-# (count, lazy families) of the gradings and filters of a magma algebra, by (command, --zero).
-_MAGMA_FAMILIES = {
-    ("gradings", False): alg._elementary_gradings,
-    ("gradings", True): alg._nonzero_elementary_gradings,
-    ("filters", False): alg._elementary_filters,
-    ("filters", True): alg._nonzero_elementary_filters,
-}
-
-
 def _families(args, budget, out):
     kind, source, _ = _load(args.source, budget, ("magma", "category"))
     _, target, target_text = _load(args.target, budget, (kind,))
     _check_flags(kind, args)
     if kind == "magma":
-        algebra = _algebra(kind, source, args.zero, args.field, budget)
-        count, families = _MAGMA_FAMILIES[args.command, args.zero](algebra, target, budget)
-    elif args.command == "gradings":
-        algebra, count, families = alg._category_gradings(source, target, args.prefunctors, args.field, budget)
-    else:
-        algebra, count, families = alg._category_filters(source, target, args.field, budget)
+        source = _algebra(kind, source, args.zero, args.field, budget)
+    variant = args.zero or getattr(args, "prefunctors", False)  # --zero for magmas, --prefunctors for categories
+    algebra, count, families = alg._family_enumeration(args.command, variant, source, target, budget, args.field)
     if args.nonzero_only:
         families = [f for f in families if alg.is_nonzero(algebra, f)]
         count = len(families)

@@ -28,7 +28,7 @@ from gradeforge.algebra import (
     relation_from_filter,
 )
 from gradeforge.budget import Budget
-from gradeforge.category import adjoin_zero, enumerate_subprecategory_pairs
+from gradeforge.category import adjoin_zero, enumerate_prefunctors, enumerate_subprecategory_pairs
 from gradeforge.errors import (
     BasisMismatchError,
     MissingZeroError,
@@ -46,7 +46,7 @@ from gradeforge.magma import (
     with_zero_adjoined,
 )
 
-from conftest import ORDER2_WORDS
+from conftest import ORDER2_WORDS, bare_object_precategory
 from pair_families import pair_families
 
 
@@ -284,13 +284,22 @@ class TestPlainEnumerations:
                 relations = [relation_from_filter(a, fam).pairs for fam in fams]
                 assert len(set(relations)) == len(relations)
 
-    def test_variant_mismatch_rejected(self, order2, idem_pair_zero3):
-        plain = magma_algebra(order2["aaaa"])
-        with pytest.raises(ValidationError):
-            enumerate_nonzero_elementary_gradings(plain, order2["aaaa"])
-        contracted = contracted_algebra(idem_pair_zero3)
-        with pytest.raises(ValidationError):
-            enumerate_elementary_gradings(contracted, order2["aaaa"])
+    @pytest.mark.parametrize(
+        "enumerate_, contracted, message",
+        [
+            (enumerate_elementary_gradings, True, "plain gradings live on the plain magma algebra"),
+            (enumerate_nonzero_elementary_gradings, False, "nonzero gradings live on the contracted algebra"),
+            (enumerate_elementary_filters, True, "plain filters live on the plain magma algebra"),
+            (enumerate_nonzero_elementary_filters, False, "nonzero filters live on the contracted algebra"),
+        ],
+        ids=["gradings", "nonzero-gradings", "filters", "nonzero-filters"],
+    )
+    def test_variant_mismatch_rejected(self, idem_pair_zero3, enumerate_, contracted, message):
+        # One node is too few for any of the four searches here, so a check made after the search
+        # would meet SizeOverflowError first.
+        a = (contracted_algebra if contracted else magma_algebra)(idem_pair_zero3)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            enumerate_(a, idem_pair_zero3, Budget(max_nodes=1))
 
 
 class TestZeroEnumerations:
@@ -505,6 +514,74 @@ class TestFamiliesPassTheCheckingConstructor:
         a = magma_algebra(order2["aaaa"])
         bad = dataclasses.replace(a, basis_of_source=(0, 2))
         with pytest.raises(BasisMismatchError, match="leaves 0..1"):
-            alg._elementary_filters(bad, order2["aaaa"], ORACLE_BUDGET)  # raised by the call, not by the iteration
+            alg._family_enumeration("filters", False, bad, order2["aaaa"], ORACLE_BUDGET)  # raised by the call, not by the iteration
         with pytest.raises(BasisMismatchError):
             grading_from_relation(bad, PairRelation(order2["aaaa"], order2["aaaa"], frozenset()))
+
+
+class TestFamilyEnumerationCounts:
+    """The count the JSON envelope prints comes from _family_enumeration before any family is
+    built.  It must be the number of families it yields, and those families the public
+    enumerator's list, in order (category gradings drop repeated morphism maps)."""
+
+    MAGMA_KEYS = {
+        ("gradings", False): enumerate_elementary_gradings,
+        ("gradings", True): enumerate_nonzero_elementary_gradings,
+        ("filters", False): enumerate_elementary_filters,
+        ("filters", True): enumerate_nonzero_elementary_filters,
+    }
+
+    @staticmethod
+    def agrees(key, source, target, public):
+        """1 if the count, the families and the public list agree, 0 if the search runs over budget."""
+        try:
+            algebra, count, families = alg._family_enumeration(*key, source, target, ORACLE_BUDGET)
+        except SizeOverflowError:
+            return 0
+        families = list(families)
+        assert count == len(families)
+        expected = public()
+        if isinstance(expected, tuple):  # a category enumerator's (algebra, families)
+            assert expected[0] == algebra
+            expected = expected[1]
+        assert families == expected
+        return 1
+
+    def test_magma_keys_on_every_fixture_pair(self, data_dir):
+        magmas = [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+        checked = 0
+        for source, target in itertools.product(magmas, repeat=2):
+            for (command, zero), enumerate_ in self.MAGMA_KEYS.items():
+                if zero and (source.zero is None or target.zero is None):
+                    continue
+                a = (contracted_algebra if zero else magma_algebra)(source)
+                public = functools.partial(enumerate_, a, target, ORACLE_BUDGET)
+                checked += self.agrees((command, zero), a, target, public)
+        assert checked >= 800
+
+    @staticmethod
+    def categories(data_dir):
+        return [parse_category(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.cat"))]
+
+    def test_category_keys_on_every_fixture_pair(self, data_dir):
+        categories = self.categories(data_dir)
+        checked = 0
+        for source, target in itertools.product(categories, repeat=2):
+            for prefunctors in (False, True):
+                public = functools.partial(
+                    enumerate_category_gradings, source, target, prefunctors=prefunctors, budget=ORACLE_BUDGET
+                )
+                checked += self.agrees(("gradings", prefunctors), source, target, public)
+            public = functools.partial(enumerate_category_filters, source, target, budget=ORACLE_BUDGET)
+            checked += self.agrees(("filters", False), source, target, public)
+        assert checked >= 85
+
+    def test_prefunctors_that_differ_off_every_morphism_give_one_grading(self, data_dir):
+        # Object 1 of the source touches no morphism, so prefunctors that differ only in its image
+        # give one grading: the count is below the number of prefunctors.
+        source = bare_object_precategory()
+        for target in [source, *self.categories(data_dir)]:
+            public = functools.partial(enumerate_category_gradings, source, target, prefunctors=True, budget=ORACLE_BUDGET)
+            assert self.agrees(("gradings", True), source, target, public)
+        count = alg._family_enumeration("gradings", True, source, source, ORACLE_BUDGET)[1]
+        assert count < len(enumerate_prefunctors(source, source, ORACLE_BUDGET))
