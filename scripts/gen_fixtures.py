@@ -78,6 +78,9 @@ def main(out=None):
     (data / "lambda_idem.cat").write_text(io.print_category(one_object_monoid([[0, 1], [1, 1]], 0)), encoding="utf-8")
     (data / "mg2.cat").write_text(io.print_category(matrix_groupoid(2)), encoding="utf-8")
     (data / "two_mg2.cat").write_text(io.print_category(disjoint_union(matrix_groupoid(2), matrix_groupoid(2))), encoding="utf-8")
+    # the two-element group at object 0 beside an object 1 that no morphism touches
+    bare_z2 = validate_precategory(2, [(0, 0), (0, 0)], [[0, 1], [1, 0]], identity_at=(0, None))
+    (data / "bare_z2.cat").write_text(io.print_category(bare_z2), encoding="utf-8")
 
     presented = "\n".join(
         [

@@ -32,6 +32,7 @@ from gradeforge.category import adjoin_zero, enumerate_prefunctors, enumerate_su
 from gradeforge.errors import (
     BasisMismatchError,
     MissingZeroError,
+    NotACategoryError,
     OracleDisagreementError,
     SizeOverflowError,
     ValidationError,
@@ -505,6 +506,10 @@ class TestFamiliesPassTheCheckingConstructor:
                 gradings = functools.partial(
                     enumerate_category_gradings, source, target, prefunctors=prefunctors, budget=ORACLE_BUDGET
                 )
+                if not (prefunctors or source.is_category and target.is_category):
+                    with pytest.raises(NotACategoryError):
+                        gradings()
+                    continue
                 checked += self.passes(a, indexed_by, gradings)
             filters = functools.partial(enumerate_category_filters, source, target, budget=ORACLE_BUDGET)
             checked += self.passes(a, indexed_by, filters)
@@ -571,6 +576,11 @@ class TestFamilyEnumerationCounts:
                 public = functools.partial(
                     enumerate_category_gradings, source, target, prefunctors=prefunctors, budget=ORACLE_BUDGET
                 )
+                if not (prefunctors or source.is_category and target.is_category):
+                    for call in (public, functools.partial(alg._family_enumeration, "gradings", False, source, target, ORACLE_BUDGET)):
+                        with pytest.raises(NotACategoryError):
+                            call()
+                    continue
                 checked += self.agrees(("gradings", prefunctors), source, target, public)
             public = functools.partial(enumerate_category_filters, source, target, budget=ORACLE_BUDGET)
             checked += self.agrees(("filters", False), source, target, public)

@@ -29,7 +29,7 @@ BUDGET = ("--budget", "5000")
 MAGMAS = ["aaaa.mag", "aabb.mag", "abab.mag", "abba.mag", "baba.mag"]
 SUBMAGMA_ONLY = ["prod_aaab_aaab.mag", "prod_abba_abba.mag", "g2.mag"]
 ZERO_MAGMAS = ["z2_with_zero.mag", "idem_zero2.mag", "idem_pair_zero3.mag", "g2.mag"]
-CATEGORIES = ["gamma.cat", "lambda_idem.cat", "lambda_z2.cat", "mg2.cat"]
+CATEGORIES = ["gamma.cat", "lambda_idem.cat", "lambda_z2.cat", "mg2.cat", "bare_z2.cat"]
 # Larger categories, paired only with themselves and with mg2 (several exhaust the budget).
 LARGE_CATEGORIES = ["gz2_presented.cat", "two_mg2.cat"]
 
