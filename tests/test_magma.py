@@ -137,6 +137,32 @@ class TestConstructorsAgainstDefinitions:
                 expected[x][y] = units.index((i, l))
         assert matrix_unit_zero_magma(n) == FiniteMagma(zero + 1, tuple(map(tuple, expected)), zero)
 
+    @pytest.mark.parametrize(
+        "factors", [[], [1], [5], [1, 1], [2, 2], [2, 3], [3, 2], [4, 2], [2, 4], [3, 1, 2], [2, 2, 2], [1, 3, 1], [2, 3, 4]]
+    )
+    def test_abelian_group_magma(self, factors):
+        # Element x has the coordinates of x in mixed radix, the last factor fastest.
+        def coordinates(x):
+            digits = []
+            for f in reversed(factors):
+                x, d = divmod(x, f)
+                digits.append(d)
+            return digits[::-1]
+
+        order = 1
+        for f in factors:
+            order *= f
+        elements = [coordinates(x) for x in range(order)]
+        expected = tuple(
+            tuple(elements.index([(a + b) % f for a, b, f in zip(x, y, factors)]) for y in elements) for x in elements
+        )
+        assert abelian_group_magma(factors) == FiniteMagma(order=order, table=expected)
+
+    @pytest.mark.parametrize("factors", [[0], [2, 0], [3, -1]])
+    def test_abelian_group_magma_refuses_a_factor_below_one(self, factors):
+        with pytest.raises(ValidationError, match="cyclic factors must be positive"):
+            abelian_group_magma(factors)
+
     def test_caps_fire_before_any_table_is_built(self):
         nine = cyclic_group_magma(9)
         for build in (lambda: matrix_unit_zero_magma(10**4), lambda: product_magma(nine, nine)):
