@@ -14,13 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .budget import DEFAULT_BUDGET, Budget
-from .category import (
-    FinitePrecategory,
-    adjoin_zero,
-    enumerate_functors,
-    enumerate_prefunctors,
-)
+from .budget import DEFAULT_BUDGET, Budget, NodeCounter
+from .category import FinitePrecategory, _search_morphism_maps, adjoin_zero
 from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
 from .magma import (
     FiniteMagma,
@@ -558,17 +553,16 @@ def _family_enumeration(command: str, variant: bool, source, target, budget: Bud
     search): gradings come from enumerate_homs (zero: enumerate_zero_homs) through _gradings, and
     filters from _pair_masks on the two tables (zero: _zero_pair_masks) through _families.  On two
     precategories the algebra is category_algebra(source), the families are indexed by
-    adjoin_zero(target) and variant is prefunctors: gradings come from the distinct morphism maps
-    of enumerate_functors (prefunctors: enumerate_prefunctors), filters from _pair_masks on the
-    composition tables.
+    adjoin_zero(target) and variant is prefunctors: gradings come from the morphism maps of the
+    functor (prefunctor) search, one per map with the objects no morphism touches left unfilled,
+    filters from _pair_masks on the composition tables.
     """
     if isinstance(source, FinitePrecategory):
         algebra, indexed_by = category_algebra(source, scalar_modulus, budget), adjoin_zero(target, budget)
         if command == "filters":
             masks, width = _pair_masks(source.comp, target.comp, budget), target.morphism_count
         else:
-            functors = (enumerate_prefunctors if variant else enumerate_functors)(source, target, budget)
-            maps = dict.fromkeys(f.morphism_map for f in functors)
+            maps = [f.morphism_map for f in _search_morphism_maps(source, target, not variant, NodeCounter(budget))]
     else:
         algebra, indexed_by = source, target
         if algebra.contracted != variant:

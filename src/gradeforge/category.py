@@ -329,17 +329,21 @@ def adjoin_zero(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> Fini
     return _zero_adjoined(cat.comp, budget)
 
 
-def _expand_free_objects(obj_map, mor_map, target_objects, results, counter):
-    free = [o for o, v in enumerate(obj_map) if v is None]
+def _fill_free_objects(maps: list, target_objects: int, counter) -> list:
+    """Each morphism map once per object map: the objects that no morphism touches, None in
+    every map, take every image.  One node per map, spent before any is built."""
+    free = [o for o, v in enumerate(maps[0].object_map) if v is None] if maps else []
     if not free:
-        results.append(MorphismMap(tuple(obj_map), tuple(mor_map)))
-        return
-    counter.spend(target_objects ** len(free))  # one node per map, before any is built
-    for combo in itertools.product(range(target_objects), repeat=len(free)):
-        om = list(obj_map)
-        for o, img in zip(free, combo):
-            om[o] = img
-        results.append(MorphismMap(tuple(om), tuple(mor_map)))
+        return maps
+    counter.spend(len(maps) * target_objects ** len(free))
+    filled = []
+    for mm in maps:
+        for combo in itertools.product(range(target_objects), repeat=len(free)):
+            obj_map = list(mm.object_map)
+            for o, img in zip(free, combo):
+                obj_map[o] = img
+            filled.append(MorphismMap(tuple(obj_map), mm.morphism_map))
+    return filled
 
 
 def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
@@ -352,12 +356,18 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
     # whose image is bound is compared where it is found; one whose image is
     # unbound is bound and appended.
     #
+    # One result per morphism map: an object that no morphism touches is
+    # never bound and stays None (_fill_free_objects gives it every image).
+    # In a category every object has an identity, so functors have none.
+    #
     # No bind conflicts.  The image u.v of a composite s.t runs between the
     # images of its ends, which are bound, and exists because a validated
     # precategory composes every composable pair.  Only a branch's first bind
     # can meet an unbound object, so search filters its images once: a loop
     # there goes only to a loop and, for functors, an identity only to an
     # identity.
+    if functors and not (source.is_category and target.is_category):
+        raise NotACategoryError("functor enumeration needs total identities on both sides")
     m = source.morphism_count
     comp, image_comp = source.comp, target.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]
@@ -403,7 +413,7 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
     def search(mor_map, obj_map, bound):
         counter.spend()
         if len(bound) == m:
-            _expand_free_objects(obj_map, mor_map, target.object_count, results, counter)
+            results.append(MorphismMap(tuple(obj_map), tuple(mor_map)))
             return
         s = mor_map.index(None)
         ds, cs = source.morphisms[s]
@@ -425,14 +435,17 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
 
 
 def enumerate_prefunctors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
-    """All maps preserving dom/cod and composition; identities are not required to map to identities."""
-    return _search_morphism_maps(source, target, False, NodeCounter(budget))
+    """All maps preserving dom/cod and composition; identities are not required to map to identities.
+
+    An object that no morphism touches takes every image: |ob(target)|^k maps, and as many
+    nodes, per morphism map when k objects are untouched.
+    """
+    counter = NodeCounter(budget)
+    return _fill_free_objects(_search_morphism_maps(source, target, False, counter), target.object_count, counter)
 
 
 def enumerate_functors(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
     """Prefunctors that also send each identity to the identity at the image object."""
-    if not source.is_category or not target.is_category:
-        raise NotACategoryError("functor enumeration needs total identities on both sides")
     return _search_morphism_maps(source, target, True, NodeCounter(budget))
 
 
@@ -445,8 +458,7 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
     """
     g = adjoin_zero(source, budget)
     h = adjoin_zero(target, budget)
-    results: list[MorphismMap] = []
-    counter = NodeCounter(budget)
+    maps = []
     for images in enumerate_zero_homs(g, h, budget):
         obj_map: list = [None] * source.object_count
         for s in range(source.morphism_count):
@@ -458,8 +470,8 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
                     raise ReductionMismatchError(
                         f"zero-magma homomorphism {images} induces no consistent object map"
                     )
-        _expand_free_objects(obj_map, images[: source.morphism_count], target.object_count, results, counter)
-    return results
+        maps.append(MorphismMap(tuple(obj_map), images[: source.morphism_count]))
+    return _fill_free_objects(maps, target.object_count, NodeCounter(budget))
 
 
 def is_prefunctor(source: FinitePrecategory, target: FinitePrecategory, mm: MorphismMap) -> bool:

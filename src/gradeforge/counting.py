@@ -9,6 +9,7 @@ is silently "fixed".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb, factorial, gcd, prod
 
@@ -157,16 +158,7 @@ def surjective_functions_report(m: int, n: int, budget: Budget = DEFAULT_BUDGET)
 
     def oracle():
         NodeCounter(budget).spend(n ** m)  # one node per function
-        count = 0
-        for code in range(n ** m):
-            digits = []
-            x = code
-            for _ in range(m):
-                digits.append(x % n)
-                x //= n
-            if len(set(digits)) == n:
-                count += 1
-        return count
+        return sum(len(set(images)) == n for images in itertools.product(range(n), repeat=m))
 
     brute = _within(oracle)
     return _report(

@@ -266,9 +266,13 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAU
     raw = doc.get("parts", {})
     if not isinstance(raw, dict):
         raise ParseError("parts must be an object", 1, 1)
+    elements = [str(h) for h in range(target.order)]
+    stray = sorted(raw.keys() - set(elements))
+    if stray:
+        raise ParseError(f"parts key {stray[0]!r} names no target element (0..{target.order - 1})", 1, 1)
     parts = []
-    for h in range(target.order):
-        entry = raw.get(str(h), [])
+    for h, element in enumerate(elements):
+        entry = raw.get(element, [])
         if not isinstance(entry, list):
             raise ParseError(f"part {h} is not a list", 1, 1)
         parts.append(frozenset(_basis_index(b, h) for b in entry))

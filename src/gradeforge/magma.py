@@ -144,35 +144,16 @@ def cyclic_group_magma(n: int) -> FiniteMagma:
 
 
 def abelian_group_magma(factors) -> FiniteMagma:
-    """Direct sum of cyclic groups, elements in mixed-radix order."""
+    """Direct sum of cyclic groups, elements in mixed-radix order (the last factor fastest)."""
     factors = tuple(factors)
-    if not factors:
-        return cyclic_group_magma(1)
     if any(f < 1 for f in factors):
         raise ValidationError("cyclic factors must be positive")
-    order = 1
-    for f in factors:
-        order *= f
-
-    def decode(x):
-        digits = []
-        for f in reversed(factors):
-            digits.append(x % f)
-            x //= f
-        return tuple(reversed(digits))
-
-    def encode(digits):
-        x = 0
-        for d, f in zip(digits, factors):
-            x = x * f + d
-        return x
-
-    coords = [decode(x) for x in range(order)]
+    coords = list(itertools.product(*map(range, factors)))
+    index = {c: x for x, c in enumerate(coords)}
     table = tuple(
-        tuple(encode(tuple((a + b) % f for a, b, f in zip(coords[i], coords[j], factors))) for j in range(order))
-        for i in range(order)
+        tuple(index[tuple((a + b) % f for a, b, f in zip(g, h, factors))] for h in coords) for g in coords
     )
-    return FiniteMagma(order=order, table=table)
+    return FiniteMagma(order=len(coords), table=table)
 
 
 def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:

@@ -28,7 +28,7 @@ from gradeforge.algebra import (
     relation_from_filter,
 )
 from gradeforge.budget import Budget
-from gradeforge.category import adjoin_zero, enumerate_prefunctors, enumerate_subprecategory_pairs
+from gradeforge.category import adjoin_zero, enumerate_prefunctors, enumerate_subprecategory_pairs, validate_precategory
 from gradeforge.errors import (
     BasisMismatchError,
     MissingZeroError,
@@ -595,3 +595,16 @@ class TestFamilyEnumerationCounts:
             assert self.agrees(("gradings", True), source, target, public)
         count = alg._family_enumeration("gradings", True, source, source, ORACLE_BUDGET)[1]
         assert count < len(enumerate_prefunctors(source, source, ORACLE_BUDGET))
+
+    def test_objects_no_morphism_touches_cost_no_nodes(self):
+        # The 3^20 prefunctors from 20 bare objects to 3 share one (empty) morphism map: one grading,
+        # found within 10 nodes because the search does not expand the objects.
+        source, target = validate_precategory(20, [], [], None), validate_precategory(3, [], [], None)
+        families = enumerate_category_gradings(source, target, prefunctors=True, budget=Budget(max_nodes=10))[1]
+        assert [family.parts for family in families] == [(frozenset(),)]
+
+    def test_prefunctors_are_gradings_times_the_images_of_the_bare_object(self, data_dir):
+        source = bare_object_precategory()
+        for target in [source, *self.categories(data_dir)]:
+            gradings = enumerate_category_gradings(source, target, prefunctors=True, budget=ORACLE_BUDGET)[1]
+            assert len(enumerate_prefunctors(source, target, ORACLE_BUDGET)) == len(gradings) * target.object_count

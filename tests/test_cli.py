@@ -117,6 +117,12 @@ class TestFunctors:
         assert code == 0
         assert json.loads(out)["count"] == "5"
 
+    def test_prefunctor_gradings_of_bare_objects(self, tmp_path):
+        # 3^20 prefunctors, one (empty) morphism map: one grading, within the default budget
+        (tmp_path / "c20.cat").write_text("category 20 0\n", encoding="utf-8")
+        (tmp_path / "c3.cat").write_text("category 3 0\n", encoding="utf-8")
+        assert run_cli("gradings", str(tmp_path / "c20.cat"), str(tmp_path / "c3.cat"), "--prefunctors") == (0, "0:{}\n", "")
+
     def test_groupoid_presentation_operand(self, data_dir):
         code, out, _ = run_cli("functors", data(data_dir, "gz2_presented.cat"), data(data_dir, "lambda_z2.cat"), "--json")
         assert code == 0
@@ -301,6 +307,18 @@ class TestMalformedInput:
 
     def test_boolean_index(self, verify_with):
         self.assert_parse_error(verify_with(parts={"0": [True]}))
+
+    def test_a_missing_part_is_empty(self, verify_with):
+        assert verify_with(parts={"0": [0, 1]})[0] == 0
+
+    def test_part_key_with_a_leading_zero(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [0], "01": [1]}))
+
+    def test_negative_part_key(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [0], "-1": [1]}))
+
+    def test_part_key_past_the_target(self, verify_with):
+        self.assert_parse_error(verify_with(parts={"0": [0, 1], "1": [], "7": [0]}))
 
     def test_parts_as_a_list(self, verify_with):
         self.assert_parse_error(verify_with(parts=[]))
