@@ -237,6 +237,44 @@ class TestScalarModulus:
 
         assert all(alg._is_prime(n) == trial(n) for n in range(5000))
 
+    def test_modulus_is_checked_before_the_zero(self, order2):
+        with pytest.raises(ValidationError, match="not prime"):
+            contracted_algebra(order2["abab"], 4)
+
+
+class TestPresentationsAgainstDefinitions:
+    """Both presentations of every .mag fixture against structure constants written out here."""
+
+    @pytest.fixture(scope="class")
+    def magmas(self, data_dir):
+        return [parse_magma(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.mag"))]
+
+    def test_magma_algebra(self, magmas):
+        for g in magmas:
+            a = magma_algebra(g, 3)
+            n = g.order
+            assert (a.source, a.basis_size, a.scalar_modulus, a.contracted) == (g, n, 3, False)
+            assert a.source_of_basis == a.basis_of_source == tuple(range(n))
+            assert a.structure == tuple(tuple(g.table[s][t] for t in range(n)) for s in range(n))
+
+    def test_contracted_algebra(self, magmas):
+        checked = 0
+        for g in magmas:
+            if g.zero is None:
+                with pytest.raises(MissingZeroError):
+                    contracted_algebra(g)
+                continue
+            a = contracted_algebra(g, 5)
+            basis = [x for x in range(g.order) if x != g.zero]
+            assert (a.source, a.basis_size, a.scalar_modulus, a.contracted) == (g, g.order - 1, 5, True)
+            assert a.source_of_basis == tuple(basis)
+            assert a.basis_of_source == tuple(None if x == g.zero else basis.index(x) for x in range(g.order))
+            assert a.structure == tuple(
+                tuple(None if g.table[s][t] == g.zero else basis.index(g.table[s][t]) for t in basis) for s in basis
+            )
+            checked += 1
+        assert checked == 4
+
 
 class TestPlainEnumerations:
     def test_single_grading_from_single_hom(self, order2):

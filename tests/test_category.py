@@ -13,6 +13,7 @@ from gradeforge.errors import (
     NotAssociativeError,
     ReductionMismatchError,
     SizeOverflowError,
+    ValidationError,
 )
 from gradeforge.category import (
     adjoin_zero,
@@ -39,7 +40,7 @@ from gradeforge.category import (
     vertex_group_table,
 )
 from gradeforge.io import parse_category
-from gradeforge.magma import are_isomorphic, matrix_unit_zero_magma
+from gradeforge.magma import abelian_group_magma, are_isomorphic, cyclic_group_magma, matrix_unit_zero_magma
 
 from conftest import (
     bare_object_precategory,
@@ -158,6 +159,41 @@ class TestConstructorsAgainstDefinitions:
             else:
                 assert prod.identity_at == (None,) * len(objects)
             validate_precategory(prod.object_count, prod.morphisms, prod.comp, prod.identity_at)
+
+    def test_connected_groupoid(self):
+        # (i, g, j): j -> i at (i*n + j)*q + g, (i, g, j) o (j, h, k) = (i, gh, k), identity (i, e, i)
+        perms = list(itertools.permutations(range(3)))
+        s3 = [[perms.index(tuple(a[x] for x in b)) for b in perms] for a in perms]
+        groups = [cyclic_group_magma(q).table for q in (1, 2, 3, 4)] + [abelian_group_magma([2, 2]).table, s3]
+        checked = 0
+        for table in groups:
+            q = len(table)
+            e = next(g for g in range(q) if all(table[g][h] == h for h in range(q)))
+            for n in itertools.count(1):
+                if n * n * q > 64:
+                    break
+                cat = connected_groupoid(n, table)
+                triples = [(i, g, j) for i in range(n) for j in range(n) for g in range(q)]
+                index = {(i, g, j): (i * n + j) * q + g for i, g, j in triples}
+                assert cat.object_count == n and cat.morphism_count == len(triples)
+                for (i, g, j), x in index.items():
+                    assert cat.morphisms[x] == (j, i)
+                for (i, g, j), (j2, h, k) in itertools.product(triples, repeat=2):
+                    expected = index[i, table[g][h], k] if j == j2 else None
+                    assert cat.comp[index[i, g, j]][index[j2, h, k]] == expected
+                assert cat.identity_at == tuple(index[i, e, i] for i in range(n))
+                checked += 1
+        assert checked == 8 + 5 + 4 + 4 + 4 + 3
+
+    def test_connected_groupoid_errors(self):
+        with pytest.raises(ValidationError):
+            connected_groupoid(0, [[0]])
+        with pytest.raises(NotAGroupError):
+            connected_groupoid(2, [[0, 0], [0, 0]])
+        with pytest.raises(NotAGroupError):
+            connected_groupoid(9, [])  # no morphisms, so under the cap: the group check refuses it
+        with pytest.raises(SizeOverflowError):
+            connected_groupoid(9, [[0, 0], [0, 0]])  # 162 morphisms: the cap comes before the group check
 
     def test_adjoin_zero(self, structures):
         for cat in structures:
