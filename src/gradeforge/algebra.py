@@ -92,46 +92,36 @@ def _check_modulus(p: int) -> None:
         raise ValidationError(f"scalar modulus {p} is not prime")
 
 
-def magma_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraPresentation:
-    """The plain magma algebra: every element, including a designated zero, is a basis line."""
+def _presentation(source: FiniteMagma, scalar_modulus: int, contracted: bool) -> AlgebraPresentation:
+    """One basis line per element of source, except its zero when contracted: the dropped zero has
+    no basis line, so a product landing on it reads RING_ZERO."""
     _check_modulus(scalar_modulus)
-    n = source.order
+    if contracted and source.zero is None:
+        raise MissingZeroError("contracted algebra needs a designated zero")
+    dropped = source.zero if contracted else None
+    basis = tuple(g for g in range(source.order) if g != dropped)
+    basis_of_source = [RING_ZERO] * source.order
+    for b, g in enumerate(basis):
+        basis_of_source[g] = b
     return AlgebraPresentation(
         source=source,
-        basis_size=n,
-        structure=source.table,
+        basis_size=len(basis),
+        structure=tuple(tuple(basis_of_source[source.table[s][t]] for t in basis) for s in basis),
         scalar_modulus=scalar_modulus,
-        source_of_basis=tuple(range(n)),
-        basis_of_source=tuple(range(n)),
-        contracted=False,
+        source_of_basis=basis,
+        basis_of_source=tuple(basis_of_source),
+        contracted=contracted,
     )
+
+
+def magma_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraPresentation:
+    """The plain magma algebra: every element, including a designated zero, is a basis line."""
+    return _presentation(source, scalar_modulus, False)
 
 
 def contracted_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraPresentation:
     """The zero-magma algebra with the magma zero identified with the ring zero."""
-    _check_modulus(scalar_modulus)
-    if source.zero is None:
-        raise MissingZeroError("contracted algebra needs a designated zero")
-    basis = [g for g in range(source.order) if g != source.zero]
-    basis_of_source = [None] * source.order
-    for b, g in enumerate(basis):
-        basis_of_source[g] = b
-    structure = tuple(
-        tuple(
-            RING_ZERO if source.table[s][t] == source.zero else basis_of_source[source.table[s][t]]
-            for t in basis
-        )
-        for s in basis
-    )
-    return AlgebraPresentation(
-        source=source,
-        basis_size=len(basis),
-        structure=structure,
-        scalar_modulus=scalar_modulus,
-        source_of_basis=tuple(basis),
-        basis_of_source=tuple(basis_of_source),
-        contracted=True,
-    )
+    return _presentation(source, scalar_modulus, True)
 
 
 def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2, budget: Budget = DEFAULT_BUDGET) -> AlgebraPresentation:

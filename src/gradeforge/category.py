@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .magma import FiniteMagma, _bits, _closed_subsets, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
-from .magma import enumerate_zero_homs, enumerate_zero_submagmas
+from .magma import _matrix_units, _zero_homs, enumerate_zero_submagmas
 
 
 @dataclass(frozen=True)
@@ -164,40 +164,26 @@ def group_as_category(table) -> FinitePrecategory:
 def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """The connected groupoid on the given objects with the given vertex group.
 
-    Morphism (i, g, j): j -> i sits at index (i*n + j)*q + g, and
+    It is the product of matrix_groupoid(n) and group_as_category(vertex_group)
+    (Brandt): morphism (i, g, j): j -> i sits at index (i*n + j)*q + g, and
     (i, g, j) o (j, h, k) = (i, gh, k).
     """
     table = tuple(tuple(row) for row in vertex_group)
-    q = len(table)
     n = object_count
     if n < 1:
         raise ValidationError("need at least one object")
-    m = n * n * q
-    check_order(m, budget)  # before the O(q^3) group check
-    e = _check_group(table)
-
-    def idx(i, g, j):
-        return (i * n + j) * q + g
-
-    morphisms = [None] * m
-    for i in range(n):
-        for j in range(n):
-            for g in range(q):
-                morphisms[idx(i, g, j)] = (j, i)
-    comp = [[None] * m for _ in range(m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for g in range(q):
-                    for h in range(q):
-                        comp[idx(i, g, j)][idx(j, h, k)] = idx(i, table[g][h], k)
-    identity_at = tuple(idx(i, e, i) for i in range(n))
-    return FinitePrecategory(n, tuple(morphisms), tuple(tuple(r) for r in comp), identity_at)
+    check_order(n * n * len(table), budget)  # before the O(q^3) group check and the matrix units
+    group = group_as_category(table)
+    return product_category(matrix_groupoid(n, budget), group, budget)
 
 
 def matrix_groupoid(n: int, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
-    """The thin connected groupoid on n objects: morphisms e(i,j): j -> i."""
-    return connected_groupoid(n, ((0,),), budget)
+    """The thin connected groupoid on n objects: morphisms e(i,j): j -> i at index i*n + j."""
+    if n < 1:
+        raise ValidationError("need at least one object")
+    check_order(n * n, budget)
+    morphisms = tuple((j, i) for i in range(n) for j in range(n))
+    return FinitePrecategory(n, morphisms, tuple(map(tuple, _matrix_units(n))), tuple(i * n + i for i in range(n)))
 
 
 def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
@@ -458,8 +444,9 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
     """
     g = adjoin_zero(source, budget)
     h = adjoin_zero(target, budget)
+    counter = NodeCounter(budget)
     maps = []
-    for images in enumerate_zero_homs(g, h, budget):
+    for images in _zero_homs(g, h, counter):
         obj_map: list = [None] * source.object_count
         for s in range(source.morphism_count):
             u = images[s]
@@ -471,7 +458,7 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
                         f"zero-magma homomorphism {images} induces no consistent object map"
                     )
         maps.append(MorphismMap(tuple(obj_map), images[: source.morphism_count]))
-    return _fill_free_objects(maps, target.object_count, NodeCounter(budget))
+    return _fill_free_objects(maps, target.object_count, counter)
 
 
 def is_prefunctor(source: FinitePrecategory, target: FinitePrecategory, mm: MorphismMap) -> bool:

@@ -248,7 +248,7 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAU
     grading and filter enumerations emit.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or doc.get("kind") != "family":
@@ -277,6 +277,16 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAU
             raise ParseError(f"part {h} is not a list", 1, 1)
         parts.append(frozenset(_basis_index(b, h) for b in entry))
     return ElementaryFamily(algebra=algebra, target=target, parts=tuple(parts))
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are all distinct; json.loads alone would keep the last of a repeated key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"repeated key {key!r}", 1, 1)
+        doc[key] = value
+    return doc
 
 
 def _basis_index(value, h: int) -> int:

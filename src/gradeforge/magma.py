@@ -156,6 +156,13 @@ def abelian_group_magma(factors) -> FiniteMagma:
     return FiniteMagma(order=len(coords), table=table)
 
 
+def _matrix_units(n: int) -> list:
+    """The partial table of the n x n matrix units: e(i,j) at index i*n + j, e(i,j)e(j,l) = e(i,l),
+    and None where the inner indices differ."""
+    m = n * n
+    return [[x - x % n + y % n if x % n == y // n else None for y in range(m)] for x in range(m)]
+
+
 def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Matrix units e(i,j) plus an absorbing zero; e(i,j)e(k,l) = e(i,l) if j = k, else 0.
 
@@ -163,10 +170,8 @@ def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMag
     """
     if n < 1:
         raise ValidationError("need n >= 1")
-    m = n * n
-    check_order(m + 1, budget)
-    table = [[x - x % n + y % n if x % n == y // n else None for y in range(m)] for x in range(m)]
-    return _zero_adjoined(table, budget)
+    check_order(n * n + 1, budget)
+    return _zero_adjoined(_matrix_units(n), budget)
 
 
 def closure(magma: FiniteMagma, seed) -> frozenset:
@@ -430,9 +435,13 @@ def enumerate_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget = DE
 
 def enumerate_zero_homs(source: FiniteMagma, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """All total maps with f^{-1}(0_H) = {0_G} and f(gg') = f(g)f(g') whenever gg' != 0_G."""
+    return _zero_homs(source, target, NodeCounter(budget))
+
+
+def _zero_homs(source: FiniteMagma, target: FiniteMagma, counter) -> list:
+    """enumerate_zero_homs spending from a caller's counter."""
     if source.zero is None or target.zero is None:
         raise MissingZeroError("both operands need a designated zero")
-    counter = NodeCounter(budget)
     zg, zh = source.zero, target.zero
     nonzero = frozenset(h for h in range(target.order) if h != zh)
     allowed = [nonzero if g != zg else frozenset((zh,)) for g in range(source.order)]

@@ -291,6 +291,8 @@ class TestPrefunctorsAndFunctors:
         assert time.perf_counter() - start < 1.0
         with pytest.raises(SizeOverflowError):
             search(bare(3), bare(3), Budget(max_nodes=1))
+        with pytest.raises(SizeOverflowError):
+            search(bare(3), bare(3), Budget(max_nodes=27))  # one search node and 27 maps, from one counter
         assert len(search(bare(3), bare(3), Budget(max_nodes=30))) == 27
 
     def test_validity_predicates(self, involution_cat, idem_cat):

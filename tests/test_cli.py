@@ -281,10 +281,10 @@ class TestMalformedInput:
         code, out, _ = run_cli("gradings", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"), "--json")
         base = json.loads(out)["items"][0]
 
-        def verify(**fields):
+        def verify(edit=None, **fields):
             doc = fields["doc"] if "doc" in fields else {**base, **fields}
             family_file = tmp_path / "family.json"
-            family_file.write_text(json.dumps(doc), encoding="utf-8")
+            family_file.write_text(json.dumps(doc).replace(*edit or ("", "")), encoding="utf-8")
             return run_cli("verify", data(data_dir, "aabb.mag"), str(family_file))
 
         return verify
@@ -325,6 +325,21 @@ class TestMalformedInput:
 
     def test_parts_as_a_string(self, verify_with):
         self.assert_parse_error(verify_with(parts="ab"))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # Read as its last entry, this part makes the document a grading (exit 0).
+            ('"1": ["0", "1"]', '"1": ["0", "1"], "1": []'),
+            ('"kind": "family"', '"kind": "family", "kind": "family"'),
+            ('"format": "magma"', '"format": "magma", "format": "magma"'),
+        ],
+        ids=["parts", "top", "target"],
+    )
+    def test_repeated_key(self, verify_with, edit):
+        self.assert_parse_error(verify_with(parts={"0": ["0", "1"], "1": ["0", "1"]}, edit=edit))
+        code, out, _ = verify_with(parts={"0": ["0", "1"], "1": []})
+        assert code == 0 and "grading true\n" in out
 
     def test_top_level_list(self, verify_with):
         self.assert_parse_error(verify_with(doc=[1, 2]))
