@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradeforge.budget import Budget
 from gradeforge.errors import (
@@ -22,6 +23,9 @@ from gradeforge.category import (
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
+    _least_relabelling,
+    _relabellings,
+    _unflattened,
     abelian_group_magma,
     are_isomorphic,
     canonical_form,
@@ -42,6 +46,7 @@ from gradeforge.magma import (
 )
 
 from conftest import DATA_DIR, ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
+from magma_classes import magma_class_count
 
 
 class TestValidate:
@@ -378,6 +383,46 @@ def random_magmas(seed, count, max_order):
     return out
 
 
+def relabelled(magma, rng):
+    """A copy of magma under a random relabelling drawn from rng."""
+    n = magma.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for g in range(n):
+        for h in range(n):
+            table[perm[g]][perm[h]] = perm[magma.table[g][h]]
+    return validate_magma(n, table, None if magma.zero is None else perm[magma.zero])
+
+
+def tie_heavy_tables(n):
+    """Tables of order n with many tied relabellings: left-zero and right-zero
+    bands, the null magma, the max chain, the rectangular bands a x b with
+    1 < a < n, the cyclic group and, at powers of 2, the elementary abelian group."""
+    yield [[g] * n for g in range(n)]
+    yield [list(range(n))] * n
+    yield [[0] * n] * n
+    yield [[max(g, h) for h in range(n)] for g in range(n)]
+    for a in range(2, n):
+        if n % a == 0:
+            b = n // a
+            yield [[g - g % b + h % b for h in range(n)] for g in range(n)]
+    yield cyclic_group_magma(n).table
+    if n & (n - 1) == 0:
+        yield abelian_group_magma([2] * (n.bit_length() - 1)).table
+
+
+@st.composite
+def few_valued_tables(draw):
+    """A table whose entries take at most two values, with or without an
+    adjoined zero, of order 7 or less in all."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    values = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=2))
+    table = [[draw(st.sampled_from(values)) for _ in range(n)] for _ in range(n)]
+    magma = validate_magma(n, table)
+    return with_zero_adjoined(magma) if n < 7 and draw(st.booleans()) else magma
+
+
 class TestCanonicalFormAgainstBruteForce:
     def test_fixtures(self, fixture_magmas):
         for magma in fixture_magmas:
@@ -387,14 +432,57 @@ class TestCanonicalFormAgainstBruteForce:
     def test_random_tables(self):
         magmas = random_magmas(seed=2011, count=60, max_order=5)
         assert sum(m.zero is not None and m.order > 1 for m in magmas) >= 20
-        for magma in magmas:
+        # Relabelled tie-heavy tables of order 7 or less, with and without an
+        # adjoined zero: where a wrong tie or twin rule would show.
+        rng = random.Random(19)
+        tied = [validate_magma(n, t) for n in range(1, 8) for t in tie_heavy_tables(n)]
+        tied += [with_zero_adjoined(m) for m in tied if m.order < 7]
+        assert len(tied) == 77
+        for magma in magmas + [relabelled(m, rng) for m in tied]:
             c = canonical_form(magma)
             assert (c.table, c.zero) == brute_force_canonical(magma)
+
+    @settings(max_examples=80, deadline=None)
+    @given(few_valued_tables(), st.randoms(use_true_random=False))
+    def test_few_valued_tables(self, magma, rng):
+        copy = relabelled(magma, rng)
+        c = canonical_form(copy)
+        assert (c.table, c.zero) == brute_force_canonical(copy)
+
+    def test_order_eight_tie_tables_stay_fast(self):
+        # The left-zero band alone takes about 0.9 s without the twin rule.
+        n = 8
+        tables = [
+            [[g] * n for g in range(n)],
+            [list(range(n))] * n,
+            [[0] * n] * n,
+            [[max(g, h) for h in range(n)] for g in range(n)],
+            abelian_group_magma([2, 2, 2]).table,
+            cyclic_group_magma(n).table,
+        ]
+        copies = [relabelled(validate_magma(n, t), random.Random(i)) for i, t in enumerate(tables)]
+        start = time.perf_counter()
+        forms = [canonical_form(m) for m in copies]
+        assert time.perf_counter() - start < 1.0
+        relabellings = list(_relabellings(n))
+        for magma, c in zip(copies, forms):
+            assert c.table == _unflattened(_least_relabelling(magma.table, relabellings)[0], n)
 
 
 class TestCensus:
     def test_single_class_of_order_one(self):
         assert len(census(1)) == 1
+
+    def test_class_counts_match_burnside(self):
+        assert [len(census(n)) for n in (1, 2, 3)] == [magma_class_count(n) for n in (1, 2, 3)] == [1, 10, 3330]
+        assert magma_class_count(4) == 178_981_952  # the count in census's docstring
+
+    def test_order_three_classes_are_canonical_forms(self):
+        # Ties census's relabelling scan to canonical_form's search.
+        rng = random.Random(3)
+        for rep in census(3):
+            assert canonical_form(rep) == rep
+            assert canonical_form(relabelled(rep, rng)) == rep
 
     def test_order_two_matches_named_representatives(self, order2):
         classes = census(2)
