@@ -23,8 +23,6 @@ from gradeforge.category import (
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
-    _least_relabelling,
-    _relabellings,
     _unflattened,
     abelian_group_magma,
     are_isomorphic,
@@ -47,6 +45,7 @@ from gradeforge.magma import (
 
 from conftest import DATA_DIR, ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
 from magma_classes import magma_class_count
+from relabelling_scan import least_relabelling, relabellings, scan_census
 
 
 class TestValidate:
@@ -464,9 +463,9 @@ class TestCanonicalFormAgainstBruteForce:
         start = time.perf_counter()
         forms = [canonical_form(m) for m in copies]
         assert time.perf_counter() - start < 1.0
-        relabellings = list(_relabellings(n))
+        perms = list(relabellings(n))
         for magma, c in zip(copies, forms):
-            assert c.table == _unflattened(_least_relabelling(magma.table, relabellings)[0], n)
+            assert c.table == _unflattened(least_relabelling(magma.table, perms)[0], n)
 
 
 class TestCensus:
@@ -477,8 +476,18 @@ class TestCensus:
         assert [len(census(n)) for n in (1, 2, 3)] == [magma_class_count(n) for n in (1, 2, 3)] == [1, 10, 3330]
         assert magma_class_count(4) == 178_981_952  # the count in census's docstring
 
+    def test_matches_the_relabelling_scan(self):
+        for n in (1, 2, 3):
+            assert census(n) == scan_census(n)
+
+    def test_node_charge_is_the_table_count(self):
+        for n, tables, classes in ((2, 16, 10), (3, 19_683, 3330)):
+            assert len(census(n, Budget(max_nodes=tables))) == classes
+            with pytest.raises(SizeOverflowError):
+                census(n, Budget(max_nodes=tables - 1))
+
     def test_order_three_classes_are_canonical_forms(self):
-        # Ties census's relabelling scan to canonical_form's search.
+        # Ties census's classes to canonical_form's search.
         rng = random.Random(3)
         for rep in census(3):
             assert canonical_form(rep) == rep
