@@ -44,8 +44,8 @@ def parse_magma(text: str) -> FiniteMagma:
     order = _int(head[1], "bad order {!r}", 1, 7)
     zero = None
     row_start = 1
-    if len(lines) > 1 and lines[1].startswith("zero"):
-        ztok = lines[1].split()
+    ztok = lines[1].split() if len(lines) > 1 else []
+    if ztok[:1] == ["zero"]:
         if len(ztok) != 2:
             raise ParseError("expected 'zero <index>'", 2, 1)
         zero = _int(ztok[1], "bad zero index {!r}", 2, 6)

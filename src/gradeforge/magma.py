@@ -55,20 +55,25 @@ class PairRelation:
                 raise IndexOutOfRangeError(f"pair ({g}, {h}) outside {self.left.order}x{self.right.order}")
 
 
+def _is_index(value) -> bool:
+    """True for an int that is not a bool, which would print as True or False."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_magma(order: int, table, zero: int | None = None) -> FiniteMagma:
     """Check shape, entry range and (if given) the absorbing law, then freeze."""
-    if order < 1:
-        raise ValidationError(f"order must be positive, got {order}")
+    if isinstance(order, bool) or order < 1:
+        raise ValidationError(f"order must be a positive int, got {order!r}")
     rows = tuple(tuple(row) for row in table)
     if len(rows) != order or any(len(row) != order for row in rows):
         raise ValidationError(f"table is not {order}x{order}")
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            if not isinstance(entry, int) or not 0 <= entry < order:
+            if not _is_index(entry) or not 0 <= entry < order:
                 raise IndexOutOfRangeError(f"entry {entry!r} at ({i}, {j}) not in 0..{order - 1}")
     if zero is not None:
-        if not 0 <= zero < order:
-            raise IndexOutOfRangeError(f"zero index {zero} not in 0..{order - 1}")
+        if not _is_index(zero) or not 0 <= zero < order:
+            raise IndexOutOfRangeError(f"zero index {zero!r} not in 0..{order - 1}")
         for g in range(order):
             if rows[zero][g] != zero or rows[g][zero] != zero:
                 raise NotAbsorbingError(f"element {zero} is not absorbing at {g}")
@@ -448,27 +453,10 @@ def _zero_homs(source: FiniteMagma, target: FiniteMagma, counter) -> list:
     return _enumerate_maps(_zero_exempt(source.table, zg), target.table, allowed, counter)
 
 
-def _relabellings(n: int):
-    # (perm, order) for every permutation of 0..n-1: perm sends old index i
-    # to perm[i], and order lists the old indices by new index.
-    for order in itertools.permutations(range(n)):
-        perm = [0] * n
-        for new, old in enumerate(order):
-            perm[old] = new
-        yield perm, order
-
-
-def _least_relabelling(rows, relabellings) -> tuple:
-    # The least relabelled table over relabellings, row-major in one flat
-    # tuple, with its perm.  The entry at new (i, j) is
-    # perm[rows[order[i]][order[j]]].
-    return min((tuple([p[rows[i][j]] for i in order for j in order]), p) for p, order in relabellings)
-
-
 def _least_table(rows) -> tuple:
-    # The table of _least_relabelling over all n! relabellings, with its perm,
-    # found by a depth-first search that hands out labels in the order the
-    # row-major scan first needs them.  Row 0 needs every label, so the
+    # The row-major lex-least table over all n! relabellings, flat, with its
+    # perm, found by a depth-first search that hands out labels in the order
+    # the row-major scan first needs them.  Row 0 needs every label, so the
     # search branches only there: where label j is not yet handed out, it
     # goes to one of the unlabelled elements x that tie for the least entry
     # (elem[0], x).  A product with no label takes the next free one, since
@@ -587,16 +575,28 @@ def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAU
 
 
 def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
-    """One canonical representative per isomorphism class of the given order.
+    """One representative per isomorphism class of the given order: its least table.
 
-    Scans all order^(order^2) tables, so the node budget gates anything past
-    order 3 (order 4 already has 178,981,952 classes).
+    Walks all order^(order^2) tables in row-major lex order, so the first
+    table met in a class is the class's least one.  That table is kept and
+    every relabelling of it is marked as seen, one byte per table in a
+    bytearray indexed by the table's base-order code, entry (0, 0) the most
+    significant digit.  The node budget charges the table count up front,
+    which gates anything past order 3 (order 4 already has 178,981,952 classes).
     """
     if order < 1:
         raise ValidationError("order must be positive")
     check_order(order, budget)  # before order ** (order * order) is formed
     NodeCounter(budget).spend(order ** (order * order))
-    relabellings = list(_relabellings(order))
-    rows = list(itertools.product(range(order), repeat=order))
-    seen = {_least_relabelling(table, relabellings)[0] for table in itertools.product(rows, repeat=order)}
-    return [FiniteMagma(order=order, table=_unflattened(flat, order)) for flat in sorted(seen)]
+    n, cells = order, order * order
+    seen = bytearray(n**cells)
+    # Each relabelling p with the code weight of the cell (p[g], p[h]) that entry (g, h) moves to.
+    perms = itertools.permutations(range(n))
+    moves = [(p, [n ** (cells - 1 - p[g] * n - p[h]) for g in range(n) for h in range(n)]) for p in perms]
+    classes = []
+    for code, flat in enumerate(itertools.product(range(n), repeat=cells)):
+        if not seen[code]:
+            classes.append(FiniteMagma(order=n, table=_unflattened(flat, n)))
+            for p, weights in moves:
+                seen[sum(p[v] * w for v, w in zip(flat, weights))] = 1
+    return classes

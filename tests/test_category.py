@@ -8,6 +8,7 @@ from gradeforge.budget import Budget
 from gradeforge.errors import (
     BadCompositionError,
     BadIdentityError,
+    IndexOutOfRangeError,
     NotACategoryError,
     NotAGroupError,
     NotAssociativeError,
@@ -84,6 +85,20 @@ class TestValidate:
     def test_identity_flag_checked(self):
         with pytest.raises(BadIdentityError):
             validate_precategory(1, [(0, 0), (0, 0)], [[1, 1], [1, 1]], identity_at=(0,))
+
+    @pytest.mark.parametrize(
+        "object_count,comp,identity_at,error",
+        [
+            (True, [[0]], [0], ValidationError),
+            (1, [[False]], [None], IndexOutOfRangeError),
+            (1, [[0]], [False], IndexOutOfRangeError),
+        ],
+        ids=["object-count", "composite", "identity"],
+    )
+    def test_booleans_are_refused(self, object_count, comp, identity_at, error):
+        # print_category would write them as True or False, which parse_category refuses.
+        with pytest.raises(error):
+            validate_precategory(object_count, [(0, 0)], comp, identity_at)
 
 
 class TestPredicates:

@@ -347,6 +347,12 @@ class TestMalformedInput:
     def test_target_as_a_string(self, verify_with):
         self.assert_parse_error(verify_with(target="x"))
 
+    def test_zero_line_token_must_be_zero(self, tmp_path):
+        # Read as 'zero 1', this line made an order-2 magma with zero 1 (exit 0).
+        zeroes = tmp_path / "zeroes.mag"
+        zeroes.write_text("magma 2\nzeroes 1\n0 1\n1 1\n", encoding="utf-8")
+        self.assert_parse_error(run_cli("submagmas", str(zeroes)))
+
     def test_huge_object_count_in_category_header(self, tmp_path):
         huge = tmp_path / "huge.cat"
         huge.write_text("category 1000000000000000000000 1\nm 0 0 id\nc 0 0 0\n", encoding="utf-8")

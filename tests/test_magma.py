@@ -69,6 +69,20 @@ class TestValidate:
         with pytest.raises(NotAbsorbingError):
             validate_magma(2, [[0, 0], [0, 0]], zero=1)
 
+    @pytest.mark.parametrize(
+        "order,table,zero,error",
+        [
+            (True, [[0]], None, ValidationError),
+            (2, [[True, False], [False, True]], None, IndexOutOfRangeError),
+            (1, [[0]], False, IndexOutOfRangeError),
+        ],
+        ids=["order", "entry", "zero"],
+    )
+    def test_booleans_are_refused(self, order, table, zero, error):
+        # print_magma would write them as True or False, which parse_magma refuses.
+        with pytest.raises(error):
+            validate_magma(order, table, zero)
+
     def test_word_round_trip(self):
         for word in ORDER2_WORDS:
             assert word_of_magma(magma_from_word(word)) == word
