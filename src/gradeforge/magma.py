@@ -587,8 +587,8 @@ def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     if order < 1:
         raise ValidationError("order must be positive")
     check_order(order, budget)  # before order ** (order * order) is formed
-    NodeCounter(budget).spend(order ** (order * order))
     n, cells = order, order * order
+    NodeCounter(budget).spend(n**cells)
     seen = bytearray(n**cells)
     # Each relabelling p with the code weight of the cell (p[g], p[h]) that entry (g, h) moves to.
     perms = itertools.permutations(range(n))

@@ -21,10 +21,11 @@ def relabellings(n: int):
         yield perm, order
 
 
-def least_relabelling(rows, relabellings) -> tuple:
-    """The least relabelled table over relabellings, row-major in one flat
-    tuple, with its perm.  The entry at new (i, j) is perm[rows[order[i]][order[j]]]."""
-    return min((tuple([p[rows[i][j]] for i in order for j in order]), p) for p, order in relabellings)
+def least_relabelling(rows, perms) -> tuple:
+    """The least relabelled table over perms, pairs (perm, order) from
+    relabellings, row-major in one flat tuple, with its perm.  The entry at
+    new (i, j) is perm[rows[order[i]][order[j]]]."""
+    return min((tuple([p[rows[i][j]] for i in order for j in order]), p) for p, order in perms)
 
 
 def scan_census(n: int) -> list:
