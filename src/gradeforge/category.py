@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .magma import FiniteMagma, _bits, _closed_subsets, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
-from .magma import _is_index, _matrix_units, _zero_homs, enumerate_zero_submagmas
+from .magma import _matrix_units, _zero_homs, enumerate_zero_submagmas
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     morphisms = tuple((int(d), int(c)) for d, c in morphisms)
     m = len(morphisms)
     check_order(m, budget)
-    if isinstance(object_count, bool) or object_count < 0:
+    # The object count, the composites and the identities are plain ints: a bool would print as True or False.
+    if type(object_count) is not int or object_count < 0:
         raise ValidationError(f"object count must be a nonnegative int, got {object_count!r}")
     for s, (d, c) in enumerate(morphisms):
         if not (0 <= d < object_count and 0 <= c < object_count):
@@ -86,7 +87,7 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
             if composable:
                 if entry is None:
                     raise BadCompositionError(f"missing composite for composable pair ({s}, {t})")
-                if not (_is_index(entry) and 0 <= entry < m):
+                if not (type(entry) is int and 0 <= entry < m):
                     raise IndexOutOfRangeError(f"composite {entry!r} at ({s}, {t}) not a morphism index")
                 if morphisms[entry][0] != morphisms[t][0] or morphisms[entry][1] != morphisms[s][1]:
                     raise BadCompositionError(f"composite of ({s}, {t}) has wrong dom/cod")
@@ -111,7 +112,7 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     for e, i in enumerate(identity_at):
         if i is None:
             continue
-        if not (_is_index(i) and 0 <= i < m):
+        if not (type(i) is int and 0 <= i < m):
             raise IndexOutOfRangeError(f"identity index {i!r} at object {e} not a morphism index")
         if morphisms[i] != (e, e):
             raise BadIdentityError(f"identity at object {e} must run {e} -> {e}")

@@ -15,7 +15,7 @@ from .budget import DEFAULT_BUDGET, Budget
 from .category import FinitePrecategory, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError, SizeOverflowError
-from .magma import FiniteMagma, _is_index, validate_magma
+from .magma import FiniteMagma, validate_magma
 
 
 def _lines_of(text: str) -> list:
@@ -291,7 +291,7 @@ def _unique_keys(pairs) -> dict:
 
 def _basis_index(value, h: int) -> int:
     """A basis index of a family document: an int, or the decimal string --json writes for one."""
-    if _is_index(value):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
         try:

@@ -55,24 +55,20 @@ class PairRelation:
                 raise IndexOutOfRangeError(f"pair ({g}, {h}) outside {self.left.order}x{self.right.order}")
 
 
-def _is_index(value) -> bool:
-    """True for an int that is not a bool, which would print as True or False."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_magma(order: int, table, zero: int | None = None) -> FiniteMagma:
     """Check shape, entry range and (if given) the absorbing law, then freeze."""
-    if isinstance(order, bool) or order < 1:
+    # The order, the entries and the zero are plain ints: a bool would print as True or False.
+    if type(order) is not int or order < 1:
         raise ValidationError(f"order must be a positive int, got {order!r}")
     rows = tuple(tuple(row) for row in table)
     if len(rows) != order or any(len(row) != order for row in rows):
         raise ValidationError(f"table is not {order}x{order}")
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            if not _is_index(entry) or not 0 <= entry < order:
+            if type(entry) is not int or not 0 <= entry < order:
                 raise IndexOutOfRangeError(f"entry {entry!r} at ({i}, {j}) not in 0..{order - 1}")
     if zero is not None:
-        if not _is_index(zero) or not 0 <= zero < order:
+        if type(zero) is not int or not 0 <= zero < order:
             raise IndexOutOfRangeError(f"zero index {zero!r} not in 0..{order - 1}")
         for g in range(order):
             if rows[zero][g] != zero or rows[g][zero] != zero:

@@ -92,11 +92,12 @@ class TestValidate:
             (True, [[0]], [0], ValidationError),
             (1, [[False]], [None], IndexOutOfRangeError),
             (1, [[0]], [False], IndexOutOfRangeError),
+            (1.0, [[0]], [0], ValidationError),
         ],
-        ids=["object-count", "composite", "identity"],
+        ids=["object-count", "composite", "identity", "float-object-count"],
     )
-    def test_booleans_are_refused(self, object_count, comp, identity_at, error):
-        # print_category would write them as True or False, which parse_category refuses.
+    def test_non_ints_are_refused(self, object_count, comp, identity_at, error):
+        # print_category would write True, False or 1.0, which parse_category refuses.
         with pytest.raises(error):
             validate_precategory(object_count, [(0, 0)], comp, identity_at)
 

@@ -75,11 +75,12 @@ class TestValidate:
             (True, [[0]], None, ValidationError),
             (2, [[True, False], [False, True]], None, IndexOutOfRangeError),
             (1, [[0]], False, IndexOutOfRangeError),
+            (2.0, [[0, 1], [1, 0]], None, ValidationError),
         ],
-        ids=["order", "entry", "zero"],
+        ids=["order", "entry", "zero", "float-order"],
     )
-    def test_booleans_are_refused(self, order, table, zero, error):
-        # print_magma would write them as True or False, which parse_magma refuses.
+    def test_non_ints_are_refused(self, order, table, zero, error):
+        # print_magma would write True, False or 2.0, which parse_magma refuses.
         with pytest.raises(error):
             validate_magma(order, table, zero)
 
