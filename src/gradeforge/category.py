@@ -71,7 +71,8 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     morphisms = tuple((int(d), int(c)) for d, c in morphisms)
     m = len(morphisms)
     check_order(m, budget)
-    # The object count, the composites and the identities are plain ints: a bool would print as True or False.
+    # The object count, the composites and the identities are plain ints, so print_category writes what
+    # parse_category reads.
     if type(object_count) is not int or object_count < 0:
         raise ValidationError(f"object count must be a nonnegative int, got {object_count!r}")
     for s, (d, c) in enumerate(morphisms):

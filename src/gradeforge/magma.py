@@ -57,7 +57,7 @@ class PairRelation:
 
 def validate_magma(order: int, table, zero: int | None = None) -> FiniteMagma:
     """Check shape, entry range and (if given) the absorbing law, then freeze."""
-    # The order, the entries and the zero are plain ints: a bool would print as True or False.
+    # The order, the entries and the zero are plain ints, so print_magma writes what parse_magma reads.
     if type(order) is not int or order < 1:
         raise ValidationError(f"order must be a positive int, got {order!r}")
     rows = tuple(tuple(row) for row in table)
