@@ -68,14 +68,16 @@ class MorphismMap:
 
 def validate_precategory(object_count, morphisms, comp, identity_at=None, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """Check shapes, composability, dom/cod of composites, associativity and identities."""
-    morphisms = tuple((int(d), int(c)) for d, c in morphisms)
+    morphisms = tuple((d, c) for d, c in morphisms)
     m = len(morphisms)
     check_order(m, budget)
-    # The object count, the composites and the identities are plain ints, so print_category writes what
-    # parse_category reads.
+    # The object count, the morphism ends, the composites and the identities are plain ints, so
+    # print_category writes what parse_category reads.
     if type(object_count) is not int or object_count < 0:
         raise ValidationError(f"object count must be a nonnegative int, got {object_count!r}")
     for s, (d, c) in enumerate(morphisms):
+        if type(d) is not int or type(c) is not int:
+            raise ValidationError(f"morphism {s} has dom/cod ({d!r}, {c!r}), not two ints")
         if not (0 <= d < object_count and 0 <= c < object_count):
             raise IndexOutOfRangeError(f"morphism {s} has dom/cod ({d}, {c}) outside 0..{object_count - 1}")
     comp = tuple(tuple(row) for row in comp)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation or usage failure, output that cannot be
-written, or (from ``verify``) a family that is not a filter, 2 budget
+written, or after the verdict is printed a family that is not a filter
+(``verify``) or magmas that are not isomorphic (``iso``), 2 budget
 exhaustion, 3 parse error.  If the subset and span oracles of an axiom
 check disagree, the run stops with OracleDisagreementError and exit code 1.
 Diagnostics go to stderr; standard output is deterministic, so identical
@@ -99,6 +100,19 @@ def _census(args, budget, out):
     return _write(
         out, args, classes, len(classes), lambda m: io._dumps({"text": io.print_magma(m), "word": word(m)}), word
     )
+
+
+def _canon(args, budget, out):
+    text = io.print_magma(mg.canonical_form(_load(args.source, budget, ("magma",))[1], budget))
+    out.write(io.emit_report({"text": text}) if args.json else text)
+    return 0
+
+
+def _iso(args, budget, out):
+    left, right = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    holds = mg.are_isomorphic(left, right, budget)
+    out.write(io.emit_report({"isomorphic": holds}) if args.json else f"isomorphic {str(holds).lower()}\n")
+    return 0 if holds else 1
 
 
 def _hom(args, budget, out):
@@ -287,6 +301,8 @@ def _build_parser() -> _Parser:
         return p
 
     command("census", _census, "isomorphism classes of a given order", ()).add_argument("order", type=int)
+    command("canon", _canon, "the canonical form of a magma: its least relabelled table", ("source",))
+    command("iso", _iso, "whether two magmas are isomorphic (exit 1 if not)")
     command("hom", _hom, "homomorphisms between two magmas", zero="zero-magma homomorphisms")
     p = command("submagmas", _submagmas, "submagmas of a magma, or zero submagmas of a product", ("source",))
     p.add_argument("target", nargs="?")

@@ -86,7 +86,7 @@ def matrix_group_gradings_report(n: int, q: int, budget: Budget = DEFAULT_BUDGET
     def oracle():
         source = matrix_unit_zero_magma(n, budget)
         check_order(q + 1, budget)  # before the group table is built
-        return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q), budget), budget))
+        return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q, budget), budget), budget))
 
     return _report("matrix_group_gradings", {"n": n, "q": q}, closed, _within(oracle))
 
@@ -198,7 +198,7 @@ def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT
     def oracle():
         for factors in (source_factors, target_factors):
             check_order(prod(factors), budget)  # before the group tables are built
-        source, target = abelian_group_magma(source_factors), abelian_group_magma(target_factors)
+        source, target = abelian_group_magma(source_factors, budget), abelian_group_magma(target_factors, budget)
         return len(enumerate_homs(source, target, budget))
 
     return _report(
@@ -248,7 +248,7 @@ def subspaces_report(p: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountRe
     def oracle():
         check_order(p ** n, budget)  # before the group table is built
         # drop the empty set: subgroups = subspaces
-        return len(enumerate_submagmas(abelian_group_magma([p] * n), budget)) - 1
+        return len(enumerate_submagmas(abelian_group_magma([p] * n, budget), budget)) - 1
 
     brute_all = _within(oracle)
     brute = None if brute_all is None else brute_all - 1  # drop the zero subspace to match the k >= 1 sum

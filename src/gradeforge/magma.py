@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import isqrt, prod
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .errors import (
@@ -137,18 +137,21 @@ def with_zero_adjoined(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> F
     return _zero_adjoined(magma.table, budget)
 
 
-def cyclic_group_magma(n: int) -> FiniteMagma:
+def cyclic_group_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """The cyclic group of order n as a bare Cayley table."""
-    if n < 1:
-        raise ValidationError("cyclic group order must be positive")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"cyclic group order must be a positive int, got {n!r}")
+    check_order(n, budget)
     return FiniteMagma(order=n, table=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
-def abelian_group_magma(factors) -> FiniteMagma:
+def abelian_group_magma(factors, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Direct sum of cyclic groups, elements in mixed-radix order (the last factor fastest)."""
     factors = tuple(factors)
-    if any(f < 1 for f in factors):
-        raise ValidationError("cyclic factors must be positive")
+    for f in factors:
+        if type(f) is not int or f < 1:
+            raise ValidationError(f"cyclic factors must be positive ints, got {f!r}")
+    check_order(prod(factors), budget)
     coords = list(itertools.product(*map(range, factors)))
     index = {c: x for x, c in enumerate(coords)}
     table = tuple(
@@ -449,17 +452,22 @@ def _zero_homs(source: FiniteMagma, target: FiniteMagma, counter) -> list:
     return _enumerate_maps(_zero_exempt(source.table, zg), target.table, allowed, counter)
 
 
-def _least_table(rows) -> tuple:
+def _least_table(rows, counter) -> tuple:
     # The row-major lex-least table over all n! relabellings, flat, with its
     # perm, found by a depth-first search that hands out labels in the order
-    # the row-major scan first needs them.  Row 0 needs every label, so the
-    # search branches only there: where label j is not yet handed out, it
-    # goes to one of the unlabelled elements x that tie for the least entry
-    # (elem[0], x).  A product with no label takes the next free one, since
-    # any other label would make its entry larger.  Two candidates whose swap
-    # is an automorphism of rows (twins) span the same subtree, so only the
-    # first is tried.  The least table found so far bounds the search: a
-    # branch dies at its first entry above it while its prefix equals it.
+    # the row-major scan first needs them; each search node spends one node.
+    # Where entry (r, j) needs a new label, for its row element (j = 0) or its
+    # column element, the label goes to one of the unlabelled elements x that
+    # tie for the least entry.  If every unlabelled x ties at a column and its
+    # product is x itself, or one labelled element for all, the rest of row r
+    # reads the same whichever x gets which label, so the choice is deferred
+    # to the next entry that needs a new label (McKay 1981).  A product with no
+    # label takes the next free one, since any other label would make its
+    # entry larger.  Two candidates whose swap is an automorphism of rows
+    # (twins) span the same subtree, so only the first is tried.  The least
+    # table found so far bounds the search: a branch dies at its first entry
+    # above it while its prefix equals it.  Once every element has a label,
+    # the rest of the table is fixed: a leaf.
     n = len(rows)
     label = [-1] * n  # old index -> new label, -1 while unlabelled
     elem = []  # new label -> old index
@@ -467,6 +475,7 @@ def _least_table(rows) -> tuple:
     best = [n] * (n * n)  # above every table until the first leaf
     best_label = []
     twins = {}
+    spend = counter.spend
 
     def twin(a, b) -> bool:
         if (a, b) not in twins:
@@ -479,17 +488,13 @@ def _least_table(rows) -> tuple:
         label[x] = len(elem)
         elem.append(x)
 
-    def take_back(size):
-        while len(elem) > size:
-            label[elem.pop()] = -1
-
-    def leaf(tight):
-        # Rows 1.. are fixed by the full labelling; compare them with best.
+    def leaf(pos, tight):
+        # Entries from pos on are fixed by the full labelling; compare them with best.
         nonlocal best, best_label
-        pos = n
-        for i in range(1, n):
+        r, j = divmod(pos, n)
+        for i in range(r, n):
             row = rows[elem[i]]
-            for x in elem:
+            for x in elem[j:]:
                 v = label[row[x]]
                 if tight:
                     if v > best[pos]:
@@ -497,47 +502,74 @@ def _least_table(rows) -> tuple:
                     tight = v == best[pos]
                 cur[pos] = v
                 pos += 1
+            j = 0
         if not tight:
             best, best_label = cur[:], label[:]
 
-    def search(j, tight):
-        # cur holds entries (0, 0) .. (0, j - 1); tight while they equal best's.
-        # Once a child returns, best shares this prefix: either it already
-        # did, or the child's subtree, which no bound pruned, set best.
-        if j == n:
-            leaf(tight)
-            return
-        size = len(elem)
-        if size > j:
-            p = rows[elem[0]][elem[j]]
-            if label[p] < 0:
-                hand_out(p)
-            v = label[p]
-            if not (tight and v > best[j]):
-                cur[j] = v
-                search(j + 1, tight and v == best[j])
-            take_back(size)
-            return
-        candidates = []
-        for x in range(n):
-            if label[x] < 0:
-                p = rows[elem[0] if j else x][x]
-                candidates.append((label[p] if label[p] >= 0 else j if p == x else j + 1, x, p))
-        v = min(candidates)[0]
-        if tight and v > best[j]:
-            return
-        cur[j] = v
-        tight = tight and v == best[j]
-        kept = []
-        for w, x, p in candidates:
-            if w == v and not any(twin(k, x) for k in kept):
-                kept.append(x)
-                hand_out(x)
+    def search(pos, tight):
+        # cur holds the entries before pos = r * n + j; tight while they equal best's.
+        # Entries that need no choice are written in a loop, and each label a
+        # choice hands out starts a child node.  Once a child returns, best
+        # shares this prefix: either it already did, or the child's subtree,
+        # which no bound pruned, set best.
+        spend()
+        start = len(elem)
+        while len(elem) < n:
+            size = len(elem)
+            r, j = divmod(pos, n)
+            if size > r and size > j:
+                p = rows[elem[r]][elem[j]]
                 if label[p] < 0:
                     hand_out(p)
-                search(j + 1, tight)
-                tight = True
-                take_back(size)
+                v = label[p]
+                if tight:
+                    if v > best[pos]:
+                        break
+                    tight = v == best[pos]
+                cur[pos] = v
+                pos += 1
+                continue
+            # Label size goes to the row element (size == r, so j == 0) or to the column element.
+            row = None if size == r else rows[elem[r]]
+            candidates = []
+            for x in range(n):
+                if label[x] < 0:
+                    p = row[x] if row else rows[x][elem[0] if size else x]
+                    candidates.append((label[p] if label[p] >= 0 else size if p == x else size + 1, x, p))
+            v = min(candidates)[0]
+            if tight and v > best[pos]:
+                break
+            # Testing the last candidate first keeps max off the path of most untied columns.
+            if row and v <= size and len(candidates) > 1 and candidates[-1][0] == v == max(candidates)[0]:
+                # Every free x gives x itself, or every one the same labelled product, so
+                # the rest of row r reads size, ..., n - 1, or v throughout: defer the choice.
+                end = pos + n - j
+                entries = list(range(size, n)) if v == size else [v] * (n - j)
+                if tight:
+                    if entries > best[pos:end]:
+                        break
+                    tight = entries == best[pos:end]
+                cur[pos:end] = entries
+                pos = end
+                continue
+            cur[pos] = v
+            tight = tight and v == best[pos]
+            kept = []
+            for w, x, p in candidates:
+                if w == v and not any(twin(k, x) for k in kept):
+                    kept.append(x)
+                    hand_out(x)
+                    if label[p] < 0:
+                        hand_out(p)
+                    search(pos + 1, tight)
+                    tight = True
+                    while len(elem) > size:
+                        label[elem.pop()] = -1
+            break
+        else:
+            leaf(pos, tight)
+        while len(elem) > start:
+            label[elem.pop()] = -1
 
     search(0, True)
     return tuple(best), best_label
@@ -552,22 +584,26 @@ def canonical_form(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> Finit
     """Lexicographically least relabeled table over all element permutations.
 
     Found by a depth-first search that keeps only the relabellings tying for the least entry at each
-    row-major position, and one of any two twin candidates; it drops no least table, so it is exact.
-    A designated zero tags along under the winning permutation; it never
-    constrains the minimization because an absorbing element is unique.
+    row-major position, defers a choice that no entry of the current row depends on, and tries one
+    of any two twin candidates; it drops no least table, so it is exact.  Each search node spends
+    one node of the budget, after the order is checked against the cap.  A designated zero tags
+    along under the winning permutation; it never constrains the minimization because an absorbing
+    element is unique.
     """
     n = magma.order
-    # An up-front cap, not the count of entries read: it keeps the default order limit at 8.
-    NodeCounter(budget).spend(factorial(n) * n * n)
-    flat, perm = _least_table(magma.table)
+    check_order(n, budget)
+    flat, perm = _least_table(magma.table, NodeCounter(budget))
     return FiniteMagma(order=n, table=_unflattened(flat, n), zero=None if magma.zero is None else perm[magma.zero])
 
 
 def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """True when some relabeling of elements carries one table onto the other."""
+    """True when some relabeling of elements carries one table onto the other; both least tables
+    spend from one node budget."""
     if left.order != right.order:
         return False
-    return canonical_form(left, budget).table == canonical_form(right, budget).table
+    check_order(left.order, budget)
+    counter = NodeCounter(budget)
+    return _least_table(left.table, counter)[0] == _least_table(right.table, counter)[0]
 
 
 def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
@@ -580,8 +616,8 @@ def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     significant digit.  The node budget charges the table count up front,
     which gates anything past order 3 (order 4 already has 178,981,952 classes).
     """
-    if order < 1:
-        raise ValidationError("order must be positive")
+    if type(order) is not int or order < 1:
+        raise ValidationError(f"order must be a positive int, got {order!r}")
     check_order(order, budget)  # before order ** (order * order) is formed
     n, cells = order, order * order
     NodeCounter(budget).spend(n**cells)

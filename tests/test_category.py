@@ -101,6 +101,12 @@ class TestValidate:
         with pytest.raises(error):
             validate_precategory(object_count, [(0, 0)], comp, identity_at)
 
+    @pytest.mark.parametrize("ends", [(0.7, "0"), (0, 0.0), (True, 0), ("0", 0)], ids=["fraction", "float", "bool", "string"])
+    def test_non_int_morphism_ends_are_refused(self, ends):
+        # int() used to convert the ends: (0.7, "0") was accepted as (0, 0) and printed as "m 0 0 id".
+        with pytest.raises(ValidationError, match="not two ints"):
+            validate_precategory(1, [ends], [[0]], [0])
+
 
 class TestPredicates:
     def test_matrix_groupoid(self):

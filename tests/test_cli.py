@@ -59,6 +59,24 @@ class TestCensus:
         assert code == 2 and out == "" and err == "budget exhausted: order 3000 exceeds the cap of 64\n"
 
 
+class TestCanonAndIso:
+    def test_canon_prints_the_least_relabelled_table(self, tmp_path):
+        # Z3 with the identity at index 2: its form puts the identity first.
+        path = tmp_path / "z3.mag"
+        path.write_text("magma 3\n1 2 0\n2 0 1\n0 1 2\n", encoding="utf-8")
+        assert run_cli("canon", str(path)) == (0, "magma 3\n0 1 2\n1 2 0\n2 0 1\n", "")
+        code, out, _ = run_cli("canon", str(path), "--json")
+        assert code == 0 and json.loads(out) == {"text": "magma 3\n0 1 2\n1 2 0\n2 0 1\n"}
+        assert run_cli("canon", str(path), "--budget", "2") == (2, "", "budget exhausted: search budget exhausted\n")
+
+    def test_iso_exits_one_when_not_isomorphic(self, data_dir):
+        same = data(data_dir, "aaab.mag"), data(data_dir, "idem_zero2.mag")
+        assert run_cli("iso", *same) == (0, "isomorphic true\n", "")
+        assert run_cli("iso", *same, "--json") == (0, '{"isomorphic":true}\n', "")
+        assert run_cli("iso", data(data_dir, "aabb.mag"), data(data_dir, "abab.mag")) == (1, "isomorphic false\n", "")
+        assert run_cli("iso", data(data_dir, "aabb.mag"), data(data_dir, "g2.mag"))[:2] == (1, "isomorphic false\n")
+
+
 class TestHom:
     def test_three_maps(self, data_dir):
         code, out, _ = run_cli("hom", data(data_dir, "aaab.mag"), data(data_dir, "aaab.mag"))

@@ -4,8 +4,8 @@ Each example writes its operand documents to files and runs ``cli.run`` in
 process with a small node budget.  Whatever the input, no exception may
 escape (argparse's ``SystemExit(0)`` for ``--help`` aside), the exit code is
 one of 0, 1, 2, 3, any stderr line starts with a documented prefix, and a
-run that fails prints nothing on stdout.  Only ``verify`` and ``roundtrip``
-may exit 1 after printing their verdicts.
+run that fails prints nothing on stdout.  Only ``verify``, ``roundtrip`` and
+``iso`` may exit 1 after printing their verdicts.
 """
 
 import io as stringio
@@ -20,7 +20,7 @@ from gradeforge import cli
 from conftest import DATA_DIR
 
 PREFIXES = ("usage error: ", "parse error: ", "budget exhausted: ", "error: ")
-PRINT_THEN_FAIL = ("verify", "roundtrip")
+PRINT_THEN_FAIL = ("verify", "roundtrip", "iso")
 
 MAGMA_TEXTS = sorted(p.read_text(encoding="utf-8") for p in DATA_DIR.glob("*.mag"))
 # The fixtures, and a presentation whose components interleave object labels and whose tree has two edges.
@@ -133,6 +133,7 @@ ANY_OPERAND = st.one_of(MAGMA_OPERANDS, CATEGORY_OPERANDS, family_text(), st.non
 FIELDS = st.sampled_from(["2", "3", "5", "4", "1", "0", "-7", "x", str((1 << 61) - 1), str(1 << 64)])
 # The flags each subcommand takes; P stands for a drawn field.
 COMMANDS = {
+    "canon": ["--json", "--table"],
     "census": ["--json", "--table"],
     "hom": ["--json", "--zero"],
     "submagmas": ["--json", "--zero"],
@@ -142,6 +143,7 @@ COMMANDS = {
     "verify": ["--json", "--zero", "P"],
     "roundtrip": ["--json", "P"],
     "count": ["--json", "--table"],
+    "iso": ["--json", "--table"],
 }
 WILD_FLAGS = st.one_of(
     st.sampled_from([["--table", "--json"], ["--prefunctors"], ["--functors"], ["--nonzero-only"], ["--bogus"],
@@ -175,7 +177,7 @@ def invocations(draw):
     else:
         operands = draw(st.sampled_from([MAGMA_OPERANDS, CATEGORY_OPERANDS]))
         docs = [draw(ANY_OPERAND if _rarely(draw) else operands) for _ in range(2)]
-        if command == "submagmas" and draw(st.booleans()):
+        if command == "canon" or (command == "submagmas" and draw(st.booleans())):
             docs.pop()
         if command == "verify":
             docs[1] = draw(ANY_OPERAND if _rarely(draw) else family_text())

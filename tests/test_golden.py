@@ -54,6 +54,15 @@ COUNTS = [
     ("count", "surjections", "-1", "2"),
     ("count", "subspaces", "1", "3"),
 ]
+# iso on two files of one class, a file and itself, two classes of one order, two orders, and a
+# category operand (exit 1 before any output).
+ISO_PAIRS = [
+    ("aaab.mag", "idem_zero2.mag"),
+    ("g2.mag", "g2.mag"),
+    ("aabb.mag", "abab.mag"),
+    ("aabb.mag", "z2_with_zero.mag"),
+    ("aabb.mag", "gamma.cat"),
+]
 # Runs that stop with exit 1 before any output.
 ERRORS = [
     ("hom", "missing.mag", "aabb.mag"),
@@ -119,6 +128,11 @@ def _enumerations():
         yield ("filters", s, t)
     for s in CATEGORIES + LARGE_CATEGORIES:
         yield ("filters", s, s, "--nonzero-only")
+    for s in MAGMAS + SUBMAGMA_ONLY + ZERO_MAGMAS[:3]:
+        yield ("canon", s)
+    yield ("canon", "prod_abba_abba.mag", "--budget", "1")
+    for s, t in ISO_PAIRS:
+        yield ("iso", s, t)
     for order in ("1", "2", "3"):
         yield ("census", order)
     yield ("census", "3", "--budget", "10000000")

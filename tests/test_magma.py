@@ -44,6 +44,7 @@ from gradeforge.magma import (
 )
 
 from conftest import DATA_DIR, ORDER2_WORDS, dihedral_group_table, naive_closure, quaternion_group_table, symmetric_group_table
+from least_table_reference import _least_table as row_zero_least_table
 from magma_classes import magma_class_count
 from relabelling_scan import least_relabelling, relabellings, scan_census
 
@@ -181,6 +182,26 @@ class TestConstructorsAgainstDefinitions:
     def test_abelian_group_magma_refuses_a_factor_below_one(self, factors):
         with pytest.raises(ValidationError, match="cyclic factors must be positive"):
             abelian_group_magma(factors)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: cyclic_group_magma(2.0), lambda: cyclic_group_magma(True), lambda: abelian_group_magma([1.5]),
+         lambda: abelian_group_magma([2, True])],
+        ids=["cyclic-float", "cyclic-bool", "abelian-float", "abelian-bool"],
+    )
+    def test_group_orders_must_be_plain_ints(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_group_constructors_check_the_order_cap(self):
+        for build in (lambda: cyclic_group_magma(10**5), lambda: abelian_group_magma([10**3, 10**3])):
+            start = time.perf_counter()
+            with pytest.raises(SizeOverflowError):
+                build()
+            assert time.perf_counter() - start < 0.1
+        assert cyclic_group_magma(65, Budget(max_order=65)).order == 65
+        with pytest.raises(SizeOverflowError):
+            abelian_group_magma([4, 4], Budget(max_order=15))
 
     def test_caps_fire_before_any_table_is_built(self):
         nine = cyclic_group_magma(9)
@@ -351,18 +372,28 @@ class TestIsomorphism:
         assert all(c.table[c.zero][g] == c.zero == c.table[g][c.zero] for g in range(3))
 
     def test_order_cap(self):
-        g = cyclic_group_magma(9)
-        with pytest.raises(SizeOverflowError):
-            canonical_form(g)
+        # The order is checked before the search starts, whatever the node budget; a small node
+        # budget stops a group search.
+        null = FiniteMagma(order=65, table=((0,) * 65,) * 65)
+        for call in (lambda b: canonical_form(null, b), lambda b: are_isomorphic(null, null, b)):
+            with pytest.raises(SizeOverflowError, match="order 65 exceeds the cap of 64"):
+                call(Budget(max_nodes=10**15))
+        with pytest.raises(SizeOverflowError, match="search budget exhausted"):
+            canonical_form(abelian_group_magma([2, 2, 2]), Budget(max_nodes=100))
 
     def test_node_budget_gates_the_scan(self):
-        # n! * n^2 nodes, one per table entry read: 54 at order 3.
+        # One node per search node.  Z3: the root labels the identity, row 0 defers the
+        # other two, and row 1 tries one of them (the two are twins).
         g = cyclic_group_magma(3)
-        canonical_form(g, Budget(max_nodes=54))
+        canonical_form(g, Budget(max_nodes=3))
         with pytest.raises(SizeOverflowError):
-            canonical_form(g, Budget(max_nodes=53))
+            canonical_form(g, Budget(max_nodes=2))
         with pytest.raises(SizeOverflowError):
             canonical_form(abelian_group_magma([2, 2, 2]), Budget(max_nodes=1))
+        # are_isomorphic spends both forms from one counter.
+        assert are_isomorphic(g, g, Budget(max_nodes=6))
+        with pytest.raises(SizeOverflowError):
+            are_isomorphic(g, g, Budget(max_nodes=5))
 
 
 def brute_force_canonical(magma):
@@ -482,6 +513,38 @@ class TestCanonicalFormAgainstBruteForce:
         for magma, c in zip(copies, forms):
             assert c.table == _unflattened(least_relabelling(magma.table, perms)[0], n)
 
+    def test_matches_the_row_zero_search(self):
+        # The row-0 search of earlier versions is exact, and quick where few row-0 labellings
+        # tie.  At order 10 it takes seconds on the max chain and on Z10, so those two are left
+        # out here; test_groups_pass_a_small_budget checks that Z10's forms agree.
+        rng = random.Random(21)
+        slow = {validate_magma(10, t).table for t in ([[max(g, h) for h in range(10)] for g in range(10)],
+                                                      cyclic_group_magma(10).table)}
+        tables = [t for n in (8, 9, 10) for t in tie_heavy_tables(n) if validate_magma(n, t).table not in slow]
+        tables += [abelian_group_magma(f).table for f in ([4, 2], [3, 3])]
+        # With a zero adjoined: the order-8 left-zero and right-zero bands, null magma and Z4 x Z2.
+        zeroed = ([[g] * 8 for g in range(8)], [list(range(8))] * 8, [[0] * 8] * 8, abelian_group_magma([4, 2]).table)
+        magmas = [validate_magma(len(t), t) for t in tables] + [with_zero_adjoined(validate_magma(8, t)) for t in zeroed]
+        # Random tables with no zero: a random table of order 9 with a zero adjoined often has no
+        # other idempotent, so its row 0 reads 0 throughout and the row-0 search takes seconds.
+        magmas += [validate_magma(n, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]) for n in [9, 10] * 10]
+        assert len(magmas) == 45
+        for magma in magmas:
+            copy = relabelled(magma, rng)
+            flat, perm = row_zero_least_table(copy.table)
+            c = canonical_form(copy)
+            assert (c.table, c.zero) == (_unflattened(flat, copy.order), None if copy.zero is None else perm[copy.zero])
+
+    def test_groups_pass_a_small_budget(self):
+        # Row 0 of a group ties at every column under every labelling, so a search that branches
+        # there visits (n - 1)! labellings; with the tied columns deferred, each of these takes
+        # under 700 nodes.
+        budget = Budget(max_nodes=5_000)
+        for factors in ([8], [2, 2, 2], [4, 2], [9], [10]):
+            group = abelian_group_magma(factors)
+            copies = [group] + [relabelled(group, random.Random(seed)) for seed in range(10)]
+            assert len({canonical_form(m, budget) for m in copies}) == 1
+
 
 class TestCensus:
     def test_single_class_of_order_one(self):
@@ -511,6 +574,11 @@ class TestCensus:
     def test_order_two_matches_named_representatives(self, order2):
         classes = census(2)
         assert sorted(word_of_magma(m) for m in classes) == sorted(ORDER2_WORDS)
+
+    @pytest.mark.parametrize("order", [True, 2.0, "2", None])
+    def test_order_must_be_a_plain_int(self, order):
+        with pytest.raises(ValidationError):
+            census(order)
 
     def test_order_four_needs_budget(self):
         with pytest.raises(SizeOverflowError):
