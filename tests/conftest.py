@@ -96,6 +96,13 @@ def bare_object_precategory():
     return validate_precategory(2, [(0, 0), (0, 0)], [[0, 1], [1, 0]], identity_at=(0, None))
 
 
+def relabel_objects(cat, label):
+    """cat with each object x renamed label[x]; the morphisms keep their order."""
+    order = sorted(range(cat.object_count), key=label.__getitem__)
+    morphisms = [(label[d], label[c]) for d, c in cat.morphisms]
+    return validate_precategory(cat.object_count, morphisms, cat.comp, [cat.identity_at[x] for x in order])
+
+
 def brute_force_prefunctors(source, target, functors=False):
     """Every (object map, morphism map) that keeps dom/cod and composites, read
     straight off the two composition tables.  With functors, each identity must

@@ -17,6 +17,7 @@ from gradeforge.errors import (
     ValidationError,
 )
 from gradeforge.category import (
+    MorphismMap,
     adjoin_zero,
     compose_morphism_maps,
     connected_components,
@@ -48,6 +49,7 @@ from conftest import (
     brute_force_prefunctors,
     fork_precategory,
     one_object_monoid,
+    relabel_objects,
     two_arrows_precategory,
 )
 
@@ -503,6 +505,63 @@ class TestSubprecategories:
             reduced = set(subprecategory_pairs_via_zero_submagmas(source, involution_cat))
             assert reduced == {p for p in direct if compatible(source, involution_cat, p)}
             assert reduced < direct
+
+
+# Components "0 2" (vertex group Z2) and "1" (Z3): the second component's object sits between the first's.
+INTERLEAVED_PRESENTATION = (
+    "category 3 11\ngroupoid-presentation\n"
+    "component 0 2\nvertex-group 2\n0 1\n1 0\ntree 2 0\n"
+    "component 1\nvertex-group 3\n0 1 2\n1 2 0\n2 0 1\n"
+)
+
+
+def three_structures(involution_cat):
+    """A category, an identity-free fork and a group beside an untouched object, side by side."""
+    return disjoint_union(disjoint_union(involution_cat, fork_precategory()), bare_object_precategory())
+
+
+def interleaved_precategories(involution_cat):
+    union = three_structures(involution_cat)
+    return [parse_category(INTERLEAVED_PRESENTATION), union, relabel_objects(union, [3, 0, 5, 1, 6, 2, 4])]
+
+
+class TestComponentsAgainstDefinitions:
+    """connected_components and vertex_group_table on precategories whose components interleave labels."""
+
+    def test_connected_components(self, involution_cat):
+        for cat in interleaved_precategories(involution_cat):
+            # The weak components, least object first, found by growing each block along the morphisms.
+            blocks, unseen = [], set(range(cat.object_count))
+            while unseen:
+                block = {min(unseen)}
+                while grown := {x for d, c in cat.morphisms if {d, c} & block for x in (d, c)} - block:
+                    block |= grown
+                blocks.append(sorted(block))
+                unseen -= block
+            parts = connected_components(cat)
+            assert len(parts) == len(blocks)
+            for part, objects in zip(parts, blocks):
+                morphisms = [s for s, (d, c) in enumerate(cat.morphisms) if d in objects]
+                assert (part.object_count, part.morphism_count) == (len(objects), len(morphisms))
+                assert part == validate_precategory(part.object_count, part.morphisms, part.comp, part.identity_at)
+                # The part is the full subprecategory on its objects, both renumbered in ascending order.
+                assert is_prefunctor(part, cat, MorphismMap(tuple(objects), tuple(morphisms)))
+                assert [None if i is None else morphisms[i] for i in part.identity_at] == [
+                    cat.identity_at[x] for x in objects
+                ]
+
+    def test_vertex_group_table(self, involution_cat):
+        for cat in interleaved_precategories(involution_cat):
+            for x in range(cat.object_count):
+                loops = cat.hom(x, x)
+                expected = tuple(tuple(loops.index(cat.comp[s][t]) for t in loops) for s in loops)
+                assert vertex_group_table(cat, x) == expected
+
+    def test_presented_vertex_groups(self):
+        cat = parse_category(INTERLEAVED_PRESENTATION)
+        z2, z3 = ((0, 1), (1, 0)), ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        assert [vertex_group_table(cat, x) for x in range(3)] == [z2, z3, z2]
+        assert [p.object_count for p in connected_components(cat)] == [2, 1]
 
 
 class TestComponents:

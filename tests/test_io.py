@@ -16,7 +16,7 @@ from gradeforge.algebra import (
     is_nonzero,
     magma_algebra,
 )
-from gradeforge.category import connected_groupoid, enumerate_functors, enumerate_prefunctors, matrix_groupoid
+from gradeforge.category import connected_groupoid, disjoint_union, enumerate_functors, enumerate_prefunctors, matrix_groupoid
 from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError
 from gradeforge.io import (
     detect_kind,
@@ -47,7 +47,7 @@ from gradeforge.magma import (
     word_of_magma,
 )
 
-from conftest import ORDER2_WORDS, involution_arrow_category
+from conftest import ORDER2_WORDS, involution_arrow_category, relabel_objects
 
 
 class TestMagmaFormat:
@@ -177,6 +177,21 @@ class TestCategoryFormat:
         cat = parse_category(text)
         assert cat.hom(0, 1) == cat.hom(1, 0) == () and len(cat.hom(0, 2)) == len(cat.hom(2, 0)) == 1
         assert [cat.morphisms[i] for i in cat.identity_at] == [(0, 0), (1, 1), (2, 2)]
+
+    def test_groupoid_presentation_labels_each_object_as_listed(self):
+        # The union of the components in the order listed, with object k of the union renamed to the
+        # k-th object the components list: 0, 2, then 1.  Morphisms keep the union's order.
+        text = (
+            "category 3 11\ngroupoid-presentation\n"
+            "component 0 2\nvertex-group 2\n0 1\n1 0\ntree 2 0\n"
+            "component 1\nvertex-group 3\n0 1 2\n1 2 0\n2 0 1\n"
+        )
+        z2, z3 = cyclic_group_magma(2).table, cyclic_group_magma(3).table
+        union = disjoint_union(connected_groupoid(2, z2), connected_groupoid(1, z3))
+        cat = parse_category(text)
+        assert cat == relabel_objects(union, [0, 2, 1])
+        assert cat.morphisms == ((0, 0), (0, 0), (2, 0), (2, 0), (0, 2), (0, 2), (2, 2), (2, 2), (1, 1), (1, 1), (1, 1))
+        assert cat.identity_at == (0, 8, 6)
 
     def test_groupoid_presentation_checks_morphism_count(self):
         text = (

@@ -178,6 +178,11 @@ class TestConstructorsAgainstDefinitions:
         )
         assert abelian_group_magma(factors) == FiniteMagma(order=order, table=expected)
 
+    def test_cyclic_group_magma(self):
+        for n in range(1, 65):
+            expected = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+            assert cyclic_group_magma(n) == FiniteMagma(order=n, table=expected)
+
     @pytest.mark.parametrize("factors", [[0], [2, 0], [3, -1]])
     def test_abelian_group_magma_refuses_a_factor_below_one(self, factors):
         with pytest.raises(ValidationError, match="cyclic factors must be positive"):
