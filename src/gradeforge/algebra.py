@@ -86,6 +86,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_modulus(p: int) -> None:
+    if type(p) is not int:
+        raise ValidationError(f"scalar modulus must be an int, got {p!r}")
     if p >= 1 << 64:
         raise ValidationError(f"scalar modulus {p} is not below 2**64")
     if not _is_prime(p):

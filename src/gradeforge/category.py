@@ -174,8 +174,8 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT
     """
     table = tuple(tuple(row) for row in vertex_group)
     n = object_count
-    if n < 1:
-        raise ValidationError("need at least one object")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"object count must be a positive int, got {n!r}")
     check_order(n * n * len(table), budget)  # before the O(q^3) group check and the matrix units
     group = group_as_category(table)
     return product_category(matrix_groupoid(n, budget), group, budget)
@@ -183,8 +183,8 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT
 
 def matrix_groupoid(n: int, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """The thin connected groupoid on n objects: morphisms e(i,j): j -> i at index i*n + j."""
-    if n < 1:
-        raise ValidationError("need at least one object")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"object count must be a positive int, got {n!r}")
     check_order(n * n, budget)
     morphisms = tuple((j, i) for i in range(n) for j in range(n))
     return FinitePrecategory(n, morphisms, tuple(map(tuple, _matrix_units(n))), tuple(i * n + i for i in range(n)))
@@ -261,6 +261,28 @@ def is_groupoid(cat: FinitePrecategory) -> bool:
     return True
 
 
+def _restricted(cat: FinitePrecategory, objects, morphisms) -> FinitePrecategory:
+    """The listed objects and morphisms of cat, renumbered in the order given.
+
+    Every listed morphism must run between listed objects.  A listed object whose identity is not
+    listed has none.  Raises ValidationError when a composite of two listed morphisms is not listed.
+    """
+    obj_index = {x: i for i, x in enumerate(objects)}
+    mor_index = {s: i for i, s in enumerate(morphisms)}
+    try:
+        comp = tuple(
+            tuple(None if cat.comp[s][t] is None else mor_index[cat.comp[s][t]] for t in mor_index) for s in mor_index
+        )
+    except KeyError:
+        raise ValidationError("the listed morphisms are not closed under composition") from None
+    return FinitePrecategory(
+        len(obj_index),
+        tuple((obj_index[cat.dom(s)], obj_index[cat.cod(s)]) for s in mor_index),
+        comp,
+        tuple(mor_index.get(cat.identity_at[x]) for x in obj_index),
+    )
+
+
 def connected_components(cat: FinitePrecategory) -> list:
     """Split into weakly connected pieces; objects and morphisms partition."""
     parent = list(range(cat.object_count))
@@ -275,39 +297,22 @@ def connected_components(cat: FinitePrecategory) -> list:
         rd, rc = find(d), find(c)
         if rd != rc:
             parent[max(rd, rc)] = min(rd, rc)
-    roots = sorted({find(x) for x in range(cat.object_count)})
-    out = []
-    for root in roots:
-        objs = [x for x in range(cat.object_count) if find(x) == root]
-        obj_index = {x: i for i, x in enumerate(objs)}
-        mors = [s for s in range(cat.morphism_count) if find(cat.dom(s)) == root]
-        mor_index = {s: i for i, s in enumerate(mors)}
-        morphisms = tuple((obj_index[cat.dom(s)], obj_index[cat.cod(s)]) for s in mors)
-        comp = tuple(
-            tuple(None if cat.comp[s][t] is None else mor_index[cat.comp[s][t]] for t in mors)
-            for s in mors
-        )
-        identity_at = tuple(
-            None if cat.identity_at[x] is None else mor_index[cat.identity_at[x]] for x in objs
-        )
-        out.append(FinitePrecategory(len(objs), morphisms, comp, identity_at))
-    return out
+    objects = range(cat.object_count)
+    return [
+        _restricted(cat, [x for x in objects if find(x) == root], [s for s, (d, _) in enumerate(cat.morphisms) if find(d) == root])
+        for root in sorted({find(x) for x in objects})
+    ]
 
 
 def vertex_group_table(cat: FinitePrecategory, obj: int):
-    """Cayley table of the endomorphisms at one object (must be closed)."""
-    mors = [s for s in range(cat.morphism_count) if cat.morphisms[s] == (obj, obj)]
-    index = {s: i for i, s in enumerate(mors)}
-    table = []
-    for s in mors:
-        row = []
-        for t in mors:
-            c = cat.comp[s][t]
-            if c is None or c not in index:
-                raise ValidationError(f"endomorphisms at object {obj} are not closed")
-            row.append(index[c])
-        table.append(tuple(row))
-    return tuple(table)
+    """Cayley table of the endomorphisms at one object, in index order.
+
+    Raises IndexOutOfRangeError when obj is not a plain int naming an object of cat, and ValidationError
+    when the endomorphisms are not closed under composition (never in a validated precategory).
+    """
+    if type(obj) is not int or not 0 <= obj < cat.object_count:
+        raise IndexOutOfRangeError(f"object {obj!r} not in 0..{cat.object_count - 1}")
+    return _restricted(cat, [obj], cat.hom(obj, obj)).comp
 
 
 def adjoin_zero(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:

@@ -12,7 +12,7 @@ import json
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
 from .budget import DEFAULT_BUDGET, Budget
-from .category import FinitePrecategory, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
+from .category import FinitePrecategory, _restricted, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError, SizeOverflowError
 from .magma import FiniteMagma, validate_magma
@@ -129,9 +129,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         cat = disjoint_union(cat, connected_groupoid(len(objs), table, budget))
     # The union numbers objects in the order the components list them; give each its label.
     label = [o for objs, _ in components for o in objs]
-    index_of = sorted(range(object_count), key=label.__getitem__)
-    morphisms = tuple((label[d], label[c]) for d, c in cat.morphisms)
-    cat = FinitePrecategory(object_count, morphisms, cat.comp, tuple(cat.identity_at[k] for k in index_of))
+    cat = _restricted(cat, sorted(range(object_count), key=label.__getitem__), range(cat.morphism_count))
     if cat.morphism_count != morphism_count:
         raise ParseError(
             f"presentation yields {cat.morphism_count} morphisms, header says {morphism_count}",

@@ -138,11 +138,8 @@ def with_zero_adjoined(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> F
 
 
 def cyclic_group_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
-    """The cyclic group of order n as a bare Cayley table."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"cyclic group order must be a positive int, got {n!r}")
-    check_order(n, budget)
-    return FiniteMagma(order=n, table=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+    """The cyclic group of order n as a bare Cayley table, i + j mod n: abelian_group_magma([n])."""
+    return abelian_group_magma([n], budget)
 
 
 def abelian_group_magma(factors, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
@@ -172,8 +169,8 @@ def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMag
 
     e(i,j) sits at index i*n + j (0-based); the zero is the last index n*n.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise ValidationError(f"matrix size must be a positive int, got {n!r}")
     check_order(n * n + 1, budget)
     return _zero_adjoined(_matrix_units(n), budget)
 

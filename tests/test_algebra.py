@@ -237,6 +237,12 @@ class TestScalarModulus:
 
         assert all(alg._is_prime(n) == trial(n) for n in range(5000))
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, True, "3", None])
+    def test_modulus_must_be_a_plain_int(self, order2, p):
+        for build in (magma_algebra, contracted_algebra):
+            with pytest.raises(ValidationError, match="scalar modulus must be an int"):
+                build(with_zero_adjoined(order2["abab"]), p)
+
     def test_modulus_is_checked_before_the_zero(self, order2):
         with pytest.raises(ValidationError, match="not prime"):
             contracted_algebra(order2["abab"], 4)

@@ -17,7 +17,9 @@ from gradeforge.errors import (
     ValidationError,
 )
 from gradeforge.category import (
+    FinitePrecategory,
     MorphismMap,
+    _restricted,
     adjoin_zero,
     compose_morphism_maps,
     connected_components,
@@ -157,6 +159,12 @@ class TestConstructors:
         g = connected_groupoid(2, [[0, 1], [1, 0]])
         validate_precategory(g.object_count, g.morphisms, g.comp, g.identity_at)
         assert is_groupoid(g) and is_connected(g)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_object_counts_must_be_plain_ints(self, n):
+        for build in (matrix_groupoid, lambda n: connected_groupoid(n, [[0, 1], [1, 0]])):
+            with pytest.raises(ValidationError):
+                build(n)
 
     def test_connected_groupoid_caps_before_checking_the_group(self):
         # n*n*q = 65 is over the cap; the O(q^3) group check never runs
@@ -575,3 +583,26 @@ class TestComponents:
         g = connected_groupoid(2, [[0, 1], [1, 0]])
         table = vertex_group_table(g, 0)
         assert len(table) == 2 and table[0][0] == 0
+
+    @pytest.mark.parametrize("obj", [2, 9, -1, True, 0.0, "0", None])
+    def test_vertex_group_of_a_missing_object(self, obj):
+        with pytest.raises(IndexOutOfRangeError):
+            vertex_group_table(matrix_groupoid(2), obj)
+
+
+class TestRestriction:
+    def test_renumbers_in_the_order_given(self):
+        # e(i,j): j -> i sits at i*2 + j.  Listing the objects and the morphisms backwards is the
+        # automorphism that swaps the two objects, so it gives matrix_groupoid(2) back.
+        mg2 = matrix_groupoid(2)
+        assert _restricted(mg2, [1, 0], [3, 2, 1, 0]) == mg2
+        assert _restricted(mg2, [1], [3]) == matrix_groupoid(1)
+
+    def test_an_unlisted_identity_is_none(self, idem_cat):
+        assert _restricted(idem_cat, [0], [1]) == FinitePrecategory(1, ((0, 0),), ((0,),), (None,))
+
+    def test_an_unlisted_composite_is_refused(self, z2_cat):
+        with pytest.raises(ValidationError, match="not closed under composition"):
+            _restricted(matrix_groupoid(2), [0, 1], [1, 2])  # e(0,1) e(1,0) = e(0,0)
+        with pytest.raises(ValidationError, match="not closed under composition"):
+            _restricted(z2_cat, [0], [1])

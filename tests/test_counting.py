@@ -1,12 +1,14 @@
+import itertools
+
 import pytest
 
-from gradeforge import counting
 from gradeforge.budget import Budget
 from gradeforge.category import (
     connected_groupoid,
     disjoint_union,
     group_as_category,
     matrix_groupoid,
+    validate_precategory,
 )
 from gradeforge.counting import (
     abelian_homs_report,
@@ -88,6 +90,13 @@ class TestGroupoidFormula:
         with pytest.raises(ValidationError):
             count_functors_connected_groupoids(idem_cat, idem_cat)
 
+    def test_rejects_the_empty_groupoid(self):
+        # It is a groupoid and connected vacuously, but a connected groupoid has an object.
+        empty = validate_precategory(0, [], [])
+        for source, target in ((empty, empty), (empty, z_cat(2)), (z_cat(2), empty)):
+            with pytest.raises(ValidationError, match="is not a connected groupoid"):
+                count_functors_connected_groupoids(source, target)
+
 
 class TestSurjections:
     def test_two_by_two(self):
@@ -164,6 +173,16 @@ class TestSubspaces:
             with pytest.raises(ValidationError):
                 count(p, 1)
 
+    @pytest.mark.parametrize(
+        "p,n,message",
+        [(2.0, 3, "scalar modulus must be an int"), (True, 3, "scalar modulus must be an int"),
+         ("2", 3, "scalar modulus must be an int"), (2, 3.0, "dimension must be"), (2, True, "dimension must be")],
+    )
+    def test_p_and_n_must_be_plain_ints(self, p, n, message):
+        for count in (count_subspaces, subspaces_report):
+            with pytest.raises(ValidationError, match=message):
+                count(p, n)
+
     def test_large_prime_is_counted(self):
         p = (1 << 61) - 1
         assert count_subspaces(p, 2).closed_form_value == p + 2  # p + 1 lines and the plane
@@ -180,16 +199,22 @@ class TestOracleCaps:
         ids=["abelian_homs", "subspaces", "matrix_group_gradings"],
     )
     def test_over_cap_group_is_never_built(self, report, monkeypatch):
-        def refuse(*args):
+        # abelian_group_magma is the one group-table builder, and it lists the elements with
+        # itertools.product; its own order check must refuse the group before that call.
+        def refuse(*args, **kwargs):
             raise AssertionError("group table built past the order cap")
 
-        monkeypatch.setattr(counting, "abelian_group_magma", refuse)
-        monkeypatch.setattr(counting, "cyclic_group_magma", refuse)
+        monkeypatch.setattr(itertools, "product", refuse)
         result = report()
         assert result.brute_force_value is None and result.agrees is None
 
 
 class TestDisconnected:
+    def test_empty_source_has_one_functor(self):
+        empty = validate_precategory(0, [], [])
+        report = count_disconnected(empty, z_cat(2))
+        assert report.closed_form_value == report.brute_force_value == 1
+
     def test_product_over_components(self):
         two = disjoint_union(matrix_groupoid(2), matrix_groupoid(2))
         report = count_disconnected(two, z_cat(2))

@@ -208,6 +208,11 @@ class TestConstructorsAgainstDefinitions:
         with pytest.raises(SizeOverflowError):
             abelian_group_magma([4, 4], Budget(max_order=15))
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_matrix_size_must_be_a_plain_int(self, n):
+        with pytest.raises(ValidationError):
+            matrix_unit_zero_magma(n)
+
     def test_caps_fire_before_any_table_is_built(self):
         nine = cyclic_group_magma(9)
         for build in (lambda: matrix_unit_zero_magma(10**4), lambda: product_magma(nine, nine)):
