@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter
 from .category import FinitePrecategory, _search_morphism_maps, adjoin_zero
-from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError
+from .errors import BasisMismatchError, MissingZeroError, OracleDisagreementError, ValidationError, check_count, check_index
 from .magma import (
     FiniteMagma,
     PairRelation,
@@ -86,8 +86,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _check_modulus(p: int) -> None:
-    if type(p) is not int:
-        raise ValidationError(f"scalar modulus must be an int, got {p!r}")
+    check_count(p, "scalar modulus", least=-math.inf)
     if p >= 1 << 64:
         raise ValidationError(f"scalar modulus {p} is not below 2**64")
     if not _is_prime(p):
@@ -149,12 +148,9 @@ class ElementaryFamily:
             raise BasisMismatchError(
                 f"{len(self.parts)} parts for a target of order {self.target.order}"
             )
-        # Every index once, in one union of the (often shared) parts, then its two ends.
-        indices = frozenset().union(*self.parts)
-        size = self.algebra.basis_size
-        if indices and (min(indices) < 0 or max(indices) >= size):
-            bad = min(indices) if min(indices) < 0 else max(indices)
-            raise BasisMismatchError(f"basis index {bad} outside 0..{size - 1}")
+        # Every index once, in one union of the (often shared) parts.
+        for b in frozenset().union(*self.parts):
+            check_index(b, self.algebra.basis_size, "basis index", BasisMismatchError)
 
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:

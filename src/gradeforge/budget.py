@@ -4,14 +4,15 @@ Every public function that takes a budget declares ``budget: Budget =
 DEFAULT_BUDGET``; ``Budget`` is frozen, so the shared default is safe.  A
 constructor or kernel that runs out raises SizeOverflowError, except the
 brute-force oracles of ``counting``, which report an exhausted oracle as a
-null ``brute_force_value`` next to the closed form.
+null ``brute_force_value`` next to the closed form.  Both caps are plain ints
+of at least 0, like every count (``errors.check_count``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeOverflowError
+from .errors import SizeOverflowError, check_count
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,10 @@ class Budget:
 
     max_order: int = 64
     max_nodes: int = 10_000_000
+
+    def __post_init__(self):
+        check_count(self.max_order, "max_order", least=0)
+        check_count(self.max_nodes, "max_nodes", least=0)
 
 
 DEFAULT_BUDGET = Budget()

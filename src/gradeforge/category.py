@@ -15,12 +15,13 @@ from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .errors import (
     BadCompositionError,
     BadIdentityError,
-    IndexOutOfRangeError,
     NotACategoryError,
     NotAGroupError,
     NotAssociativeError,
     ReductionMismatchError,
     ValidationError,
+    check_count,
+    check_index,
 )
 from .magma import FiniteMagma, _bits, _closed_subsets, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
 from .magma import _matrix_units, _zero_homs, enumerate_zero_submagmas
@@ -73,13 +74,10 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     check_order(m, budget)
     # The object count, the morphism ends, the composites and the identities are plain ints, so
     # print_category writes what parse_category reads.
-    if type(object_count) is not int or object_count < 0:
-        raise ValidationError(f"object count must be a nonnegative int, got {object_count!r}")
-    for s, (d, c) in enumerate(morphisms):
-        if type(d) is not int or type(c) is not int:
-            raise ValidationError(f"morphism {s} has dom/cod ({d!r}, {c!r}), not two ints")
-        if not (0 <= d < object_count and 0 <= c < object_count):
-            raise IndexOutOfRangeError(f"morphism {s} has dom/cod ({d}, {c}) outside 0..{object_count - 1}")
+    check_count(object_count, "object count", least=0)
+    for s, ends in enumerate(morphisms):
+        for end in ends:
+            check_index(end, object_count, f"morphism {s} has dom/cod {ends!r}, not two ints in range:")
     comp = tuple(tuple(row) for row in comp)
     if len(comp) != m or any(len(row) != m for row in comp):
         raise ValidationError(f"composition table is not {m}x{m}")
@@ -90,8 +88,8 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
             if composable:
                 if entry is None:
                     raise BadCompositionError(f"missing composite for composable pair ({s}, {t})")
-                if not (type(entry) is int and 0 <= entry < m):
-                    raise IndexOutOfRangeError(f"composite {entry!r} at ({s}, {t}) not a morphism index")
+                if type(entry) is not int or not 0 <= entry < m:
+                    check_index(entry, m, f"composite at ({s}, {t}):")
                 if morphisms[entry][0] != morphisms[t][0] or morphisms[entry][1] != morphisms[s][1]:
                     raise BadCompositionError(f"composite of ({s}, {t}) has wrong dom/cod")
             elif entry is not None:
@@ -115,8 +113,7 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     for e, i in enumerate(identity_at):
         if i is None:
             continue
-        if not (type(i) is int and 0 <= i < m):
-            raise IndexOutOfRangeError(f"identity index {i!r} at object {e} not a morphism index")
+        check_index(i, m, f"identity at object {e}:")
         if morphisms[i] != (e, e):
             raise BadIdentityError(f"identity at object {e} must run {e} -> {e}")
         for s in range(m):
@@ -144,6 +141,9 @@ def _check_group(table) -> int:
     for a in range(n):
         if set(table[a]) != set(range(n)) or {table[b][a] for b in range(n)} != set(range(n)):
             raise NotAGroupError("rows and columns must be permutations")
+    # Entries equal to 0..n-1 by now; a bool or an integral float is refused before it indexes a row.
+    for entry in itertools.chain(*table):
+        check_index(entry, n, "group table entry")
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -173,9 +173,7 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT
     (i, g, j) o (j, h, k) = (i, gh, k).
     """
     table = tuple(tuple(row) for row in vertex_group)
-    n = object_count
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"object count must be a positive int, got {n!r}")
+    n = check_count(object_count, "object count")
     check_order(n * n * len(table), budget)  # before the O(q^3) group check and the matrix units
     group = group_as_category(table)
     return product_category(matrix_groupoid(n, budget), group, budget)
@@ -183,8 +181,7 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT
 
 def matrix_groupoid(n: int, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
     """The thin connected groupoid on n objects: morphisms e(i,j): j -> i at index i*n + j."""
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"object count must be a positive int, got {n!r}")
+    check_count(n, "object count")
     check_order(n * n, budget)
     morphisms = tuple((j, i) for i in range(n) for j in range(n))
     return FinitePrecategory(n, morphisms, tuple(map(tuple, _matrix_units(n))), tuple(i * n + i for i in range(n)))
@@ -310,8 +307,7 @@ def vertex_group_table(cat: FinitePrecategory, obj: int):
     Raises IndexOutOfRangeError when obj is not a plain int naming an object of cat, and ValidationError
     when the endomorphisms are not closed under composition (never in a validated precategory).
     """
-    if type(obj) is not int or not 0 <= obj < cat.object_count:
-        raise IndexOutOfRangeError(f"object {obj!r} not in 0..{cat.object_count - 1}")
+    check_index(obj, cat.object_count, "object")
     return _restricted(cat, [obj], cat.hom(obj, obj)).comp
 
 

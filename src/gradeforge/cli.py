@@ -28,7 +28,7 @@ from . import category as cat
 from . import counting, io
 from . import magma as mg
 from .budget import DEFAULT_BUDGET, Budget
-from .errors import ParseError, SizeOverflowError, ToolkitError, ValidationError
+from .errors import ParseError, SizeOverflowError, ToolkitError, ValidationError, check_count
 
 BUDGET_ENV = "GRADEFORGE_BUDGET"
 
@@ -49,8 +49,8 @@ def _budget_from(args) -> Budget:
             nodes = int(env)
         except ValueError:
             raise ValidationError(f"bad {BUDGET_ENV} value {env!r}") from None
-    if nodes is not None and nodes < 1:
-        raise ValidationError("budget must be positive")
+    if nodes is not None:
+        check_count(nodes, "budget")
     return DEFAULT_BUDGET if nodes is None else Budget(max_nodes=nodes)
 
 

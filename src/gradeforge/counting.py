@@ -23,7 +23,7 @@ from .category import (
     is_groupoid,
     vertex_group_table,
 )
-from .errors import SizeOverflowError, ValidationError
+from .errors import SizeOverflowError, ValidationError, check_count
 from .magma import (
     FiniteMagma,
     abelian_group_magma,
@@ -74,8 +74,8 @@ def _within(oracle):
 
 def count_matrix_group_gradings(n: int, q: int) -> int:
     """q^(n-1): gradings of the n x n matrix algebra by a group of order q."""
-    if n < 1 or q < 1:
-        raise ValidationError("need n >= 1 and q >= 1")
+    check_count(n, "n")
+    check_count(q, "q")
     return q ** (n - 1)
 
 
@@ -92,8 +92,8 @@ def matrix_group_gradings_report(n: int, q: int, budget: Budget = DEFAULT_BUDGET
 
 def count_groupoid_gradings_as_printed(m: int, n: int, p: int, q: int) -> int:
     """The printed groupoid-grading count (p*q^(m-1))^(n^m), computed verbatim."""
-    if min(m, n, p, q) < 1:
-        raise ValidationError("parameters must be >= 1")
+    for value, name in zip((m, n, p, q), "mnpq"):
+        check_count(value, name)
     return (p * q ** (m - 1)) ** (n ** m)
 
 
@@ -145,8 +145,8 @@ def count_functors_connected_groupoids(
 
 def count_surjective_functions(m: int, n: int) -> int:
     """Number of surjections {1..m} -> {1..n} by inclusion-exclusion (no prefactor)."""
-    if m < 0 or n < 0:
-        raise ValidationError("need m, n >= 0")
+    check_count(m, "m", least=0)
+    check_count(n, "n", least=0)
     return sum((-1) ** i * comb(n, i) * (n - i) ** m for i in range(n + 1))
 
 
@@ -179,10 +179,8 @@ def count_abelian_homs(source_factors, target_factors) -> int:
     The product over factor pairs of p^min(j, k) equals the product of
     pairwise gcds of the cyclic orders; cyclic x cyclic specializes to one gcd.
     """
-    source_factors = tuple(source_factors)
-    target_factors = tuple(target_factors)
-    if any(f < 1 for f in source_factors + target_factors):
-        raise ValidationError("cyclic factors must be positive")
+    source_factors = tuple(check_count(f, "cyclic factors") for f in source_factors)
+    target_factors = tuple(check_count(f, "cyclic factors") for f in target_factors)
     total = 1
     for a in source_factors:
         for b in target_factors:
@@ -214,8 +212,7 @@ def count_subspaces(p: int, n: int) -> CountReport:
     which omits the zero subspace; the report also carries the k >= 0 reading.
     p must be a prime below 2**64, the rule of every scalar field here.
     """
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"dimension must be a positive int, got {n!r}")
+    check_count(n, "dimension")
     _check_modulus(p)
     total = 0
     for k in range(1, n + 1):

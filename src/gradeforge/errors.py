@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule for a count or an index.
+
+Every size and every index is a plain int in range: check_count and check_index refuse a bool, a
+float, a str or None however it compares, so each structure prints as its text format reads it."""
 
 
 class ToolkitError(Exception):
@@ -74,3 +77,19 @@ class ParseError(ToolkitError):
         if line is not None:
             where = f" (line {line}" + (f", column {column})" if column is not None else ")")
         super().__init__(message + where)
+
+
+def check_count(value, what: str, least: int = 1) -> int:
+    """value when it is a plain int no less than least, else a ValidationError naming what."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be {'positive' if least == 1 else f'at least {least}'}, got {value!r}")
+    return value
+
+
+def check_index(value, size: int, what: str, error=IndexOutOfRangeError) -> int:
+    """value when it is a plain int in 0..size-1, else error(message) naming what."""
+    if type(value) is not int or not 0 <= value < size:
+        raise error(f"{what} {value!r} outside 0..{size - 1}")
+    return value

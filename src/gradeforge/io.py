@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from functools import partial
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
 from .budget import DEFAULT_BUDGET, Budget
 from .category import FinitePrecategory, _restricted, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
-from .errors import ParseError, SizeOverflowError
+from .errors import ParseError, SizeOverflowError, check_index
 from .magma import FiniteMagma, validate_magma
 
 
@@ -26,11 +27,14 @@ def _lines_of(text: str) -> list:
 
 
 def _int(token: str, message: str, line: int, column: int) -> int:
-    """token as an int, else a ParseError at line and column; token fills any {!r} of message."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(message.format(token), line, column) from None
+    """token as an int if it is ASCII digits after an optional '-', else a ParseError at line and
+    column; token fills any {!r} of message."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than Python converts
+            pass
+    raise ParseError(message.format(token), line, column)
 
 
 def parse_magma(text: str) -> FiniteMagma:
@@ -171,8 +175,7 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
         if len(toks) == 4:
             if dom != cod:
                 raise ParseError("identity must have dom == cod", lineno, 1)
-            if not 0 <= dom < object_count:
-                raise ParseError("identity object out of range", lineno, 3)
+            check_index(dom, object_count, "identity object", partial(ParseError, line=lineno, column=3))
             if identity_at[dom] is not None:
                 raise ParseError(f"two identities declared at object {dom}", lineno, 1)
             identity_at[dom] = len(morphisms)
@@ -186,8 +189,8 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
         if toks[0] != "c" or len(toks) != 4:
             raise ParseError("expected 'c <s> <t> <st>'", lineno, 1)
         s, t, st = (_int(x, "bad morphism index", lineno, 3) for x in toks[1:])
-        if not all(0 <= x < morphism_count for x in (s, t, st)):
-            raise ParseError("morphism index out of range", lineno, 3)
+        for x in (s, t, st):
+            check_index(x, morphism_count, "morphism index", partial(ParseError, line=lineno, column=3))
         if (s, t) in given:
             raise ParseError(f"duplicate composite for ({s}, {t})", lineno, 1)
         given.add((s, t))
@@ -289,14 +292,12 @@ def _unique_keys(pairs) -> dict:
 
 def _basis_index(value, h: int) -> int:
     """A basis index of a family document: an int, or the decimal string --json writes for one."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return value
-    if isinstance(value, str) and value.isascii() and value.isdigit():
-        try:
-            return int(value)
-        except ValueError:  # more digits than Python converts
-            pass
-    raise ParseError(f"part {h} holds {value!r}, not a basis index", 1, 1)
+    message = f"part {h} holds {{!r}}, not a basis index"
+    if type(value) is not str or value.startswith("-"):
+        raise ParseError(message.format(value), 1, 1)
+    return _int(value, message, 1, 1)
 
 
 def _encode(value):

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
-from .errors import (
-    IndexOutOfRangeError,
-    MissingZeroError,
-    NotAbsorbingError,
-    ValidationError,
-)
+from .errors import MissingZeroError, NotAbsorbingError, ValidationError, check_count, check_index
 
 
 @dataclass(frozen=True)
@@ -51,25 +46,23 @@ class PairRelation:
 
     def __post_init__(self):
         for g, h in self.pairs:
-            if not (0 <= g < self.left.order and 0 <= h < self.right.order):
-                raise IndexOutOfRangeError(f"pair ({g}, {h}) outside {self.left.order}x{self.right.order}")
+            check_index(g, self.left.order, "left element of a pair")
+            check_index(h, self.right.order, "right element of a pair")
 
 
 def validate_magma(order: int, table, zero: int | None = None) -> FiniteMagma:
     """Check shape, entry range and (if given) the absorbing law, then freeze."""
     # The order, the entries and the zero are plain ints, so print_magma writes what parse_magma reads.
-    if type(order) is not int or order < 1:
-        raise ValidationError(f"order must be a positive int, got {order!r}")
+    check_count(order, "order")
     rows = tuple(tuple(row) for row in table)
     if len(rows) != order or any(len(row) != order for row in rows):
         raise ValidationError(f"table is not {order}x{order}")
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             if type(entry) is not int or not 0 <= entry < order:
-                raise IndexOutOfRangeError(f"entry {entry!r} at ({i}, {j}) not in 0..{order - 1}")
+                check_index(entry, order, f"entry at ({i}, {j}):")
     if zero is not None:
-        if type(zero) is not int or not 0 <= zero < order:
-            raise IndexOutOfRangeError(f"zero index {zero!r} not in 0..{order - 1}")
+        check_index(zero, order, "zero index")
         for g in range(order):
             if rows[zero][g] != zero or rows[g][zero] != zero:
                 raise NotAbsorbingError(f"element {zero} is not absorbing at {g}")
@@ -144,10 +137,7 @@ def cyclic_group_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
 
 def abelian_group_magma(factors, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
     """Direct sum of cyclic groups, elements in mixed-radix order (the last factor fastest)."""
-    factors = tuple(factors)
-    for f in factors:
-        if type(f) is not int or f < 1:
-            raise ValidationError(f"cyclic factors must be positive ints, got {f!r}")
+    factors = tuple(check_count(f, "cyclic factors") for f in factors)
     check_order(prod(factors), budget)
     coords = list(itertools.product(*map(range, factors)))
     index = {c: x for x, c in enumerate(coords)}
@@ -169,8 +159,7 @@ def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMag
 
     e(i,j) sits at index i*n + j (0-based); the zero is the last index n*n.
     """
-    if type(n) is not int or n < 1:
-        raise ValidationError(f"matrix size must be a positive int, got {n!r}")
+    check_count(n, "matrix size")
     check_order(n * n + 1, budget)
     return _zero_adjoined(_matrix_units(n), budget)
 
@@ -179,9 +168,7 @@ def closure(magma: FiniteMagma, seed) -> frozenset:
     """Smallest superset of ``seed`` closed under the table (fixpoint saturation)."""
     mask = 0
     for e in seed:
-        if not 0 <= e < magma.order:
-            raise IndexOutOfRangeError(f"seed element {e} not in 0..{magma.order - 1}")
-        mask |= 1 << e
+        mask |= 1 << check_index(e, magma.order, "seed element")
     return frozenset(_bits(_close(magma.table, mask, list(_bits(mask)), 0)))
 
 
@@ -613,8 +600,7 @@ def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     significant digit.  The node budget charges the table count up front,
     which gates anything past order 3 (order 4 already has 178,981,952 classes).
     """
-    if type(order) is not int or order < 1:
-        raise ValidationError(f"order must be a positive int, got {order!r}")
+    check_count(order, "order")
     check_order(order, budget)  # before order ** (order * order) is formed
     n, cells = order, order * order
     NodeCounter(budget).spend(n**cells)

@@ -31,6 +31,7 @@ from gradeforge.budget import Budget
 from gradeforge.category import adjoin_zero, enumerate_prefunctors, enumerate_subprecategory_pairs, validate_precategory
 from gradeforge.errors import (
     BasisMismatchError,
+    IndexOutOfRangeError,
     MissingZeroError,
     NotACategoryError,
     OracleDisagreementError,
@@ -71,6 +72,21 @@ class TestGradingFromRelation:
         rel = PairRelation(order2["abba"], order2["aaaa"], frozenset())
         with pytest.raises(BasisMismatchError):
             grading_from_relation(a, rel)
+
+    @pytest.mark.parametrize(
+        "pair", [(0.5, 0), (True, 0), (0, 1.0), (0, "1"), (None, 0)], ids=["fraction", "bool", "float", "str", "none"]
+    )
+    def test_relation_pairs_must_be_plain_ints(self, order2, pair):
+        # (0.5, 0) was accepted, and grading_from_relation then raised a bare TypeError; (True, 0) was accepted.
+        with pytest.raises(IndexOutOfRangeError):
+            PairRelation(order2["abab"], order2["abab"], frozenset({pair}))
+
+    @pytest.mark.parametrize("index", [0.5, True, 1.0, "0", None], ids=["fraction", "bool", "float", "str", "none"])
+    def test_part_indices_must_be_plain_ints(self, order2, index):
+        # frozenset({0.5}) was accepted, and is_filter then raised a bare TypeError; frozenset({True}) was accepted.
+        a = magma_algebra(order2["abab"])
+        with pytest.raises(BasisMismatchError, match=f"basis index {index!r} outside 0..1"):
+            ElementaryFamily(algebra=a, target=order2["abab"], parts=(frozenset({index}), frozenset()))
 
     def test_part_indices_validated(self, order2):
         a = magma_algebra(order2["aaaa"])

@@ -150,6 +150,15 @@ class TestConstructors:
         with pytest.raises(NotAGroupError):
             group_as_category([[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "table", [[[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]], [[0, 1], [1, 0.0]]], ids=["float", "bool", "one-float"]
+    )
+    def test_group_table_entries_must_be_plain_ints(self, table):
+        # Floats raised a bare TypeError; bools were accepted, and print_category then wrote "c 0 0 False".
+        for build in (group_as_category, lambda table: connected_groupoid(1, table)):
+            with pytest.raises(IndexOutOfRangeError):
+                build(table)
+
     def test_product_counts(self, involution_cat, z2_cat):
         prod = product_category(involution_cat, z2_cat)
         assert prod.morphism_count == 10

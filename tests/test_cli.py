@@ -371,6 +371,23 @@ class TestMalformedInput:
         zeroes.write_text("magma 2\nzeroes 1\n0 1\n1 1\n", encoding="utf-8")
         self.assert_parse_error(run_cli("submagmas", str(zeroes)))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["magma 2\n0 \u0661\n1 0\n", "magma 0_2\n0 1\n1 0\n", "magma 2\n0 +1\n1 0\n"],
+        ids=["arabic-indic-digit", "underscore", "plus-sign"],
+    )
+    def test_an_int_is_ascii_digits(self, tmp_path, text):
+        # int() read each of these, so canon printed "0 1\n1 0" for the first with exit 0.
+        path = tmp_path / "spelled.mag"
+        path.write_text(text, encoding="utf-8")
+        self.assert_parse_error(run_cli("canon", str(path)))
+
+    def test_a_negative_entry_still_fails_validation(self, tmp_path):
+        path = tmp_path / "negative.mag"
+        path.write_text("magma 2\n0 -1\n1 0\n", encoding="utf-8")
+        code, out, err = run_cli("canon", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_huge_object_count_in_category_header(self, tmp_path):
         huge = tmp_path / "huge.cat"
         huge.write_text("category 1000000000000000000000 1\nm 0 0 id\nc 0 0 0\n", encoding="utf-8")

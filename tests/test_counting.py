@@ -188,6 +188,35 @@ class TestSubspaces:
         assert count_subspaces(p, 2).closed_form_value == p + 2  # p + 1 lines and the plane
 
 
+class TestPlainIntParameters:
+    """A closed form or report refuses a parameter that is not a plain int before it computes anything."""
+
+    @pytest.mark.parametrize(
+        "count,args",
+        [
+            (count_abelian_homs, ([2.0], [2])),
+            (count_abelian_homs, ([2], ["2"])),
+            (abelian_homs_report, ([2.5], [2])),
+            (count_surjective_functions, (3, 2.5)),
+            (surjective_functions_report, (2.5, 2)),
+            (count_surjective_functions, (2.0, 3)),
+            (count_matrix_group_gradings, (2.0, 3)),
+            (count_matrix_group_gradings, (True, 2)),
+            (matrix_group_gradings_report, (2, None)),
+            (count_groupoid_gradings_as_printed, (1.5, 1, 1, 1)),
+            (count_groupoid_gradings_as_printed, (1, 1, 1, "1")),
+        ],
+        ids=[
+            "abelian-float", "abelian-str", "abelian-report-fraction", "surjections-fraction",
+            "surjections-report-fraction", "surjections-float", "matrix-float", "matrix-bool", "matrix-report-none",
+            "printed-fraction", "printed-str",
+        ],
+    )
+    def test_non_ints_are_refused(self, count, args):
+        with pytest.raises(ValidationError):
+            count(*args)
+
+
 class TestOracleCaps:
     @pytest.mark.parametrize(
         "report",

@@ -95,6 +95,15 @@ class TestParseErrorPositions:
             (parse_magma, "magma x\n", "bad order 'x'", 1, 7),
             (parse_magma, "magma 1\nzero x\n0\n", "bad zero index 'x'", 2, 6),
             (parse_magma, "magma 2\n0 x\n0 0\n", "bad entry 'x'", 2, 2),
+            # One spelling of an int: ASCII digits after an optional '-'; int() read each of these.
+            (parse_magma, "magma 0_2\n", "bad order '0_2'", 1, 7),
+            (parse_magma, "magma 1\nzero +0\n0\n", "bad zero index '+0'", 2, 6),
+            (parse_magma, "magma 2\n0 \u0661\n1 0\n", "bad entry '\u0661'", 2, 2),
+            (parse_magma, "magma 2\n0 \uff11\n1 0\n", "bad entry '\uff11'", 2, 2),
+            (parse_category, "category 1 1\nm 0 0 id\nc 0 0 -0_0\n", "bad morphism index", 3, 3),
+            (parse_magma, "magma 2\n0 --1\n1 0\n", "bad entry '--1'", 2, 2),
+            (parse_category, "category 1 1\nm 1 1 id\n", "identity object 1 outside 0..0", 2, 3),
+            (parse_category, "category 1 1\nm 0 0 id\nc 0 0 -1\n", "morphism index -1 outside 0..0", 3, 3),
             (parse_category, "category x 1\n", "bad counts in header", 1, 10),
             (parse_category, "category 1 x\n", "bad counts in header", 1, 10),
             (parse_category, "category 1 1\nm 0 x id\n", "bad object index", 2, 3),

@@ -247,6 +247,12 @@ class TestClosure:
         with pytest.raises(IndexOutOfRangeError):
             closure(order2["aaaa"], [5])
 
+    @pytest.mark.parametrize("seed", [1.0, "1", True, None], ids=["float", "str", "bool", "none"])
+    def test_seed_elements_must_be_plain_ints(self, seed):
+        # 1.0 and "1" raised a bare TypeError, and True was taken as element 1.
+        with pytest.raises(IndexOutOfRangeError):
+            closure(cyclic_group_magma(2), [seed])
+
 
 class TestSubmagmas:
     def test_trivial(self):
