@@ -9,7 +9,7 @@ optional; when every object has one the structure is a category.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter, check_order
 from .errors import (
@@ -74,7 +74,7 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     check_order(m, budget)
     # The object count, the morphism ends, the composites and the identities are plain ints, so
     # print_category writes what parse_category reads.
-    check_count(object_count, "object count", least=0)
+    check_order(check_count(object_count, "object count", least=0), budget)
     for s, ends in enumerate(morphisms):
         for end in ends:
             check_index(end, object_count, f"morphism {s} has dom/cod {ends!r}, not two ints in range:")
@@ -124,45 +124,22 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None, budget
     return FinitePrecategory(object_count, morphisms, comp, identity_at)
 
 
-def _group_identity(table) -> int:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][g] == g and table[g][e] == g for g in range(n)):
-            return e
-    raise NotAGroupError("no two-sided identity")
-
-
-def _check_group(table) -> int:
-    """Validate a Cayley table as a group; returns the identity index."""
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise NotAGroupError("table not square")
-    e = _group_identity(table)
-    for a in range(n):
-        if set(table[a]) != set(range(n)) or {table[b][a] for b in range(n)} != set(range(n)):
-            raise NotAGroupError("rows and columns must be permutations")
-    # Entries equal to 0..n-1 by now; a bool or an integral float is refused before it indexes a row.
-    for entry in itertools.chain(*table):
-        check_index(entry, n, "group table entry")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise NotAGroupError("not associative")
-    return e
-
-
 def group_as_category(table) -> FinitePrecategory:
-    """A group Cayley table as a one-object category."""
+    """A group Cayley table as a one-object category.
+
+    validate_precategory checks the shape, the entries and associativity and raises its own errors;
+    a table with no two-sided identity, or with an element that has no inverse, raises NotAGroupError.
+    """
     table = tuple(tuple(row) for row in table)
-    e = _check_group(table)
-    n = len(table)
-    return FinitePrecategory(
-        object_count=1,
-        morphisms=tuple((0, 0) for _ in range(n)),
-        comp=table,
-        identity_at=(e,),
-    )
+    monoid = validate_precategory(1, ((0, 0),) * len(table), table)
+    elements = range(len(table))
+    e = next((e for e in elements if all(table[e][g] == g == table[g][e] for g in elements)), None)
+    if e is None:
+        raise NotAGroupError("no two-sided identity")
+    group = replace(monoid, identity_at=(e,))
+    if not is_groupoid(group):
+        raise NotAGroupError("an element has no inverse")
+    return group
 
 
 def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
@@ -467,7 +444,19 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
 
 
 def is_prefunctor(source: FinitePrecategory, target: FinitePrecategory, mm: MorphismMap) -> bool:
-    """Check dom/cod compatibility and preservation of defined composition."""
+    """Check dom/cod compatibility and preservation of defined composition.
+
+    Raises ValidationError when mm has not one image per object and morphism of source, and
+    IndexOutOfRangeError when an image names no object or morphism of target.
+    """
+    for images, count, size, what in (
+        (mm.object_map, source.object_count, target.object_count, "object"),
+        (mm.morphism_map, source.morphism_count, target.morphism_count, "morphism"),
+    ):
+        if len(images) != count:
+            raise ValidationError(f"{len(images)} {what} images for {count} {what}s")
+        for image in images:
+            check_index(image, size, f"{what} image")
     for s in range(source.morphism_count):
         u = mm.morphism_map[s]
         if target.dom(u) != mm.object_map[source.dom(s)] or target.cod(u) != mm.object_map[source.cod(s)]:
@@ -497,10 +486,11 @@ def identity_morphism_map(cat: FinitePrecategory) -> MorphismMap:
 
 
 def compose_morphism_maps(first: MorphismMap, second: MorphismMap) -> MorphismMap:
-    """second after first."""
+    """second after first; IndexOutOfRangeError when an image of first has no image under second."""
+    objects, morphisms = second.object_map, second.morphism_map
     return MorphismMap(
-        tuple(second.object_map[o] for o in first.object_map),
-        tuple(second.morphism_map[s] for s in first.morphism_map),
+        tuple(objects[check_index(o, len(objects), "object image")] for o in first.object_map),
+        tuple(morphisms[check_index(s, len(morphisms), "morphism image")] for s in first.morphism_map),
     )
 
 

@@ -46,7 +46,7 @@ def _budget_from(args) -> Budget:
     nodes, env = args.budget, os.environ.get(BUDGET_ENV)
     if nodes is None and env is not None:
         try:
-            nodes = int(env)
+            nodes = io.integer(env)
         except ValueError:
             raise ValidationError(f"bad {BUDGET_ENV} value {env!r}") from None
     if nodes is not None:
@@ -262,7 +262,7 @@ def _count(args, budget, out):
         raise ValidationError(usage)
     factors = formula == "abelian-homs"
     try:
-        values = [[int(x) for x in p.split(",")] if factors else int(p) for p in params]
+        values = [[io.integer(x) for x in p.split(",")] if factors else io.integer(p) for p in params]
     except ValueError:
         raise ValidationError("factors must be comma-separated integers" if factors else usage) from None
     spent = bits = 0
@@ -285,7 +285,7 @@ def _build_parser() -> _Parser:
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     fmt.add_argument("--table", action="store_true", help="emit plain text (default)")
-    common.add_argument("--budget", type=int, default=None, metavar="N", help="search node budget")
+    common.add_argument("--budget", type=io.integer, default=None, metavar="N", help="search node budget")
 
     parser = _Parser(prog="gradeforge", description="Finite magma and precategory toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,7 +300,7 @@ def _build_parser() -> _Parser:
         p.set_defaults(run=run)
         return p
 
-    command("census", _census, "isomorphism classes of a given order", ()).add_argument("order", type=int)
+    command("census", _census, "isomorphism classes of a given order", ()).add_argument("order", type=io.integer)
     command("canon", _canon, "the canonical form of a magma: its least relabelled table", ("source",))
     command("iso", _iso, "whether two magmas are isomorphic (exit 1 if not)")
     command("hom", _hom, "homomorphisms between two magmas", zero="zero-magma homomorphisms")
@@ -324,7 +324,7 @@ def _build_parser() -> _Parser:
     command("roundtrip", _roundtrip, "check the relation/filter round trip over all submagmas")
     summary = "prime scalar field for algebra checks"
     for name in ("gradings", "filters", "verify", "roundtrip"):  # the commands that build an algebra
-        sub.choices[name].add_argument("--field", type=int, default=2, metavar="P", help=summary)
+        sub.choices[name].add_argument("--field", type=io.integer, default=2, metavar="P", help=summary)
     p = command("count", _count, "closed-form counts", ())
     p.add_argument("formula", choices=list(_COUNTS))
     p.add_argument("params", nargs="*")

@@ -26,15 +26,21 @@ def _lines_of(text: str) -> list:
     return lines
 
 
+def integer(token: str) -> int:
+    """token as an int when it is ASCII digits after an optional '-', the one spelling of an int in
+    every text format and on the command line; else ValueError, which int() also raises for more
+    digits than it converts."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an int: {token!r}")
+    return int(token)
+
+
 def _int(token: str, message: str, line: int, column: int) -> int:
-    """token as an int if it is ASCII digits after an optional '-', else a ParseError at line and
-    column; token fills any {!r} of message."""
-    if token.isascii() and token.removeprefix("-").isdigit():
-        try:
-            return int(token)
-        except ValueError:  # more digits than Python converts
-            pass
-    raise ParseError(message.format(token), line, column)
+    """integer(token), else a ParseError at line and column; token fills any {!r} of message."""
+    try:
+        return integer(token)
+    except ValueError:
+        raise ParseError(message.format(token), line, column) from None
 
 
 def parse_magma(text: str) -> FiniteMagma:

@@ -131,6 +131,17 @@ class TestRelationFromFilter:
         fam = ElementaryFamily(algebra=a, target=order2["abab"], parts=(full, full))
         assert relation_from_filter(a, fam).pairs == frozenset(itertools.product(range(2), range(2)))
 
+    def test_family_over_another_algebra_is_refused(self, order2):
+        g = order2["abab"]
+        family = ElementaryFamily(algebra=magma_algebra(g, 3), target=g, parts=(frozenset(), frozenset()))
+        with pytest.raises(BasisMismatchError):
+            relation_from_filter(magma_algebra(g), family)
+
+    def test_family_needs_one_part_per_target_element(self, order2):
+        g = order2["abab"]
+        with pytest.raises(BasisMismatchError):
+            ElementaryFamily(algebra=magma_algebra(g), target=g, parts=(frozenset(),))
+
     def test_monotone(self, order2):
         g, h = order2["abaa"], order2["aabb"]
         a = magma_algebra(g)

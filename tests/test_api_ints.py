@@ -3,7 +3,7 @@
 For each name that ``gradeforge`` exports with int-typed arguments, Hypothesis draws values for
 them: negative, zero, in-range and past-the-cap ints, bools, integral and fractional floats,
 strings and None.  Structured arguments (tables, morphism maps) stay fixed.  Each call must return
-or raise a ToolkitError, and a magma it returns prints and parses back equal.
+or raise a ToolkitError, and a magma or precategory it returns prints and parses back equal.
 """
 
 import inspect
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradeforge as gf
-from gradeforge.io import parse_magma, print_magma
+from gradeforge.io import parse_category, parse_magma, print_category, print_magma
 
 CAP = gf.DEFAULT_BUDGET.max_order
 # Nothing in the API bounds the closed forms ((p*q^(m-1))^(n^m) for one), so their draws stay small.
@@ -78,10 +78,12 @@ CONSTANTS = {"DEFAULT_BUDGET", "RING_ZERO"}
 
 
 def values(cap):
-    """Ints near 0 and near cap (three past it at most), bools, integral and fractional floats, strings and None."""
+    """Ints near 0 and near cap, bools, integral and fractional floats, strings and None; a size
+    capped by the order cap, such as an object count, is also drawn far past it."""
     return st.one_of(
         st.integers(-3, 3),
         st.integers(cap - 3, cap + 3),
+        st.integers(cap + 4, 10**30) if cap == CAP else st.nothing(),
         st.booleans(),
         st.integers(-3, 70).map(float),
         st.integers(-3, 70).map(lambda k: k + 0.5),
@@ -110,3 +112,5 @@ def test_int_arguments_give_a_result_or_a_toolkit_error(name, data):
         return
     if isinstance(result, gf.FiniteMagma):
         assert parse_magma(print_magma(result)) == result
+    if isinstance(result, gf.FinitePrecategory):
+        assert parse_category(print_category(result)) == result

@@ -1,5 +1,6 @@
 import itertools
 import time
+from math import prod
 
 import pytest
 
@@ -105,6 +106,30 @@ class TestValidate:
         with pytest.raises(error):
             validate_precategory(object_count, [(0, 0)], comp, identity_at)
 
+    @pytest.mark.parametrize(
+        "object_count,morphisms,comp,identity_at,error",
+        [
+            (1, [(0, 0)], [[0, 0]], None, ValidationError),
+            (1, [(0, 0)], [[0]], [0, 0], ValidationError),
+            (2, [(0, 1)], [[None]], [0, None], BadIdentityError),
+            # x*y = x: 0 is a right unit only
+            (1, [(0, 0), (0, 0)], [[0, 0], [1, 1]], [0], BadIdentityError),
+        ],
+        ids=["table-not-square", "identity-at-length", "identity-not-a-loop", "left-unit"],
+    )
+    def test_shape_and_identity_refusals(self, object_count, morphisms, comp, identity_at, error):
+        with pytest.raises(error) as info:
+            validate_precategory(object_count, morphisms, comp, identity_at)
+        assert type(info.value) is error
+
+    def test_object_count_is_capped_before_the_identities_are_built(self):
+        # 10**30 raised a bare OverflowError from (None,) * object_count; 65 objects printed a header
+        # that parse_category refuses.
+        assert validate_precategory(64, [], [], None).object_count == 64
+        for count in (65, 10**30):
+            with pytest.raises(SizeOverflowError):
+                validate_precategory(count, [], [], None)
+
     @pytest.mark.parametrize("ends", [(0.7, "0"), (0, 0.0), (True, 0), ("0", 0)], ids=["fraction", "float", "bool", "string"])
     def test_non_int_morphism_ends_are_refused(self, ends):
         # int() used to convert the ends: (0.7, "0") was accepted as (0, 0) and printed as "m 0 0 id".
@@ -124,6 +149,9 @@ class TestPredicates:
 
     def test_idempotent_monoid_is_not_a_groupoid(self, idem_cat):
         assert not is_groupoid(idem_cat)
+
+    def test_a_precategory_without_identities_is_not_a_groupoid(self):
+        assert not is_groupoid(validate_precategory(1, [(0, 0)], [[0]], None))
 
     def test_components_of_disjoint_union(self, z2_cat):
         both = disjoint_union(z2_cat, group_as_category([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))
@@ -179,6 +207,55 @@ class TestConstructors:
         # n*n*q = 65 is over the cap; the O(q^3) group check never runs
         with pytest.raises(SizeOverflowError):
             connected_groupoid(1, [[0] * 65 for _ in range(65)])
+
+
+# An order-5 loop: a Latin square with identity 0, and (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+
+
+def invariant_factor_lists(order_cap):
+    """Every list d1 | d2 | ... of factors above 1 whose product is at most order_cap: one per
+    abelian group of order up to order_cap."""
+    lists = [[]]
+    for factors in lists:
+        last, order = (factors[-1] if factors else 1), prod(factors)
+        lists.extend(factors + [d] for d in range(2, order_cap // order + 1) if d % last == 0)
+    return lists
+
+
+class TestGroupAsCategory:
+    """The precategory laws refuse with their own errors; the group laws left over, identity and
+    inverses, with NotAGroupError.  Each table here was refused with NotAGroupError before."""
+
+    @pytest.mark.parametrize(
+        "table,error",
+        [
+            ([[0, 1], [1]], ValidationError),
+            ([[0, 2], [2, 0]], IndexOutOfRangeError),
+            (LOOP5, NotAssociativeError),
+            ([[0, 1], [1, 1]], NotAGroupError),
+            ([[0, 0], [0, 0]], NotAGroupError),
+            ([], NotAGroupError),
+        ],
+        ids=["not-square", "entry-out-of-range", "loop-not-associative", "monoid", "no-identity", "empty"],
+    )
+    def test_each_refusal_has_its_class(self, table, error):
+        with pytest.raises(error) as info:
+            group_as_category(table)
+        assert type(info.value) is error
+
+    def test_order_past_the_cap_is_refused(self):
+        with pytest.raises(SizeOverflowError):
+            group_as_category([[(i + j) % 65 for j in range(65)] for i in range(65)])
+
+    def test_every_abelian_group_up_to_the_cap_is_accepted(self):
+        factor_lists = invariant_factor_lists(64)
+        assert len(factor_lists) == 117  # the abelian groups of orders 1..64 (OEIS A000688)
+        for factors in factor_lists:
+            table = abelian_group_magma(factors).table
+            group = group_as_category(table)
+            assert (group.object_count, group.morphisms, group.comp) == (1, ((0, 0),) * len(table), table)
+            assert group.identity_at == (0,) and is_groupoid(group)
 
 
 class TestConstructorsAgainstDefinitions:
@@ -341,6 +418,44 @@ class TestPrefunctorsAndFunctors:
             assert is_prefunctor(involution_cat, idem_cat, f)
         for f in enumerate_functors(involution_cat, idem_cat):
             assert is_functor(involution_cat, idem_cat, f)
+
+    def test_predicates_refuse_maps_that_break_a_law(self, z2_cat, idem_cat):
+        mg2 = matrix_groupoid(2)
+        # e(0,1): 1 -> 0 goes to e(0,0): 0 -> 0, but object 1 goes to 1
+        assert not is_prefunctor(mg2, mg2, MorphismMap((0, 1), (0, 0, 0, 0)))
+        # both elements of Z2 to 1: 0*0 = 0, but 1*1 = 0 is not 1
+        assert not is_prefunctor(z2_cat, z2_cat, MorphismMap((0,), (1, 1)))
+        # the identity to the idempotent 1: a prefunctor, not a functor
+        not_unital = MorphismMap((0,), (1, 1))
+        assert is_prefunctor(z2_cat, idem_cat, not_unital) and not is_functor(z2_cat, idem_cat, not_unital)
+
+    @pytest.mark.parametrize(
+        "mm,error",
+        [
+            (MorphismMap((0, 1), (0,)), ValidationError),
+            (MorphismMap((0,), (0, 1, 2, 3)), ValidationError),
+            (MorphismMap((0, 2), (0, 1, 2, 3)), IndexOutOfRangeError),
+            (MorphismMap((0, 1), (0, 1, 2, -1)), IndexOutOfRangeError),
+            (MorphismMap((0, None), (0, 1, 2, 3)), IndexOutOfRangeError),
+        ],
+        ids=["short-morphism-map", "short-object-map", "object-image", "negative-morphism-image", "none-image"],
+    )
+    def test_predicates_check_the_shape_of_a_map(self, mm, error):
+        # The short morphism map raised a bare IndexError, and -1 read the last morphism.
+        mg2 = matrix_groupoid(2)
+        for predicate in (is_prefunctor, is_functor):
+            with pytest.raises(error) as info:
+                predicate(mg2, mg2, mm)
+            assert type(info.value) is error
+
+    def test_composition_checks_the_first_map_against_the_second(self):
+        mg2 = matrix_groupoid(2)
+        with pytest.raises(IndexOutOfRangeError):
+            compose_morphism_maps(identity_morphism_map(mg2), MorphismMap((0, 1), (0,)))
+        with pytest.raises(IndexOutOfRangeError):
+            compose_morphism_maps(MorphismMap((0, 2), (0, 1, 2, 3)), identity_morphism_map(mg2))
+        swap = MorphismMap((1, 0), (3, 2, 1, 0))
+        assert compose_morphism_maps(identity_morphism_map(mg2), swap) == swap
 
 
 class TestZeroHomReduction:

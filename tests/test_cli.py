@@ -5,11 +5,13 @@ import pathlib
 import subprocess
 import sys
 import time
+from functools import partial
 
 import pytest
 
 from gradeforge import algebra, cli
 from gradeforge import io as gio
+from gradeforge.errors import BadIdentityError, NotAGroupError, NotAssociativeError, ParseError
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -394,6 +396,101 @@ class TestMalformedInput:
         code, out, err = run_cli("functors", str(huge), str(huge))
         assert code == 2 and out == "" and err.startswith("budget exhausted:")
         assert "object count 1000000000000000000000 exceeds the cap of 64" in err
+
+
+PRESENTED = "category {} {}\ngroupoid-presentation\n"
+# An order-5 Latin square with identity 0 that is not associative.
+LOOP5 = "0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n"
+
+
+class TestEveryTextRefusal:
+    """Each refusal of the text formats: the parser's error class, and the CLI's exit code, 3 for a
+    parse error and 1 for a validation error."""
+
+    @pytest.mark.parametrize(
+        "kind,text,error",
+        [
+            ("magma", "", ParseError),
+            ("magma", "magma 1\nzero\n0\n", ParseError),
+            ("magma", "magma " + "9" * 5000 + "\n", ParseError),  # more digits than int() converts
+            ("category", PRESENTED.format(1, 1) + "vertex-group 1\n0\n", ParseError),
+            ("category", PRESENTED.format(2, 8) + "component 1 0\nvertex-group 2\n0 1\n1 0\ntree 1 0\n", ParseError),
+            ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 1\n0\n" * 2, ParseError),
+            ("category", PRESENTED.format(1, 1) + "component 0\n", ParseError),
+            ("category", PRESENTED.format(1, 1) + "component 0\nvertex-group 1 1\n0\n", ParseError),
+            ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 2\n0 1\n", ParseError),
+            ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 2\n0\n1 0\n", ParseError),
+            ("category", PRESENTED.format(2, 8) + "component 0 1\nvertex-group 2\n0 1\n1 0\n", ParseError),
+            ("category", PRESENTED.format(2, 1) + "component 0\nvertex-group 1\n0\n", ParseError),
+            ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 2\n0 0\n0 0\n", NotAGroupError),
+            ("category", PRESENTED.format(1, 5) + "component 0\nvertex-group 5\n" + LOOP5, NotAssociativeError),
+            ("category", "category 1\n", ParseError),
+            ("category", "category 1 1\nm 0 0 x\n", ParseError),
+            ("category", "category 2 1\nm 0 1 id\n", ParseError),
+            ("category", "category 1 2\nm 0 0 id\nm 0 0 id\n", ParseError),
+            ("category", "category 1 1\nm 0 0 id\nc 0 0 0\nc 0 0 0\n", ParseError),
+            # x*y = x: the identity is a right unit only
+            ("category", "category 1 2\nm 0 0 id\nm 0 0\nc 0 0 0\nc 0 1 0\nc 1 0 1\nc 1 1 1\n", BadIdentityError),
+            ("family", "{", ParseError),
+            ("family", json.dumps({"kind": "family", "target": {"format": "magma", "text": "magma 2\n0 0\n1 1\n"},
+                                   "parts": {"0": 5}}), ParseError),
+        ],
+        ids=[
+            "magma-empty", "magma-zero-line", "magma-long-int", "component-line", "component-order",
+            "component-twice", "vertex-group-missing", "vertex-group-line", "vertex-group-row-missing",
+            "vertex-group-row-short", "tree-edge-count", "components-cover", "vertex-group-no-identity",
+            "vertex-group-not-associative", "category-header", "m-line", "identity-not-a-loop", "two-identities",
+            "duplicate-composite", "left-unit", "family-json", "family-part-not-a-list",
+        ],
+    )
+    def test_parser_error_and_exit_code(self, data_dir, tmp_path, kind, text, error):
+        path = tmp_path / "refused.txt"
+        path.write_text(text, encoding="utf-8")
+        aabb = data(data_dir, "aabb.mag")
+        if kind == "magma":
+            parse, argv = gio.parse_magma, ["canon", str(path)]
+        elif kind == "category":
+            parse, argv = gio.parse_category, ["functors", str(path), str(path)]
+        else:
+            aabb_algebra = algebra.magma_algebra(gio.parse_magma(pathlib.Path(aabb).read_text(encoding="utf-8")))
+            parse, argv = partial(gio.parse_family, algebra=aabb_algebra), ["verify", aabb, str(path)]
+        with pytest.raises(error) as info:
+            parse(text)
+        assert type(info.value) is error
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3 if error is ParseError else 1, "")
+        assert err.startswith("parse error: " if error is ParseError else "error: ")
+
+
+class TestIntSpelling:
+    """Every int the CLI reads is spelled as the text formats spell one, ASCII digits after an
+    optional '-'; int() also read each of these spellings."""
+
+    @pytest.mark.parametrize("spelling", ["\u0663", "1_0", "+3", " 5_000"], ids=["arabic-indic", "underscore", "plus", "space"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "{}"),
+            ("census", "2", "--budget", "{}"),
+            ("gradings", "aabb.mag", "aabb.mag", "--field", "{}"),
+            ("count", "surjections", "{}", "2"),
+            ("count", "abelian-homs", "2,{}", "2"),
+        ],
+        ids=["census-order", "budget-flag", "field-flag", "count-parameter", "count-factor"],
+    )
+    def test_each_argument_refuses_other_spellings(self, data_dir, argv, spelling):
+        # `count surjections \u0663 2` printed "closed_form 6", and `census \u0662` the order-2 census.
+        argv = [data(data_dir, a) if a.endswith(".mag") else a.format(spelling) for a in argv]
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "" and err.startswith(("usage error: ", "error: "))
+
+    @pytest.mark.parametrize("spelling", ["\u0663", "1_0", "+3", " 5_000", "x"])
+    def test_environment_budget_refuses_other_spellings(self, monkeypatch, spelling):
+        monkeypatch.setenv(cli.BUDGET_ENV, spelling)
+        assert run_cli("census", "2") == (1, "", f"error: bad {cli.BUDGET_ENV} value {spelling!r}\n")
+
+    def test_a_negative_count_parameter_still_fails_its_range_check(self):
+        assert run_cli("count", "surjections", "-1", "2") == (1, "", "error: m must be at least 0, got -1\n")
 
 
 class TestRoundtripCommand:

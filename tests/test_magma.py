@@ -85,6 +85,15 @@ class TestValidate:
         with pytest.raises(error):
             validate_magma(order, table, zero)
 
+    def test_word_needs_a_square_length(self):
+        with pytest.raises(ValidationError):
+            magma_from_word("aab")
+
+    def test_word_needs_order_at_most_26(self):
+        assert len(word_of_magma(cyclic_group_magma(26))) == 26 * 26
+        with pytest.raises(ValidationError):
+            word_of_magma(cyclic_group_magma(27))
+
     def test_word_round_trip(self):
         for word in ORDER2_WORDS:
             assert word_of_magma(magma_from_word(word)) == word
