@@ -125,9 +125,9 @@ def contracted_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraP
     return _presentation(source, scalar_modulus, True)
 
 
-def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2, budget: Budget = DEFAULT_BUDGET) -> AlgebraPresentation:
+def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2) -> AlgebraPresentation:
     """Basis = morphisms; products of non-composable pairs are the ring zero."""
-    return contracted_algebra(adjoin_zero(cat, budget), scalar_modulus)
+    return contracted_algebra(adjoin_zero(cat), scalar_modulus)
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,7 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
     """Send a family back to the relation {(g, h) : the base line at g lies inside W_h}."""
-    if family.algebra != algebra:
-        raise BasisMismatchError("family was built over a different algebra")
+    _check_family(algebra, family)
     pairs = {
         (algebra.source_of_basis[b], h)
         for h, part in enumerate(family.parts)
@@ -373,12 +372,18 @@ def _set_product(algebra, part_a, part_b) -> frozenset:
 # axiom checks, each run set-level and span-level
 
 
-def _agree(prop, set_verdict, span_verdict):
-    if set_verdict[0] != span_verdict[0]:
+def _check_family(algebra: AlgebraPresentation, family: ElementaryFamily) -> None:
+    if family.algebra is not algebra and family.algebra != algebra:
+        raise BasisMismatchError("family was built over a different algebra")
+
+
+def _agree(prop, algebra, family, set_oracle, span_oracle):
+    _check_family(algebra, family)
+    (holds, witness), span_verdict = set_oracle(algebra, family), span_oracle(algebra, family)
+    if holds != span_verdict[0]:
         raise OracleDisagreementError(
-            f"{prop}: subset arithmetic says {set_verdict[0]}, span arithmetic says {span_verdict[0]}"
+            f"{prop}: subset arithmetic says {holds}, span arithmetic says {span_verdict[0]}"
         )
-    holds, witness = set_verdict
     return Verdict(prop, holds, witness)
 
 
@@ -416,7 +421,7 @@ def _filter_span(algebra, family):
 
 def is_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> Verdict:
     """W_h W_h' lies inside W_{hh'} for all h, h'; products that are the ring zero are vacuous."""
-    return _agree("filter", _filter_set(algebra, family), _filter_span(algebra, family))
+    return _agree("filter", algebra, family, _filter_set, _filter_span)
 
 
 def _strong_set(algebra, family):
@@ -439,7 +444,7 @@ def _strong_span(algebra, family):
 
 def is_strong(algebra: AlgebraPresentation, family: ElementaryFamily) -> Verdict:
     """Equality W_h W_h' = W_{hh'} everywhere (which makes the family a filter as well)."""
-    return _agree("strong", _strong_set(algebra, family), _strong_span(algebra, family))
+    return _agree("strong", algebra, family, _strong_set, _strong_span)
 
 
 def _grading_set(algebra, family):
@@ -474,7 +479,7 @@ def _grading_span(algebra, family):
 
 def is_grading(algebra: AlgebraPresentation, family: ElementaryFamily) -> Verdict:
     """A filter whose parts decompose the algebra as a direct sum."""
-    return _agree("grading", _grading_set(algebra, family), _grading_span(algebra, family))
+    return _agree("grading", algebra, family, _grading_set, _grading_span)
 
 
 def _nonzero_set(algebra, family):
@@ -505,7 +510,7 @@ def _nonzero_span(algebra, family):
 
 def is_nonzero(algebra: AlgebraPresentation, family: ElementaryFamily) -> Verdict:
     """Every part is nonzero; with a target zero, that part is exempt and must equal the base part at zero."""
-    return _agree("nonzero", _nonzero_set(algebra, family), _nonzero_span(algebra, family))
+    return _agree("nonzero", algebra, family, _nonzero_set, _nonzero_span)
 
 
 def _elementary_span(algebra, family):
@@ -526,7 +531,7 @@ def is_elementary(algebra: AlgebraPresentation, family: ElementaryFamily) -> Ver
     True by construction for families stored as basis subsets; the span pass
     re-derives it from the vectors as a representation consistency check.
     """
-    return _agree("elementary", (True, None), _elementary_span(algebra, family))
+    return _agree("elementary", algebra, family, lambda *_: (True, None), _elementary_span)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +551,7 @@ def _family_enumeration(command: str, variant: bool, source, target, budget: Bud
     filters from _pair_masks on the composition tables.
     """
     if isinstance(source, FinitePrecategory):
-        algebra, indexed_by = category_algebra(source, scalar_modulus, budget), adjoin_zero(target, budget)
+        algebra, indexed_by = category_algebra(source, scalar_modulus), adjoin_zero(target)
         if command == "filters":
             masks, width = _pair_masks(source.comp, target.comp, budget), target.morphism_count
         else:

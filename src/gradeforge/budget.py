@@ -1,11 +1,11 @@
-"""Size and search-frontier budgets enforced by constructors and search kernels.
+"""The fixed order cap of every constructor and the node budget of every search.
 
-Every public function that takes a budget declares ``budget: Budget =
-DEFAULT_BUDGET``; ``Budget`` is frozen, so the shared default is safe.  A
-constructor or kernel that runs out raises SizeOverflowError, except the
-brute-force oracles of ``counting``, which report an exhausted oracle as a
-null ``brute_force_value`` next to the closed form.  Both caps are plain ints
-of at least 0, like every count (``errors.check_count``).
+check_order holds a magma order, or a morphism, object or pair count, to
+MAX_ORDER, which no argument raises.  A Budget caps search nodes only: every
+public function that spends them declares ``budget: Budget = DEFAULT_BUDGET``,
+a frozen and so safely shared default.  A search out of nodes raises
+SizeOverflowError; ``counting`` reports an exhausted oracle as a null
+``brute_force_value``.  max_nodes is a plain int >= 0 (``check_count``).
 """
 
 from __future__ import annotations
@@ -14,20 +14,19 @@ from dataclasses import dataclass
 
 from .errors import SizeOverflowError, check_count
 
+MAX_ORDER = 64
+
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps that turn runaway inputs into a SizeOverflowError instead of a hang.
+    """A cap that turns a runaway search into a SizeOverflowError instead of a hang.
 
-    max_order: largest magma / morphism count a constructor will produce.
     max_nodes: search nodes a single enumeration or canonical form may visit.
     """
 
-    max_order: int = 64
     max_nodes: int = 10_000_000
 
     def __post_init__(self):
-        check_count(self.max_order, "max_order", least=0)
         check_count(self.max_nodes, "max_nodes", least=0)
 
 
@@ -48,6 +47,6 @@ class NodeCounter:
             raise SizeOverflowError("search budget exhausted")
 
 
-def check_order(order: int, budget: Budget) -> None:
-    if order > budget.max_order:
-        raise SizeOverflowError(f"order {order} exceeds the cap of {budget.max_order}")
+def check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise SizeOverflowError(f"order {order} exceeds the cap of {MAX_ORDER}")

@@ -67,14 +67,14 @@ class MorphismMap:
     morphism_map: tuple
 
 
-def validate_precategory(object_count, morphisms, comp, identity_at=None, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
+def validate_precategory(object_count, morphisms, comp, identity_at=None) -> FinitePrecategory:
     """Check shapes, composability, dom/cod of composites, associativity and identities."""
     morphisms = tuple((d, c) for d, c in morphisms)
     m = len(morphisms)
-    check_order(m, budget)
+    check_order(m)
     # The object count, the morphism ends, the composites and the identities are plain ints, so
     # print_category writes what parse_category reads.
-    check_order(check_count(object_count, "object count", least=0), budget)
+    check_order(check_count(object_count, "object count", least=0))
     for s, ends in enumerate(morphisms):
         for end in ends:
             check_index(end, object_count, f"morphism {s} has dom/cod {ends!r}, not two ints in range:")
@@ -142,7 +142,7 @@ def group_as_category(table) -> FinitePrecategory:
     return group
 
 
-def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
+def connected_groupoid(object_count: int, vertex_group) -> FinitePrecategory:
     """The connected groupoid on the given objects with the given vertex group.
 
     It is the product of matrix_groupoid(n) and group_as_category(vertex_group)
@@ -151,23 +151,23 @@ def connected_groupoid(object_count: int, vertex_group, budget: Budget = DEFAULT
     """
     table = tuple(tuple(row) for row in vertex_group)
     n = check_count(object_count, "object count")
-    check_order(n * n * len(table), budget)  # before the O(q^3) group check and the matrix units
+    check_order(n * n * len(table))  # before the O(q^3) group check and the matrix units
     group = group_as_category(table)
-    return product_category(matrix_groupoid(n, budget), group, budget)
+    return product_category(matrix_groupoid(n), group)
 
 
-def matrix_groupoid(n: int, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
+def matrix_groupoid(n: int) -> FinitePrecategory:
     """The thin connected groupoid on n objects: morphisms e(i,j): j -> i at index i*n + j."""
     check_count(n, "object count")
-    check_order(n * n, budget)
+    check_order(n * n)
     morphisms = tuple((j, i) for i in range(n) for j in range(n))
     return FinitePrecategory(n, morphisms, tuple(map(tuple, _matrix_units(n))), tuple(i * n + i for i in range(n)))
 
 
-def product_category(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
+def product_category(left: FinitePrecategory, right: FinitePrecategory) -> FinitePrecategory:
     """Componentwise product; morphism (s, t) encoded as s*|mor(right)| + t."""
     mr = right.morphism_count
-    check_order(left.morphism_count * mr, budget)
+    check_order(left.morphism_count * mr)
     nobj_r = right.object_count
     morphisms = tuple(
         (left.dom(s) * nobj_r + right.dom(t), left.cod(s) * nobj_r + right.cod(t))
@@ -288,13 +288,13 @@ def vertex_group_table(cat: FinitePrecategory, obj: int):
     return _restricted(cat, [obj], cat.hom(obj, obj)).comp
 
 
-def adjoin_zero(cat: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def adjoin_zero(cat: FinitePrecategory) -> FiniteMagma:
     """The zero magma on mor(cat) plus a fresh absorbing element.
 
     s * t is the composite when defined and the zero otherwise; the zero sits
     at the top index, so morphism indices are preserved.
     """
-    return _zero_adjoined(cat.comp, budget)
+    return _zero_adjoined(cat.comp)
 
 
 def _fill_free_objects(maps: list, target_objects: int, counter) -> list:
@@ -312,6 +312,11 @@ def _fill_free_objects(maps: list, target_objects: int, counter) -> list:
                 obj_map[o] = img
             filled.append(MorphismMap(tuple(obj_map), mm.morphism_map))
     return filled
+
+
+def _check_identities(source: FinitePrecategory, target: FinitePrecategory) -> None:
+    if not (source.is_category and target.is_category):
+        raise NotACategoryError("functors need total identities on both sides")
 
 
 def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
@@ -334,8 +339,8 @@ def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, 
     # can meet an unbound object, so search filters its images once: a loop
     # there goes only to a loop and, for functors, an identity only to an
     # identity.
-    if functors and not (source.is_category and target.is_category):
-        raise NotACategoryError("functor enumeration needs total identities on both sides")
+    if functors:
+        _check_identities(source, target)
     m = source.morphism_count
     comp, image_comp = source.comp, target.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]
@@ -424,8 +429,8 @@ def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: Finit
     an inconsistent one raises ReductionMismatchError rather than being
     silently discarded.  Objects touched by no morphism take every image.
     """
-    g = adjoin_zero(source, budget)
-    h = adjoin_zero(target, budget)
+    g = adjoin_zero(source)
+    h = adjoin_zero(target)
     counter = NodeCounter(budget)
     maps = []
     for images in _zero_homs(g, h, counter):
@@ -473,9 +478,8 @@ def is_prefunctor(source: FinitePrecategory, target: FinitePrecategory, mm: Morp
 
 
 def is_functor(source: FinitePrecategory, target: FinitePrecategory, mm: MorphismMap) -> bool:
-    if not is_prefunctor(source, target, mm):
-        return False
-    return all(
+    _check_identities(source, target)
+    return is_prefunctor(source, target, mm) and all(
         mm.morphism_map[source.identity_at[e]] == target.identity_at[mm.object_map[e]]
         for e in range(source.object_count)
     )
@@ -523,8 +527,8 @@ def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: Fini
     forbidden zero column of the zero submagma.  When the right factor has one
     object this is all subprecategories and the two enumerations coincide.
     """
-    g = adjoin_zero(left, budget)
-    h = adjoin_zero(right, budget)
+    g = adjoin_zero(left)
+    h = adjoin_zero(right)
     zg, zh = g.zero, h.zero
     seen = set()
     for pairs in enumerate_zero_submagmas(g, h, budget):

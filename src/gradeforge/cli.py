@@ -62,13 +62,13 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load(path: str, budget: Budget, kinds: tuple):
+def _load(path: str, kinds: tuple):
     """(kind, structure, text) of a magma or category file, whose kind must be one of kinds."""
     text = _read(path)
     kind = io.detect_kind(text)
     if kind not in kinds:
         raise ValidationError(f"{path} holds a {kind} document, expected a {' or '.join(kinds)}")
-    structure = io.parse_magma(text) if kind == "magma" else io.parse_category(text, budget)
+    structure = io.parse_magma(text) if kind == "magma" else io.parse_category(text)
     return kind, structure, text
 
 
@@ -81,10 +81,10 @@ def _check_flags(kind: str, args) -> None:
         raise ValidationError("--prefunctors and --functors need category operands")
 
 
-def _algebra(kind: str, structure, zero: bool, field: int, budget: Budget):
+def _algebra(kind: str, structure, zero: bool, field: int):
     """The algebra of a category, else of a magma, contracted at its zero when zero is set."""
     if kind == "category":
-        return alg.category_algebra(structure, field, budget)
+        return alg.category_algebra(structure, field)
     return (alg.contracted_algebra if zero else alg.magma_algebra)(structure, field)
 
 
@@ -103,13 +103,13 @@ def _census(args, budget, out):
 
 
 def _canon(args, budget, out):
-    text = io.print_magma(mg.canonical_form(_load(args.source, budget, ("magma",))[1], budget))
+    text = io.print_magma(mg.canonical_form(_load(args.source, ("magma",))[1], budget))
     out.write(io.emit_report({"text": text}) if args.json else text)
     return 0
 
 
 def _iso(args, budget, out):
-    left, right = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    left, right = (_load(p, ("magma",))[1] for p in (args.source, args.target))
     holds = mg.are_isomorphic(left, right, budget)
     out.write(io.emit_report({"isomorphic": holds}) if args.json else f"isomorphic {str(holds).lower()}\n")
     return 0 if holds else 1
@@ -117,7 +117,7 @@ def _iso(args, budget, out):
 
 def _hom(args, budget, out):
     """Each map is a tuple of target indices, printed from the spelling of each index."""
-    source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    source, target = (_load(p, ("magma",))[1] for p in (args.source, args.target))
     maps = (mg.enumerate_zero_homs if args.zero else mg.enumerate_homs)(source, target, budget)
     json_of, head = list(map(io._dumps, range(target.order))), "{" + io._dumps("images") + ":["
     return _write(
@@ -128,14 +128,14 @@ def _hom(args, budget, out):
 
 def _submagmas(args, budget, out):
     """Each subset is a kernel mask, printed from the spelling of the member at each of its bits."""
-    source = _load(args.source, budget, ("magma",))[1]
+    source = _load(args.source, ("magma",))[1]
     if args.target is None:
         if args.zero:
             raise ValidationError("--zero needs a second magma operand")
         masks, key, members = mg._submagma_masks(source, budget), "elements", range(source.order)
         text_of, sep = list(map(str, members)), ","
     else:
-        target = _load(args.target, budget, ("magma",))[1]
+        target = _load(args.target, ("magma",))[1]
         masks = mg._zero_pair_masks(source, target, budget) if args.zero else mg._pair_masks(source.table, target.table, budget)
         key, members = "pairs", mg._bit_pairs(source.order, target.order)
         text_of, sep = [f"{g}:{h}" for g, h in members], " "
@@ -147,7 +147,7 @@ def _submagmas(args, budget, out):
 
 
 def _functors(args, budget, out):
-    source, target = (_load(p, budget, ("category",))[1] for p in (args.source, args.target))
+    source, target = (_load(p, ("category",))[1] for p in (args.source, args.target))
     maps = (cat.enumerate_prefunctors if args.prefunctors else cat.enumerate_functors)(source, target, budget)
     return _write(
         out, args, maps, len(maps), lambda m: io._dumps({"objects": m.object_map, "morphisms": m.morphism_map}),
@@ -156,11 +156,11 @@ def _functors(args, budget, out):
 
 
 def _families(args, budget, out):
-    kind, source, _ = _load(args.source, budget, ("magma", "category"))
-    _, target, target_text = _load(args.target, budget, (kind,))
+    kind, source, _ = _load(args.source, ("magma", "category"))
+    _, target, target_text = _load(args.target, (kind,))
     _check_flags(kind, args)
     if kind == "magma":
-        source = _algebra(kind, source, args.zero, args.field, budget)
+        source = _algebra(kind, source, args.zero, args.field)
     variant = args.zero or getattr(args, "prefunctors", False)  # --zero for magmas, --prefunctors for categories
     algebra, count, families = alg._family_enumeration(args.command, variant, source, target, budget, args.field)
     if args.nonzero_only:
@@ -170,10 +170,10 @@ def _families(args, budget, out):
 
 
 def _verify(args, budget, out):
-    kind, structure, _ = _load(args.algebra, budget, ("magma", "category"))
+    kind, structure, _ = _load(args.algebra, ("magma", "category"))
     _check_flags(kind, args)
-    algebra = _algebra(kind, structure, args.zero, args.field, budget)
-    family = io.parse_family(_read(args.family), algebra, budget)
+    algebra = _algebra(kind, structure, args.zero, args.field)
+    family = io.parse_family(_read(args.family), algebra)
     checks = (alg.is_filter, alg.is_grading, alg.is_strong, alg.is_nonzero, alg.is_elementary)
     verdicts = [check(algebra, family) for check in checks]
     text = "".join(f"{v.prop} {str(v.holds).lower()}\n" for v in verdicts)
@@ -182,7 +182,7 @@ def _verify(args, budget, out):
 
 
 def _roundtrip(args, budget, out):
-    source, target = (_load(p, budget, ("magma",))[1] for p in (args.source, args.target))
+    source, target = (_load(p, ("magma",))[1] for p in (args.source, args.target))
     algebra = alg.magma_algebra(source, args.field)
     rels = [mg.PairRelation(source, target, pairs) for pairs in mg.enumerate_product_submagmas(source, target, budget)]
 

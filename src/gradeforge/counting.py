@@ -84,8 +84,8 @@ def matrix_group_gradings_report(n: int, q: int, budget: Budget = DEFAULT_BUDGET
     closed = count_matrix_group_gradings(n, q)
 
     def oracle():
-        source = matrix_unit_zero_magma(n, budget)
-        return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q, budget), budget), budget))
+        source = matrix_unit_zero_magma(n)
+        return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q)), budget))
 
     return _report("matrix_group_gradings", {"n": n, "q": q}, closed, _within(oracle))
 
@@ -193,7 +193,7 @@ def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT
     closed = count_abelian_homs(source_factors, target_factors)
 
     def oracle():
-        source, target = abelian_group_magma(source_factors, budget), abelian_group_magma(target_factors, budget)
+        source, target = abelian_group_magma(source_factors), abelian_group_magma(target_factors)
         return len(enumerate_homs(source, target, budget))
 
     return _report(
@@ -241,7 +241,7 @@ def subspaces_report(p: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountRe
 
     def oracle():
         # drop the empty set: subgroups = subspaces
-        return len(enumerate_submagmas(abelian_group_magma([p] * n, budget), budget)) - 1
+        return len(enumerate_submagmas(abelian_group_magma([p] * n), budget)) - 1
 
     brute_all = _within(oracle)
     brute = None if brute_all is None else brute_all - 1  # drop the zero subspace to match the k >= 1 sum

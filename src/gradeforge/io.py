@@ -12,7 +12,7 @@ import json
 from functools import partial
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
-from .budget import DEFAULT_BUDGET, Budget
+from .budget import MAX_ORDER
 from .category import FinitePrecategory, _restricted, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError, SizeOverflowError, check_index
@@ -80,7 +80,7 @@ def print_magma(magma: FiniteMagma) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
+def _parse_groupoid_presentation(lines, object_count, morphism_count):
     # One block per connected component: the objects it covers, a vertex-group
     # Cayley table, and a spanning tree over those objects.
     i = 0
@@ -107,7 +107,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         table = []
         for _ in range(q):
             if i >= len(lines):
-                raise ParseError("missing vertex group row", lineno, 1)
+                raise ParseError("missing vertex group row", lineno + 1, 1)
             lineno, toks = lines[i]
             row = [_int(t, "bad vertex group entry", lineno, 1) for t in toks]
             if len(row) != q:
@@ -136,7 +136,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
         raise ParseError("components do not cover all objects", lines[-1][0] if lines else 1, 1)
     cat = FinitePrecategory(0, (), (), ())
     for objs, table in components:
-        cat = disjoint_union(cat, connected_groupoid(len(objs), table, budget))
+        cat = disjoint_union(cat, connected_groupoid(len(objs), table))
     # The union numbers objects in the order the components list them; give each its label.
     label = [o for objs, _ in components for o in objs]
     cat = _restricted(cat, sorted(range(object_count), key=label.__getitem__), range(cat.morphism_count))
@@ -149,7 +149,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count, budget):
     return cat
 
 
-def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecategory:
+def parse_category(text: str) -> FinitePrecategory:
     """Parse the category format.
 
     Explicit form: 'category <objects> <morphisms>', one 'm <dom> <cod> [id]'
@@ -165,11 +165,11 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
     if len(head) != 3 or head[0] != "category":
         raise ParseError("expected 'category <objects> <morphisms>'", 1, 1)
     object_count, morphism_count = (_int(t, "bad counts in header", 1, 10) for t in head[1:])
-    if object_count > budget.max_order:
-        raise SizeOverflowError(f"object count {object_count} exceeds the cap of {budget.max_order}")
+    if object_count > MAX_ORDER:
+        raise SizeOverflowError(f"object count {object_count} exceeds the cap of {MAX_ORDER}")
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]
     if body and body[0][1] == ["groupoid-presentation"]:
-        return _parse_groupoid_presentation(body[1:], object_count, morphism_count, budget)
+        return _parse_groupoid_presentation(body[1:], object_count, morphism_count)
     morphisms = []
     identity_at = [None] * object_count
     idx = 0
@@ -205,7 +205,7 @@ def parse_category(text: str, budget: Budget = DEFAULT_BUDGET) -> FinitePrecateg
         for t in range(morphism_count):
             if morphisms[s][0] == morphisms[t][1] and (s, t) not in given:
                 raise ParseError(f"missing composite for composable pair ({s}, {t})", len(lines), 1)
-    return validate_precategory(object_count, morphisms, comp, identity_at, budget)
+    return validate_precategory(object_count, morphisms, comp, identity_at)
 
 
 def print_category(cat: FinitePrecategory) -> str:
@@ -248,7 +248,7 @@ def family_to_doc(family: ElementaryFamily, target_text: str, target_format: str
     }
 
 
-def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAULT_BUDGET) -> ElementaryFamily:
+def parse_family(text: str, algebra: AlgebraPresentation) -> ElementaryFamily:
     """Rebuild a family document against a given algebra presentation.
 
     A category target is adjoined a zero, matching the indexing that the
@@ -267,7 +267,7 @@ def parse_family(text: str, algebra: AlgebraPresentation, budget: Budget = DEFAU
     if fmt == "magma":
         target = parse_magma(target_doc.get("text", ""))
     elif fmt == "category":
-        target = adjoin_zero(parse_category(target_doc.get("text", ""), budget), budget)
+        target = adjoin_zero(parse_category(target_doc.get("text", "")))
     else:
         raise ParseError(f"unknown target format {fmt!r}", 1, 1)
     raw = doc.get("parts", {})

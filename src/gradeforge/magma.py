@@ -101,11 +101,11 @@ def _pair_table(left, right) -> list:
     ]
 
 
-def _zero_adjoined(table, budget: Budget) -> FiniteMagma:
+def _zero_adjoined(table) -> FiniteMagma:
     """The zero magma of a (partial) table: a fresh absorbing zero at the top index, which is
     also the product wherever the table has None."""
     n = len(table)
-    check_order(n + 1, budget)
+    check_order(n + 1)
     rows = tuple(tuple(n if e is None else e for e in row) + (n,) for row in table)
     return FiniteMagma(order=n + 1, table=rows + ((n,) * (n + 1),), zero=n)
 
@@ -115,30 +115,30 @@ def _zero_exempt(table, zero: int) -> tuple:
     return tuple(tuple(None if e == zero else e for e in row) for row in table)
 
 
-def product_magma(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def product_magma(left: FiniteMagma, right: FiniteMagma) -> FiniteMagma:
     """Componentwise product on pairs, encoded as (g, h) -> g*|right| + h.
 
     No zero is designated on the result even when both factors carry one.
     """
     order = left.order * right.order
-    check_order(order, budget)
+    check_order(order)
     return FiniteMagma(order=order, table=tuple(map(tuple, _pair_table(left.table, right.table))))
 
 
-def with_zero_adjoined(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def with_zero_adjoined(magma: FiniteMagma) -> FiniteMagma:
     """Adjoin a fresh absorbing element at the top index."""
-    return _zero_adjoined(magma.table, budget)
+    return _zero_adjoined(magma.table)
 
 
-def cyclic_group_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def cyclic_group_magma(n: int) -> FiniteMagma:
     """The cyclic group of order n as a bare Cayley table, i + j mod n: abelian_group_magma([n])."""
-    return abelian_group_magma([n], budget)
+    return abelian_group_magma([n])
 
 
-def abelian_group_magma(factors, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def abelian_group_magma(factors) -> FiniteMagma:
     """Direct sum of cyclic groups, elements in mixed-radix order (the last factor fastest)."""
     factors = tuple(check_count(f, "cyclic factors") for f in factors)
-    check_order(prod(factors), budget)
+    check_order(prod(factors))
     coords = list(itertools.product(*map(range, factors)))
     index = {c: x for x, c in enumerate(coords)}
     table = tuple(
@@ -154,14 +154,14 @@ def _matrix_units(n: int) -> list:
     return [[x - x % n + y % n if x % n == y // n else None for y in range(m)] for x in range(m)]
 
 
-def matrix_unit_zero_magma(n: int, budget: Budget = DEFAULT_BUDGET) -> FiniteMagma:
+def matrix_unit_zero_magma(n: int) -> FiniteMagma:
     """Matrix units e(i,j) plus an absorbing zero; e(i,j)e(k,l) = e(i,l) if j = k, else 0.
 
     e(i,j) sits at index i*n + j (0-based); the zero is the last index n*n.
     """
     check_count(n, "matrix size")
-    check_order(n * n + 1, budget)
-    return _zero_adjoined(_matrix_units(n), budget)
+    check_order(n * n + 1)
+    return _zero_adjoined(_matrix_units(n))
 
 
 def closure(magma: FiniteMagma, seed) -> frozenset:
@@ -302,7 +302,7 @@ def _pair_masks(left, right, budget: Budget, forced=(), banned=()) -> list:
     # pair and no banned one, as masks with pair (g, h) at bit g*len(right) + h,
     # in increasing order.  The pair count is capped before the table is built.
     nh = len(right)
-    check_order(len(left) * nh, budget)
+    check_order(len(left) * nh)
     return _closed_subsets(
         _pair_table(left, right), _pair_mask(forced, nh), _pair_mask(banned, nh), NodeCounter(budget)
     )
@@ -345,7 +345,7 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
     and no nonzero g is paired with 0_H -- and f is closed under componentwise
     products whose left component is nonzero.  A forced product landing on
     (g, 0_H) with g nonzero kills the branch, since no such pair may exist.
-    |left|*|right| is capped by the budget's max_order.
+    |left|*|right| is capped by the order cap.
     """
     return _pair_subsets(_zero_pair_masks(left, right, budget), left.order, right.order)
 
@@ -575,7 +575,7 @@ def canonical_form(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> Finit
     element is unique.
     """
     n = magma.order
-    check_order(n, budget)
+    check_order(n)
     flat, perm = _least_table(magma.table, NodeCounter(budget))
     return FiniteMagma(order=n, table=_unflattened(flat, n), zero=None if magma.zero is None else perm[magma.zero])
 
@@ -585,7 +585,7 @@ def are_isomorphic(left: FiniteMagma, right: FiniteMagma, budget: Budget = DEFAU
     spend from one node budget."""
     if left.order != right.order:
         return False
-    check_order(left.order, budget)
+    check_order(left.order)
     counter = NodeCounter(budget)
     return _least_table(left.table, counter)[0] == _least_table(right.table, counter)[0]
 
@@ -601,7 +601,7 @@ def census(order: int, budget: Budget = DEFAULT_BUDGET) -> list:
     which gates anything past order 3 (order 4 already has 178,981,952 classes).
     """
     check_count(order, "order")
-    check_order(order, budget)  # before order ** (order * order) is formed
+    check_order(order)  # before order ** (order * order) is formed
     n, cells = order, order * order
     NodeCounter(budget).spend(n**cells)
     seen = bytearray(n**cells)

@@ -201,6 +201,18 @@ class TestAxiomChecks:
         )
         assert not is_nonzero(a, bad)
 
+    @pytest.mark.parametrize("check", [is_filter, is_grading, is_strong, is_nonzero, is_elementary])
+    @pytest.mark.parametrize("algebra_order, family_order", [(2, 4), (4, 2)], ids=["z2-family-over-z4", "z4-family-over-z2"])
+    def test_family_over_another_algebra_is_refused(self, check, algebra_order, family_order):
+        # As relation_from_filter refuses it; before, an IndexError, or a verdict on the wrong basis.
+        algebra = magma_algebra(cyclic_group_magma(algebra_order))
+        with pytest.raises(BasisMismatchError, match="different algebra"):
+            check(algebra, base_family(magma_algebra(cyclic_group_magma(family_order))))
+
+    @pytest.mark.parametrize("check", [is_filter, is_grading, is_strong, is_nonzero, is_elementary])
+    def test_family_over_an_equal_algebra_is_checked(self, check):
+        assert check(magma_algebra(cyclic_group_magma(4)), base_family(magma_algebra(cyclic_group_magma(4))))
+
     def test_elementary_always_holds_for_subset_families(self, order2):
         a = magma_algebra(order2["aabb"])
         for pairs in enumerate_product_submagmas(order2["aabb"], order2["aabb"]):

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradeforge as gf
+from gradeforge.budget import MAX_ORDER
 from gradeforge.io import parse_category, parse_magma, print_category, print_magma
 
-CAP = gf.DEFAULT_BUDGET.max_order
+CAP = MAX_ORDER
 # Nothing in the API bounds the closed forms ((p*q^(m-1))^(n^m) for one), so their draws stay small.
 SMALL = 2
 
@@ -27,7 +28,7 @@ Z2_ALGEBRA = gf.magma_algebra(Z2)
 # name -> (the cap of each int-typed argument, the call); a name may have several calls, one per
 # group of arguments, as "name:arguments".
 CALLS = {
-    "Budget": ((CAP, CAP), lambda a, b: gf.canonical_form(Z2, gf.Budget(a, b))),
+    "Budget": ((CAP,), lambda nodes: gf.canonical_form(Z2, gf.Budget(nodes))),
     "PairRelation": ((2, 2), lambda g, h: gf.PairRelation(Z2, Z2, frozenset({(g, h)}))),
     "abelian_group_magma": ((CAP, CAP), lambda a, b: gf.abelian_group_magma([a, b])),
     "census": ((CAP,), gf.census),

@@ -388,6 +388,16 @@ class TestPrefunctorsAndFunctors:
         with pytest.raises(NotACategoryError):
             enumerate_functors(arrow, z2_cat)
 
+    @pytest.mark.parametrize("without_identities", ["source", "target", "both"])
+    def test_functor_check_refuses_precategories_as_the_enumeration_does(self, without_identities):
+        # One idempotent loop and no identity, against the trivial group; one map fits both.
+        pre, trivial = validate_precategory(1, [(0, 0)], [[0]]), group_as_category([[0]])
+        source = trivial if without_identities == "target" else pre
+        target = trivial if without_identities == "source" else pre
+        for call in (lambda: is_functor(source, target, identity_morphism_map(pre)), lambda: enumerate_functors(source, target)):
+            with pytest.raises(NotACategoryError):
+                call()
+
     def test_identity_and_composition_closure(self, involution_cat, z2_cat):
         functors = enumerate_functors(involution_cat, z2_cat)
         assert identity_morphism_map(involution_cat) in enumerate_functors(involution_cat, involution_cat)

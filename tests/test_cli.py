@@ -115,7 +115,7 @@ class TestSubmagmas:
         assert code == 1
 
     def test_zero_product_beyond_the_order_cap_exits_on_budget(self, tmp_path):
-        # 41 x 41 = 1,681 pairs, above the default max_order: a budget exit,
+        # 41 x 41 = 1,681 pairs, above the order cap of 64: a budget exit,
         # not a traceback from a search that recurses once per pair.
         null41 = tmp_path / "null41.mag"
         null41.write_text("magma 41\nzero 0\n" + "".join(" ".join(["0"] * 41) + "\n" for _ in range(41)), encoding="utf-8")

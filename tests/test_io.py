@@ -111,6 +111,8 @@ class TestParseErrorPositions:
             (parse_category, "category 1 1\ngroupoid-presentation\ncomponent x\n", "bad object index in component", 3, 1),
             (parse_category, "category 1 1\ngroupoid-presentation\ncomponent 0\nvertex-group x\n", "bad vertex group order 'x'", 4, 14),
             (parse_category, PRESENTED.replace("group 1", "group 2") + "0 x\n", "bad vertex group entry", 5, 1),
+            # The row that is missing is the one after the last line read.
+            (parse_category, "category 1 2\ngroupoid-presentation\ncomponent 0\nvertex-group 2\n0 1\n", "missing vertex group row", 6, 1),
             (parse_category, PRESENTED + "0\ntree 1 x\n", "bad tree edge", 6, 1),
             (parse_category, PRESENTED + "0\ntree 1 2\n", "tree edge leaves the component", 6, 1),
             (parse_category, "category 3 9\ngroupoid-presentation\ncomponent 0 1 2\nvertex-group 1\n0\ntree 1 0\ntree 0 1\n",

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradeforge.budget import Budget
+from gradeforge.budget import MAX_ORDER, Budget, NodeCounter
 from gradeforge.errors import (
     IndexOutOfRangeError,
     MissingZeroError,
@@ -23,7 +23,11 @@ from gradeforge.category import (
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
+    _closed_subsets,
+    _pair_mask,
+    _pair_table,
     _unflattened,
+    _zero_exempt,
     abelian_group_magma,
     are_isomorphic,
     canonical_form,
@@ -213,9 +217,9 @@ class TestConstructorsAgainstDefinitions:
             with pytest.raises(SizeOverflowError):
                 build()
             assert time.perf_counter() - start < 0.1
-        assert cyclic_group_magma(65, Budget(max_order=65)).order == 65
+        assert cyclic_group_magma(MAX_ORDER).order == abelian_group_magma([8, 8]).order == MAX_ORDER
         with pytest.raises(SizeOverflowError):
-            abelian_group_magma([4, 4], Budget(max_order=15))
+            abelian_group_magma([5, 13])
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
     def test_matrix_size_must_be_a_plain_int(self, n):
@@ -657,11 +661,13 @@ class TestBudgets:
         null41 = validate_magma(41, [[0] * 41 for _ in range(41)], zero=0)
         with pytest.raises(SizeOverflowError):
             enumerate_zero_submagmas(null41, null41)
-        # With the order cap raised, the 1,681-pair search runs until the node
-        # budget stops it; a search recursing once per pair would overflow the
-        # interpreter stack first.
-        with pytest.raises(SizeOverflowError):
-            enumerate_zero_submagmas(null41, null41, Budget(max_order=2000, max_nodes=5000))
+        # The kernel itself, past the order cap: the 1,681-pair search runs until
+        # the node budget stops it; a search recursing once per pair would
+        # overflow the interpreter stack first.
+        table = _pair_table(_zero_exempt(null41.table, 0), null41.table)
+        banned = _pair_mask([(g, 0) for g in range(1, 41)], 41)
+        with pytest.raises(SizeOverflowError, match="search budget exhausted"):
+            _closed_subsets(table, _pair_mask([(0, 0)], 41), banned, NodeCounter(Budget(max_nodes=5000)))
 
 
 # A left-zero band (x*y = x): every one of the 2^16 subsets of its square is closed.
