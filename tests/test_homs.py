@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 from math import gcd
 
 import pytest
 
-from gradeforge.errors import MissingZeroError
+from gradeforge.budget import Budget
+from gradeforge.errors import MissingZeroError, SizeOverflowError
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
+    abelian_group_magma,
     cyclic_group_magma,
     enumerate_homs,
     enumerate_zero_homs,
@@ -130,3 +133,57 @@ class TestZeroHoms:
                     ti, tj = divmod(target, 3)
                     ok = ok and p.setdefault(i, ti) == ti and p.setdefault(j, tj) == tj
             assert ok
+
+
+def transformation_semigroup(maps):
+    """The maps on range(k) under composition, x*y = first x then y, in the order given."""
+    index = {m: i for i, m in enumerate(maps)}
+    return validate_magma(len(maps), [[index[tuple(y[p] for p in x)] for y in maps] for x in maps])
+
+
+# S3 as permutations of three points, in lexicographic order, p*q = p after q.
+S3 = validate_magma(
+    6,
+    [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 4, 5, 2, 3],
+        [2, 3, 0, 1, 5, 4],
+        [3, 2, 5, 4, 0, 1],
+        [4, 5, 1, 0, 3, 2],
+        [5, 4, 3, 2, 1, 0],
+    ],
+)
+# The full transformation monoid on three points: a monoid, not a group.
+T3 = transformation_semigroup(list(itertools.product(range(3), repeat=3)))
+
+
+@pytest.mark.parametrize(
+    "source, target, count, digest, nodes",
+    [
+        (S3, S3, 10, "08618118ed7a604f7ac9313e145265fbc8b5e66abc18c3706951363d83ceaa46", 16),
+        (T3, T3, 40, "6ecc9a6cac30649579c872180d830266bfccec3ae7a6a58b341559365fc42e5a", 488),
+        (
+            abelian_group_magma([4, 4]),
+            abelian_group_magma([2, 2, 2, 2]),
+            256,
+            "3767a29186beea8d23e8c4e1859eaba942da53373df323d64a699a0c77bd3e9a",
+            274,
+        ),
+    ],
+    ids=["s3", "transformation_monoid", "z4xz4_z2_4"],
+)
+def test_associative_hom_lists_and_node_budgets_are_pinned(source, target, count, digest, nodes):
+    # The exact list, through the sha256 of its repr, and the exact minimal budget.
+    homs = enumerate_homs(source, target, Budget(max_nodes=nodes))
+    assert len(homs) == count
+    assert hashlib.sha256(repr(homs).encode()).hexdigest() == digest
+    with pytest.raises(SizeOverflowError):
+        enumerate_homs(source, target, Budget(max_nodes=nodes - 1))
+
+
+def test_a_non_associative_target_is_checked_on_every_product():
+    # Z3 into a table that is not associative.  The map with 1 -> 2 keeps every product 0*t and
+    # 1*t, since row 0 of the target is the identity, but not 2*1 = 0: only the constant map is a hom.
+    z3 = cyclic_group_magma(3)
+    target = validate_magma(3, [[0, 1, 2], [2, 0, 2], [2, 0, 1]])
+    assert enumerate_homs(z3, target) == brute_force_homs(z3, target) == [(0, 0, 0)]
