@@ -136,6 +136,23 @@ def brute_force_homs(source, target, zero=False):
     return found
 
 
+def transformation_semigroup(maps):
+    """The semigroup generated by maps on range(k) under composition, x*y = first x then y, with
+    its elements in sorted order."""
+    elements = set(maps)
+    fresh = list(elements)
+    while fresh:
+        x = fresh.pop()
+        for y in list(elements):
+            for z in (tuple(y[p] for p in x), tuple(x[p] for p in y)):
+                if z not in elements:
+                    elements.add(z)
+                    fresh.append(z)
+    elements = sorted(elements)
+    index = {m: i for i, m in enumerate(elements)}
+    return validate_magma(len(elements), [[index[tuple(y[p] for p in x)] for y in elements] for x in elements])
+
+
 def one_object_monoid(table, identity=0):
     return validate_precategory(1, [(0, 0)] * len(table), table, identity_at=(identity,))
 

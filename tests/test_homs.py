@@ -16,7 +16,7 @@ from gradeforge.magma import (
     validate_magma,
 )
 
-from conftest import HOM_TABLE, MAP_SYMBOLS, ORDER2_WORDS, brute_force_homs
+from conftest import HOM_TABLE, MAP_SYMBOLS, ORDER2_WORDS, brute_force_homs, transformation_semigroup
 
 
 def symbols(maps):
@@ -135,12 +135,6 @@ class TestZeroHoms:
             assert ok
 
 
-def transformation_semigroup(maps):
-    """The maps on range(k) under composition, x*y = first x then y, in the order given."""
-    index = {m: i for i, m in enumerate(maps)}
-    return validate_magma(len(maps), [[index[tuple(y[p] for p in x)] for y in maps] for x in maps])
-
-
 # S3 as permutations of three points, in lexicographic order, p*q = p after q.
 S3 = validate_magma(
     6,
@@ -154,7 +148,7 @@ S3 = validate_magma(
     ],
 )
 # The full transformation monoid on three points: a monoid, not a group.
-T3 = transformation_semigroup(list(itertools.product(range(3), repeat=3)))
+T3 = transformation_semigroup(itertools.product(range(3), repeat=3))
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,7 @@ class TestValidate:
 
     def test_idempotent_pair_with_zero(self, idem_pair_zero3):
         assert idem_pair_zero3.zero == 2
-        assert idem_pair_zero3.product(0, 1) == 2
+        assert idem_pair_zero3.table[0][1] == 2
 
     def test_entry_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):

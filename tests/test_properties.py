@@ -1,6 +1,6 @@
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge.algebra import grading_from_relation, magma_algebra, relation_from_filter
 from gradeforge.io import parse_magma, print_magma
@@ -19,7 +19,7 @@ from gradeforge.magma import (
     validate_magma,
 )
 
-from conftest import naive_closure
+from conftest import brute_force_homs, naive_closure, transformation_semigroup
 from plain_closed_subsets import plain_closed_subsets
 
 
@@ -110,6 +110,33 @@ def test_hom_graphs_are_submagmas(left, right):
     submagmas = set(enumerate_product_submagmas(left, right))
     for images in enumerate_homs(left, right):
         assert frozenset(enumerate(images)) in submagmas
+
+
+@st.composite
+def associative_magmas(draw):
+    """The semigroup generated by one or two maps on at most three points, or an abelian group of
+    order at most 6 under a random relabelling."""
+    if draw(st.booleans()):
+        points = draw(st.integers(min_value=1, max_value=3))
+        transformation = st.tuples(*[st.integers(min_value=0, max_value=points - 1)] * points)
+        return transformation_semigroup(draw(st.lists(transformation, min_size=1, max_size=2)))
+    group = abelian_group_magma(draw(st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,)])))
+    label = draw(st.permutations(range(group.order)))
+    table = [[0] * group.order for _ in range(group.order)]
+    for g, row in enumerate(group.table):
+        for h, gh in enumerate(row):
+            table[label[g]][label[h]] = label[gh]
+    return validate_magma(group.order, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(associative_magmas(), magmas(max_order=3), st.booleans())
+def test_homs_with_an_associative_side_are_the_brute_force_homs(semigroup, magma, reverse):
+    # The hom kernel checks fewer products when both tables are associative.  The random table
+    # is associative only sometimes, so both rules run, in both directions.
+    source, target = (magma, semigroup) if reverse else (semigroup, magma)
+    assume(target.order ** source.order <= 20_000)
+    assert enumerate_homs(source, target) == brute_force_homs(source, target)
 
 
 @settings(max_examples=100, deadline=None)
