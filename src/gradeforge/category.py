@@ -23,7 +23,7 @@ from .errors import (
     check_count,
     check_index,
 )
-from .magma import FiniteMagma, _bits, _closed_subsets, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
+from .magma import FiniteMagma, _closed_subsets, _decoded, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
 from .magma import _matrix_units, _zero_homs, enumerate_zero_submagmas
 
 
@@ -505,7 +505,7 @@ def enumerate_subprecategories(cat: FinitePrecategory, budget: Budget = DEFAULT_
     morphisms; identities are not required to belong.
     """
     masks = _closed_subsets(cat.comp, 0, 0, NodeCounter(budget))
-    return [frozenset(_bits(m)) for m in masks]
+    return _decoded(masks, range(cat.morphism_count))
 
 
 def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:

@@ -179,6 +179,26 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _decoded(masks, items) -> list:
+    """Each mask as the frozenset of the items at its set bits.  A mask splits at bit
+    k = ceil(n/2) for n items, and the set of each distinct low or high half is built once."""
+    k = (len(items) + 1) // 2
+    low = (1 << k) - 1
+    high_items = items[k:]
+    lows, highs = {}, {}
+    out = []
+    for m in masks:
+        a, b = m & low, m >> k
+        part = lows.get(a)
+        if part is None:
+            part = lows[a] = frozenset(map(items.__getitem__, _bits(a)))
+        rest = highs.get(b)
+        if rest is None:
+            rest = highs[b] = frozenset(map(high_items.__getitem__, _bits(b)))
+        out.append(part | rest)
+    return out
+
+
 def _close(table, mask: int, fresh: list, banned: int):
     # Saturate mask under table, multiplying each fresh element with every
     # member on both sides; None entries impose nothing.  Returns None as soon
@@ -219,7 +239,8 @@ def _closed_subsets(table, forced: int, banned: int, counter) -> list:
     # out of such products).  Children inherit it; once x or y is excluded or
     # every such product is included, a scan looks for a new one, taking x
     # from the highest undecided bit down, since the search excludes low bits
-    # first.  The root starts with no witness (out = 0).
+    # first.  The root starts with no witness (out = 0).  Both the witness
+    # scan and the closure read the escape table built below, not table.
     n = len(table)
     full = (1 << n) - 1
     # escapes[x][y]: the bits of x*y and y*x that are neither x nor y;
@@ -249,8 +270,31 @@ def _closed_subsets(table, forced: int, banned: int, counter) -> list:
                     return 1 << x | 1 << y, row[y]
         return 0, 0
 
+    def close(mask, fresh, excluded):
+        # The closure of mask, or None as soon as it meets excluded.  Only the
+        # products of the fresh bits (a mask) are not yet taken: each fresh x
+        # adds its escapes with the members among its partners.  A product
+        # equal to a factor is a member already, so this is _close's fixpoint.
+        while fresh:
+            x = fresh.bit_length() - 1
+            fresh ^= 1 << x
+            row = escapes[x]
+            new = 0
+            ys = partners[x] & mask
+            while ys:
+                y = ys.bit_length() - 1
+                ys ^= 1 << y
+                new |= row[y]
+            new &= ~mask
+            if new:
+                if new & excluded:
+                    return None
+                mask |= new
+                fresh |= new
+        return mask
+
     results: list[int] = []
-    start = _close(table, forced, list(_bits(forced)), banned)
+    start = close(forced, forced, banned)
     stack = [] if start is None else [(start, banned, 0, 0)]
     while stack:
         included, excluded, xy, out = stack.pop()
@@ -267,7 +311,7 @@ def _closed_subsets(table, forced: int, banned: int, counter) -> list:
             continue
         counter.spend()
         bit = undecided & -undecided
-        closed = _close(table, included | bit, [bit.bit_length() - 1], excluded)
+        closed = close(included | bit, bit, excluded)
         if closed is not None:
             stack.append((closed, excluded, xy, out))
         stack.append((included, excluded | bit, xy, out))
@@ -285,10 +329,12 @@ def enumerate_submagmas(magma: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> 
     undecided elements joins the included part as a result.  Such a branch
     is emitted whole, after the budget is charged the (2 << k) - 1 nodes the
     search would have visited below it, so the node count is that of the
-    plain search.  Output is sorted by bit pattern, so the empty set comes
-    first.
+    plain search.  Closure runs on a table, built once per call, of the
+    products of each pair that are neither factor.  Output is sorted by bit
+    pattern, so the empty set comes first; each set is the union of the sets
+    of its low and high half-masks, each of which is built once.
     """
-    return [frozenset(_bits(m)) for m in _submagma_masks(magma, budget)]
+    return _decoded(_submagma_masks(magma, budget), range(magma.order))
 
 
 def _submagma_masks(magma: FiniteMagma, budget: Budget) -> list:
@@ -318,9 +364,8 @@ def _bit_pairs(left_count: int, right_count: int) -> list:
 
 
 def _pair_subsets(masks, left_count: int, right_count: int) -> list:
-    # Each mask of _pair_masks decoded once to a frozenset of (g, h) pairs.
-    pairs = _bit_pairs(left_count, right_count)
-    return [frozenset(pairs[p] for p in _bits(m)) for m in masks]
+    # Each mask of _pair_masks decoded to a frozenset of (g, h) pairs.
+    return _decoded(masks, _bit_pairs(left_count, right_count))
 
 
 def _zero_pair_masks(left: FiniteMagma, right: FiniteMagma, budget: Budget) -> list:

@@ -1,21 +1,29 @@
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge.algebra import grading_from_relation, magma_algebra, relation_from_filter
+from gradeforge.category import matrix_groupoid
 from gradeforge.io import parse_magma, print_magma
 from gradeforge.magma import (
     FiniteMagma,
     PairRelation,
+    _bit_pairs,
     _bits,
     _close,
     _closed_subsets,
+    _decoded,
+    _pair_mask,
+    _pair_table,
+    _zero_exempt,
     abelian_group_magma,
     canonical_form,
     closure,
     enumerate_homs,
     enumerate_product_submagmas,
     enumerate_submagmas,
+    matrix_unit_zero_magma,
     validate_magma,
 )
 
@@ -206,3 +214,47 @@ def test_closed_subsets_match_the_plain_search(table, data):
     assert kernel.spent == plain.spent
     start = _close(table, forced, list(_bits(forced)), banned)
     assert kernel.calls == (0 if start is None else free_branch_walk(table, start, banned))
+
+
+def _zero_pair_case(n: int) -> tuple:
+    """The zero pair table of mu_n x mu_n with its forced zero pair and banned (g, 0) pairs."""
+    mu = matrix_unit_zero_magma(n)
+    z = mu.zero
+    banned = [(g, z) for g in range(mu.order) if g != z]
+    return _pair_table(_zero_exempt(mu.table, z), mu.table), _pair_mask([(z, z)], mu.order), _pair_mask(banned, mu.order)
+
+
+@pytest.mark.parametrize(
+    "table, forced, banned",
+    [
+        (matrix_groupoid(3).comp, 0, 0),  # 9 bits, partial
+        (abelian_group_magma([2, 2, 2, 2]).table, 0, 0),  # 16 bits
+        _zero_pair_case(2),  # 25 bits, forced and banned
+    ],
+    ids=["matrix_groupoid_3", "z2_4", "zero_pairs_mu2_mu2"],
+)
+def test_closed_subsets_match_the_plain_search_past_order_seven(table, forced, banned):
+    # The property test's tables have order <= 7; these are wider.
+    plain = RecordingCounter()
+    expected = plain_closed_subsets(table, forced, banned, plain)
+    kernel = RecordingCounter(limit=plain.spent)
+    assert _closed_subsets(table, forced, banned, kernel) == expected
+    assert kernel.spent == plain.spent
+
+
+@st.composite
+def decode_items(draw):
+    """range(n) for a width n <= 64, or the pairs of _bit_pairs(a, b) with a*b <= 64."""
+    if draw(st.booleans()):
+        return range(draw(st.integers(min_value=0, max_value=64)))
+    left = draw(st.integers(min_value=0, max_value=8))
+    return _bit_pairs(left, draw(st.integers(min_value=0, max_value=64 // max(left, 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_items(), st.data())
+def test_decoded_matches_the_per_bit_decode(items, data):
+    full = (1 << len(items)) - 1
+    drawn = data.draw(st.lists(st.integers(min_value=0, max_value=full), max_size=20))
+    masks = data.draw(st.permutations(drawn + [0, full]))
+    assert _decoded(masks, items) == [frozenset(items[p] for p in _bits(m)) for m in masks]
