@@ -18,13 +18,12 @@ from .errors import (
     NotACategoryError,
     NotAGroupError,
     NotAssociativeError,
-    ReductionMismatchError,
     ValidationError,
     check_count,
     check_index,
 )
 from .magma import FiniteMagma, _closed_subsets, _decoded, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
-from .magma import _matrix_units, _zero_homs, enumerate_zero_submagmas
+from .magma import _matrix_units
 
 
 @dataclass(frozen=True)
@@ -169,6 +168,7 @@ def product_category(left: FinitePrecategory, right: FinitePrecategory) -> Finit
     mr = right.morphism_count
     check_order(left.morphism_count * mr)
     nobj_r = right.object_count
+    check_order(left.object_count * nobj_r)
     morphisms = tuple(
         (left.dom(s) * nobj_r + right.dom(t), left.cod(s) * nobj_r + right.cod(t))
         for s in range(left.morphism_count)
@@ -190,6 +190,8 @@ def disjoint_union(left: FinitePrecategory, right: FinitePrecategory) -> FiniteP
     """Side-by-side union with left's objects and morphisms first."""
     off_o = left.object_count
     off_m = left.morphism_count
+    check_order(off_o + right.object_count)
+    check_order(off_m + right.morphism_count)
     morphisms = left.morphisms + tuple((d + off_o, c + off_o) for d, c in right.morphisms)
     m = len(morphisms)
     comp = [[None] * m for _ in range(m)]
@@ -422,32 +424,6 @@ def enumerate_functors(source: FinitePrecategory, target: FinitePrecategory, bud
     return _search_morphism_maps(source, target, True, NodeCounter(budget))
 
 
-def enumerate_prefunctors_via_zero_homs(source: FinitePrecategory, target: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
-    """Prefunctor enumeration reduced to zero-magma homomorphisms of the adjoined magmas.
-
-    Every zero-magma homomorphism must induce a consistent object assignment;
-    an inconsistent one raises ReductionMismatchError rather than being
-    silently discarded.  Objects touched by no morphism take every image.
-    """
-    g = adjoin_zero(source)
-    h = adjoin_zero(target)
-    counter = NodeCounter(budget)
-    maps = []
-    for images in _zero_homs(g, h, counter):
-        obj_map: list = [None] * source.object_count
-        for s in range(source.morphism_count):
-            u = images[s]
-            for go, lo in ((source.dom(s), target.dom(u)), (source.cod(s), target.cod(u))):
-                if obj_map[go] is None:
-                    obj_map[go] = lo
-                elif obj_map[go] != lo:
-                    raise ReductionMismatchError(
-                        f"zero-magma homomorphism {images} induces no consistent object map"
-                    )
-        maps.append(MorphismMap(tuple(obj_map), images[: source.morphism_count]))
-    return _fill_free_objects(maps, target.object_count, counter)
-
-
 def is_prefunctor(source: FinitePrecategory, target: FinitePrecategory, mm: MorphismMap) -> bool:
     """Check dom/cod compatibility and preservation of defined composition.
 
@@ -512,25 +488,3 @@ def enumerate_subprecategory_pairs(left: FinitePrecategory, right: FinitePrecate
     """Subprecategories of left x right as sets of (left morphism, right morphism) pairs."""
     return _pair_subsets(_pair_masks(left.comp, right.comp, budget), left.morphism_count, right.morphism_count)
 
-
-def subprecategory_pairs_via_zero_submagmas(left: FinitePrecategory, right: FinitePrecategory, budget: Budget = DEFAULT_BUDGET) -> list:
-    """Subprecategory pair-sets recovered from zero submagmas of the adjoined magmas.
-
-    Each zero submagma contributes the pairs of genuine morphisms it contains;
-    distinct zero submagmas can collapse to the same pair-set (pairs whose
-    left component is the adjoined zero carry no morphism information), so the
-    image is deduplicated.
-
-    The result is exactly the subprecategories in which every pair of members
-    with composable left components also has composable right components: a
-    left-composable, right-non-composable pair would force a product onto the
-    forbidden zero column of the zero submagma.  When the right factor has one
-    object this is all subprecategories and the two enumerations coincide.
-    """
-    g = adjoin_zero(left)
-    h = adjoin_zero(right)
-    zg, zh = g.zero, h.zero
-    seen = set()
-    for pairs in enumerate_zero_submagmas(g, h, budget):
-        seen.add(frozenset((s, t) for (s, t) in pairs if s != zg and t != zh))
-    return sorted(seen, key=lambda f: sorted(f))

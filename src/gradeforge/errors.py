@@ -48,14 +48,6 @@ class BasisMismatchError(ValidationError):
     pass
 
 
-class ReductionMismatchError(ToolkitError):
-    """A zero-magma homomorphism between adjoined magmas induced no consistent object map.
-
-    This is flagged loudly instead of being discarded: it would falsify the
-    reduction that the prefunctor enumeration relies on.
-    """
-
-
 class OracleDisagreementError(ToolkitError):
     """The subset-arithmetic and span-arithmetic verdicts of an axiom check differ.
 

@@ -29,12 +29,10 @@ from gradeforge.category import (
     adjoin_zero,
     enumerate_functors,
     enumerate_prefunctors,
-    enumerate_prefunctors_via_zero_homs,
     enumerate_subprecategory_pairs,
     group_as_category,
     connected_groupoid,
     matrix_groupoid,
-    subprecategory_pairs_via_zero_submagmas,
 )
 from gradeforge.counting import (
     count_abelian_homs,
@@ -75,6 +73,7 @@ from conftest import (
     symmetric_group_table,
 )
 from test_cli import run_cli
+from zero_reductions import enumerate_prefunctors_via_zero_homs, subprecategory_pairs_via_zero_submagmas
 
 
 def report(name, ok, detail=""):

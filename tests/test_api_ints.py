@@ -64,9 +64,9 @@ STRUCTURED = {
     "are_isomorphic", "canonical_form", "enumerate_homs", "enumerate_product_submagmas", "enumerate_submagmas",
     "enumerate_zero_homs", "enumerate_zero_submagmas", "product_magma", "with_zero_adjoined", "word_of_magma",
     "adjoin_zero", "compose_morphism_maps", "connected_components", "disjoint_union", "enumerate_functors",
-    "enumerate_prefunctors", "enumerate_prefunctors_via_zero_homs", "enumerate_subprecategories",
+    "enumerate_prefunctors", "enumerate_subprecategories",
     "enumerate_subprecategory_pairs", "group_as_category", "identity_morphism_map", "is_connected", "is_functor",
-    "is_groupoid", "is_prefunctor", "is_thin", "product_category", "subprecategory_pairs_via_zero_submagmas",
+    "is_groupoid", "is_prefunctor", "is_thin", "product_category",
     "base_family", "enumerate_category_filters", "enumerate_category_gradings", "enumerate_elementary_filters",
     "enumerate_elementary_gradings", "enumerate_nonzero_elementary_filters", "enumerate_nonzero_elementary_gradings",
     "grading_from_relation", "is_elementary", "is_filter", "is_grading", "is_nonzero", "is_strong",

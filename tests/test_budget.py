@@ -31,9 +31,8 @@ BUDGETED = {
     "algebra.enumerate_category_filters", "algebra.enumerate_category_gradings",
     "algebra.enumerate_elementary_filters", "algebra.enumerate_elementary_gradings",
     "algebra.enumerate_nonzero_elementary_filters", "algebra.enumerate_nonzero_elementary_gradings",
-    "category.enumerate_functors", "category.enumerate_prefunctors", "category.enumerate_prefunctors_via_zero_homs",
+    "category.enumerate_functors", "category.enumerate_prefunctors",
     "category.enumerate_subprecategories", "category.enumerate_subprecategory_pairs",
-    "category.subprecategory_pairs_via_zero_submagmas",
     "counting.abelian_homs_report", "counting.count_disconnected", "counting.count_functors_connected_groupoids",
     "counting.matrix_group_gradings_report", "counting.subspaces_report", "counting.surjective_functions_report",
     "magma.are_isomorphic", "magma.canonical_form", "magma.census", "magma.enumerate_homs",
@@ -74,6 +73,11 @@ def _group(q: int):
     return group_as_category(cyclic_group_magma(q).table)
 
 
+def _bare(n: int):
+    """n objects and no morphisms."""
+    return validate_precategory(n, [], [])
+
+
 def _thin(*sizes):
     """The disjoint union of matrix_groupoid(n) for each n: sum(n * n) morphisms."""
     cat = matrix_groupoid(sizes[0])
@@ -86,6 +90,7 @@ def _family_doc(target) -> str:
     return json.dumps({"kind": "family", "target": {"format": "category", "text": print_category(target)}, "parts": {}})
 
 
+Z2_TABLE = cyclic_group_magma(2).table
 Z65_TABLE = [[(g + h) % 65 for h in range(65)] for g in range(65)]
 Z2_ALGEBRA = magma_algebra(cyclic_group_magma(2))
 
@@ -106,6 +111,10 @@ AT_AND_PAST_THE_CAP = {
     "matrix_groupoid": (lambda: matrix_groupoid(8), lambda: matrix_groupoid(9)),
     "product_category": (lambda: product_category(matrix_groupoid(8), matrix_groupoid(1)),
                          lambda: product_category(_group(5), _group(13))),
+    "product_category:objects": (lambda: product_category(_bare(8), _bare(8)),
+                                 lambda: product_category(_bare(8), _bare(9))),
+    "disjoint_union": (lambda: disjoint_union(connected_groupoid(4, Z2_TABLE), connected_groupoid(4, Z2_TABLE)),
+                       lambda: disjoint_union(matrix_groupoid(8), matrix_groupoid(1))),
     "adjoin_zero": (lambda: adjoin_zero(_thin(7, 3, 2, 1)), lambda: adjoin_zero(matrix_groupoid(8))),
     "category_algebra": (lambda: category_algebra(_thin(7, 3, 2, 1)), lambda: category_algebra(matrix_groupoid(8))),
     "parse_category": (lambda: parse_category("category 64 0\n"), lambda: parse_category("category 65 0\n")),

@@ -13,7 +13,6 @@ from gradeforge.errors import (
     NotACategoryError,
     NotAGroupError,
     NotAssociativeError,
-    ReductionMismatchError,
     SizeOverflowError,
     ValidationError,
 )
@@ -28,7 +27,6 @@ from gradeforge.category import (
     disjoint_union,
     enumerate_functors,
     enumerate_prefunctors,
-    enumerate_prefunctors_via_zero_homs,
     enumerate_subprecategories,
     enumerate_subprecategory_pairs,
     group_as_category,
@@ -40,7 +38,6 @@ from gradeforge.category import (
     is_thin,
     matrix_groupoid,
     product_category,
-    subprecategory_pairs_via_zero_submagmas,
     validate_precategory,
     vertex_group_table,
 )
@@ -54,6 +51,11 @@ from conftest import (
     one_object_monoid,
     relabel_objects,
     two_arrows_precategory,
+)
+from zero_reductions import (
+    ReductionMismatchError,
+    enumerate_prefunctors_via_zero_homs,
+    subprecategory_pairs_via_zero_submagmas,
 )
 
 

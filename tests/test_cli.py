@@ -397,6 +397,19 @@ class TestMalformedInput:
         assert code == 2 and out == "" and err.startswith("budget exhausted:")
         assert "object count 1000000000000000000000 exceeds the cap of 64" in err
 
+    def test_presented_components_past_the_cap(self, tmp_path):
+        # Two thin components of 64 morphisms each, 128 in all: like the explicit form of this
+        # category, the presentation exits 2 at the order cap, before any search.
+        components = "".join(
+            f"component {' '.join(str(base + k) for k in range(8))}\nvertex-group 1\n0\n"
+            + "".join(f"tree {base + k} {base}\n" for k in range(1, 8))
+            for base in (0, 8)
+        )
+        path = tmp_path / "two_components.cat"
+        path.write_text(PRESENTED.format(16, 128) + components, encoding="utf-8")
+        code, out, err = run_cli("functors", str(path), str(path))
+        assert code == 2 and out == "" and err == "budget exhausted: order 128 exceeds the cap of 64\n"
+
 
 PRESENTED = "category {} {}\ngroupoid-presentation\n"
 # An order-5 Latin square with identity 0 that is not associative.
