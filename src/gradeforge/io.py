@@ -12,7 +12,7 @@ import json
 from functools import partial
 
 from .algebra import AlgebraPresentation, ElementaryFamily, Verdict
-from .budget import MAX_ORDER
+from .budget import MAX_ORDER, check_order
 from .category import FinitePrecategory, _restricted, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError, SizeOverflowError, check_index
@@ -170,6 +170,7 @@ def parse_category(text: str) -> FinitePrecategory:
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]
     if body and body[0][1] == ["groupoid-presentation"]:
         return _parse_groupoid_presentation(body[1:], object_count, morphism_count)
+    check_order(morphism_count)
     morphisms = []
     identity_at = [None] * object_count
     idx = 0

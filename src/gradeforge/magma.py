@@ -8,6 +8,7 @@ kernel uses associativity only once it has checked that it holds.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -181,21 +182,34 @@ def _bits(mask: int):
 
 def _decoded(masks, items) -> list:
     """Each mask as the frozenset of the items at its set bits.  A mask splits at bit
-    k = ceil(n/2) for n items, and the set of each distinct low or high half is built once."""
+    k = ceil(n/2) for n items, and the set of each distinct low or high half is built once.
+
+    The loop runs with the cyclic garbage collector paused.  Every object it makes is a
+    frozenset of ints or of the shared (g, h) tuples of _bit_pairs, so none can be part
+    of a cycle; yet each frozenset is a tracked container whose allocation counts towards
+    a collection, and on results of 10^5 sets the collections, full ones included, scan
+    the sets already built.  The collector's state on entry is restored on the way out,
+    also when an exception escapes the loop."""
     k = (len(items) + 1) // 2
     low = (1 << k) - 1
     high_items = items[k:]
     lows, highs = {}, {}
     out = []
-    for m in masks:
-        a, b = m & low, m >> k
-        part = lows.get(a)
-        if part is None:
-            part = lows[a] = frozenset(map(items.__getitem__, _bits(a)))
-        rest = highs.get(b)
-        if rest is None:
-            rest = highs[b] = frozenset(map(high_items.__getitem__, _bits(b)))
-        out.append(part | rest)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for m in masks:
+            a, b = m & low, m >> k
+            part = lows.get(a)
+            if part is None:
+                part = lows[a] = frozenset(map(items.__getitem__, _bits(a)))
+            rest = highs.get(b)
+            if rest is None:
+                rest = highs[b] = frozenset(map(high_items.__getitem__, _bits(b)))
+            out.append(part | rest)
+    finally:
+        if was_enabled:
+            gc.enable()
     return out
 
 

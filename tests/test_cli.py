@@ -397,6 +397,13 @@ class TestMalformedInput:
         assert code == 2 and out == "" and err.startswith("budget exhausted:")
         assert "object count 1000000000000000000000 exceeds the cap of 64" in err
 
+    def test_explicit_morphism_count_past_the_cap(self, tmp_path):
+        # The m lines are all there and the c lines are not: the header's count alone exits 2.
+        path = tmp_path / "wide.cat"
+        path.write_text("category 1 5000\n" + "m 0 0\n" * 5000, encoding="utf-8")
+        code, out, err = run_cli("functors", str(path), str(path))
+        assert code == 2 and out == "" and err == "budget exhausted: order 5000 exceeds the cap of 64\n"
+
     def test_presented_components_past_the_cap(self, tmp_path):
         # Two thin components of 64 morphisms each, 128 in all: like the explicit form of this
         # category, the presentation exits 2 at the order cap, before any search.

@@ -2,6 +2,7 @@ import importlib.util
 import io as stringio
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -17,7 +18,7 @@ from gradeforge.algebra import (
     magma_algebra,
 )
 from gradeforge.category import connected_groupoid, disjoint_union, enumerate_functors, enumerate_prefunctors, matrix_groupoid
-from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError
+from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError, SizeOverflowError
 from gradeforge.io import (
     detect_kind,
     emit_report,
@@ -140,6 +141,19 @@ class TestCategoryFormat:
         text = "category 1 1\nm 0 0 id\n"
         with pytest.raises(ParseError):
             parse_category(text)
+
+    def test_explicit_morphism_count_past_the_cap_is_refused_before_the_table(self):
+        # The header's morphism count is held to the cap before the m lines are read, so the
+        # 5000 x 5000 composition table (some 200 MiB) is never built.
+        text = "category 1 5000\n" + "m 0 0\n" * 5000
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeOverflowError, match=r"^order 5000 exceeds the cap of 64$"):
+                parse_category(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_non_composable_triple_rejected(self):
         text = "category 2 2\nm 0 0 id\nm 0 1\nc 0 0 0\nc 1 0 1\nc 0 1 0\n"

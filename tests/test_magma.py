@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -18,12 +19,14 @@ from gradeforge.category import (
     enumerate_functors,
     enumerate_prefunctors,
     enumerate_subprecategories,
+    enumerate_subprecategory_pairs,
     matrix_groupoid,
 )
 from gradeforge.io import parse_magma
 from gradeforge.magma import (
     FiniteMagma,
     _closed_subsets,
+    _decoded,
     _pair_mask,
     _pair_table,
     _unflattened,
@@ -373,6 +376,55 @@ class TestZeroSubmagmas:
         # enumerator output, pinned to catch regressions
         g2 = matrix_unit_zero_magma(2)
         assert len(enumerate_zero_submagmas(g2, g2)) == 1200
+
+
+# Each closed-subset enumeration on a small fixture; every one decodes through magma._decoded.
+CLOSED_SUBSET_CALLS = {
+    "submagmas": lambda: enumerate_submagmas(matrix_unit_zero_magma(2)),
+    "zero_submagmas": lambda: enumerate_zero_submagmas(matrix_unit_zero_magma(2), matrix_unit_zero_magma(1)),
+    "product_submagmas": lambda: enumerate_product_submagmas(cyclic_group_magma(2), cyclic_group_magma(3)),
+    "subprecategories": lambda: enumerate_subprecategories(matrix_groupoid(2)),
+    "subprecategory_pairs": lambda: enumerate_subprecategory_pairs(matrix_groupoid(2), connected_groupoid(1, [[0, 1], [1, 0]])),
+}
+
+
+class TestDecodeCollector:
+    """_decoded builds its sets with the cyclic garbage collector paused, and leaves the collector
+    on or off as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_paused_and_left_as_found(self, collector, enabled):
+        seen = []
+
+        def masks():
+            seen.append(gc.isenabled())
+            yield 0b101
+            seen.append(gc.isenabled())
+
+        (gc.enable if enabled else gc.disable)()
+        assert _decoded(masks(), range(3)) == [frozenset({0, 2})]
+        assert seen == [False, False] and gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_an_exception_in_the_loop_leaves_the_collector_as_found(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(IndexError):
+            _decoded([0b1, 0b100000], range(3))  # bit 5 past the three items
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_SUBSET_CALLS))
+    def test_results_do_not_depend_on_the_collector(self, collector, name):
+        gc.enable()
+        on = CLOSED_SUBSET_CALLS[name]()
+        gc.disable()
+        off = CLOSED_SUBSET_CALLS[name]()
+        assert len(on) > 1 and on == off and not gc.isenabled()
 
 
 class TestIsomorphism:
