@@ -417,86 +417,105 @@ def _associative(table) -> bool:
     return all(rows[z] == pushes[y](row) for row in table for y, z in enumerate(row))
 
 
-def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
-    # Backtracking with constraint propagation: images are assigned in index
-    # order, and each branch carries f with the list of its bound elements,
-    # which is also the propagation queue.  A check of x*t compares its image
-    # with f(x)f(t) where it is bound; where it is not, it binds it to that
-    # value and appends it, or fails if allowed does not hold the value.
-    # dom_table entries of None are exempt from the law.
+def _propagation_plans(dom_table, short: bool) -> list:
+    # The plan of each depth of the map search, as (x, binds, checks): x is
+    # the branch element, and each step (z, l, r) of binds or checks stands
+    # for f(z) = f(l)f(r).  A step binds z when z is not yet bound and checks
+    # f(z) when it is; binds are listed in the order the propagation meets
+    # them, so each reads images bound before it.
     #   Any magma: reaching the entry a walks the entries y up to a only and
-    # checks a*y and y*a, so each pair of bound elements is checked once.
-    #   Both tables total and associative: reaching the branch element x does
-    # the same; reaching a later entry a checks x*a for each branch element x
-    # only.  If f(x*t) = f(x)f(t) for the branch elements x and every bound t,
-    # f is a hom on the bound set B: each s in B is some x or x*s' with s' a
-    # shorter word, and f(s*t) = f(x*(s'*t)) = f(x)(f(s')f(t)) = f(s)f(t) by
-    # induction and associativity.  So both rules bind B and fail exactly when
-    # no hom on B extends the branch: output and node counts are the same.
+    # takes a*y and y*a, so each pair of bound elements is taken once.
+    #   Both tables total and associative (short): reaching the branch
+    # element x does the same; reaching a later entry a takes y*a for each
+    # branch element y only.  If f(y*t) = f(y)f(t) for the branch elements y
+    # and every bound t, f is a hom on the bound set B: each s in B is some y
+    # or y*s' with s' a shorter word, and f(s*t) = f(y*(s'*t)) =
+    # f(y)(f(s')f(t)) = f(s)f(t) by induction and associativity.  So both
+    # rules bind B and fail exactly when no hom on B extends the branch.
     n = len(dom_table)
     cols = [tuple(row[a] for row in dom_table) for a in range(n)]
-    choices = [sorted(values) for values in allowed]
-    short = _associative(dom_table) and _associative(cod_table)
-    xs = []  # the branch elements of the path
-    out = []
-
-    def propagate(f, bound, x, v) -> bool:
-        f[x] = v
+    plans = []
+    bound = []  # the bound elements in the order they were bound: the propagation queue
+    is_bound = [False] * n
+    xs = []  # the branch elements of the depths so far
+    while len(bound) < n:
+        x = is_bound.index(False)
+        xs.append(x)
+        binds, checks = [], []
         i = len(bound)
         bound.append(x)
+        is_bound[x] = True
         while i < len(bound):
             a = bound[i]
             i += 1
-            b = f[a]
-            col = cols[a]
-            if short and a != x:  # a later entry: y*a for each branch element y
-                for y in xs:
-                    z = col[y]
-                    p = cod_table[f[y]][b]
-                    cur = f[z]
-                    if cur is None and p in allowed[z]:
-                        f[z] = p
-                        bound.append(z)
-                    elif cur != p:
-                        return False
-                continue
-            row, image_row = dom_table[a], cod_table[b]
-            for y in bound[:i]:
-                w = f[y]
-                z = row[y]
-                if z is not None:
-                    p = image_row[w]
-                    cur = f[z]
-                    if cur is None and p in allowed[z]:
-                        f[z] = p
-                        bound.append(z)
-                    elif cur != p:
-                        return False
-                z = col[y]
-                if z is not None and y != a:
-                    p = cod_table[w][b]
-                    cur = f[z]
-                    if cur is None and p in allowed[z]:
-                        f[z] = p
-                        bound.append(z)
-                    elif cur != p:
-                        return False
-        return True
+            if short and a != x:
+                steps = [(cols[a][y], y, a) for y in xs]
+            else:
+                row, col = dom_table[a], cols[a]
+                steps = []
+                for y in bound[:i]:
+                    steps.append((row[y], a, y))
+                    if y != a:
+                        steps.append((col[y], y, a))
+            for step in steps:
+                z = step[0]
+                if z is None:
+                    continue
+                if is_bound[z]:
+                    checks.append(step)
+                else:
+                    is_bound[z] = True
+                    bound.append(z)
+                    binds.append(step)
+        plans.append((x, binds, checks))
+    return plans
 
-    def search(f, bound):
+
+def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
+    # Backtracking with constraint propagation: images are assigned in index
+    # order, and each choice of an image propagates f(x*y) = f(x)f(y) from it,
+    # binding a product's image where it is unbound (or failing if allowed
+    # does not hold it) and checking it where it is bound.  dom_table entries
+    # of None are exempt from the law.
+    #   Which products a propagation binds, which it checks and in what order
+    # depend only on the set of elements already bound, never on their
+    # images, and every node at depth d has the same bound set: the one its
+    # path's successful propagations bound.  So each depth has one plan
+    # (_propagation_plans), built once per search, and every node at that
+    # depth replays it over the one image array f.  Images bound deeper go
+    # stale on backtracking, but a plan rebinds them before it reads them.
+    # A candidate runs every bind before any check, which only reorders the
+    # tests of one conjunction, since each step reads images bound before it:
+    # it fails exactly when the propagation it replays would fail, so the
+    # maps, their order and the nodes spent are those of propagating at every
+    # node.  Plans spend no nodes.
+    short = _associative(dom_table) and _associative(cod_table)
+    plans = _propagation_plans(dom_table, short)
+    choices = [sorted(values) for values in allowed]
+    f = [None] * len(dom_table)
+    out = []
+
+    def search(depth):
         counter.spend()
-        if len(bound) == n:
+        if depth == len(plans):
             out.append(tuple(f))
             return
-        x = f.index(None)
-        xs.append(x)
+        x, binds, checks = plans[depth]
         for v in choices[x]:
-            trial, trial_bound = list(f), list(bound)
-            if propagate(trial, trial_bound, x, v):
-                search(trial, trial_bound)
-        xs.pop()
+            f[x] = v
+            for z, l, r in binds:
+                p = cod_table[f[l]][f[r]]
+                if p not in allowed[z]:
+                    break
+                f[z] = p
+            else:
+                for z, l, r in checks:
+                    if cod_table[f[l]][f[r]] != f[z]:
+                        break
+                else:
+                    search(depth + 1)
 
-    search([None] * n, [])
+    search(0)
     return out
 
 

@@ -163,8 +163,15 @@ T3 = transformation_semigroup(itertools.product(range(3), repeat=3))
             "3767a29186beea8d23e8c4e1859eaba942da53373df323d64a699a0c77bd3e9a",
             274,
         ),
+        (
+            abelian_group_magma([2, 2, 2, 2]),
+            abelian_group_magma([2, 2, 2, 2]),
+            65536,
+            "5f626c5257f45e69fede7af556ddd203e3767917fe663ae6620643e18c362a6b",
+            69906,
+        ),
     ],
-    ids=["s3", "transformation_monoid", "z4xz4_z2_4"],
+    ids=["s3", "transformation_monoid", "z4xz4_z2_4", "z2_4_z2_4"],
 )
 def test_associative_hom_lists_and_node_budgets_are_pinned(source, target, count, digest, nodes):
     # The exact list, through the sha256 of its repr, and the exact minimal budget.

@@ -4,16 +4,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge.algebra import grading_from_relation, magma_algebra, relation_from_filter
+from gradeforge.budget import Budget, NodeCounter
 from gradeforge.category import matrix_groupoid
+from gradeforge.errors import SizeOverflowError
 from gradeforge.io import parse_magma, print_magma
 from gradeforge.magma import (
     FiniteMagma,
     PairRelation,
+    _associative,
     _bit_pairs,
     _bits,
     _close,
     _closed_subsets,
     _decoded,
+    _enumerate_maps,
     _pair_mask,
     _pair_table,
     _zero_exempt,
@@ -29,6 +33,7 @@ from gradeforge.magma import (
 
 from conftest import brute_force_homs, naive_closure, transformation_semigroup
 from plain_closed_subsets import plain_closed_subsets
+from plain_map_search import plain_map_search
 
 
 @st.composite
@@ -128,6 +133,12 @@ def associative_magmas(draw):
         points = draw(st.integers(min_value=1, max_value=3))
         transformation = st.tuples(*[st.integers(min_value=0, max_value=points - 1)] * points)
         return transformation_semigroup(draw(st.lists(transformation, min_size=1, max_size=2)))
+    return draw(relabelled_groups())
+
+
+@st.composite
+def relabelled_groups(draw):
+    """An abelian group of order at most 6 under a random relabelling."""
     group = abelian_group_magma(draw(st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,)])))
     label = draw(st.permutations(range(group.order)))
     table = [[0] * group.order for _ in range(group.order)]
@@ -145,6 +156,47 @@ def test_homs_with_an_associative_side_are_the_brute_force_homs(semigroup, magma
     source, target = (magma, semigroup) if reverse else (semigroup, magma)
     assume(target.order ** source.order <= 20_000)
     assert enumerate_homs(source, target) == brute_force_homs(source, target)
+
+
+@st.composite
+def map_searches(draw):
+    """The tables and allowed sets of a map search: random total tables of order <= 5, most of
+    them not associative; relabelled abelian groups on both sides, so the short rule runs; or a
+    zero-exempt source with None entries.  Each element's allowed set is the whole target or a
+    random nonempty part of it, so some binds are refused."""
+    shape = draw(st.sampled_from(["random", "groups", "zero_exempt"]))
+    if shape == "groups":
+        source, target = draw(relabelled_groups()), draw(relabelled_groups())
+        assert _associative(source.table) and _associative(target.table)
+        dom_table = source.table
+    elif shape == "zero_exempt":
+        source, target = draw(magmas(with_zero=True)), draw(magmas(with_zero=True))
+        dom_table = _zero_exempt(source.table, source.zero)
+    else:
+        source, target = draw(magmas()), draw(magmas())
+        dom_table = source.table
+    everything = frozenset(range(target.order))
+    part = st.frozensets(st.sampled_from(range(target.order)), min_size=1)
+    allowed = [draw(st.one_of(st.just(everything), part)) for _ in dom_table]
+    return dom_table, target.table, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_searches())
+def test_map_search_matches_the_plain_search(case):
+    # The same maps in the same order and the same spend as the search that propagates at
+    # every node; and both run out of nodes at one node less than that spend.
+    dom_table, cod_table, allowed = case
+    budget = Budget(max_nodes=100_000)
+    plain, kernel = NodeCounter(budget), NodeCounter(budget)
+    assert _enumerate_maps(dom_table, cod_table, allowed, kernel) == plain_map_search(
+        dom_table, cod_table, allowed, plain
+    )
+    assert kernel.remaining == plain.remaining
+    one_less = Budget(max_nodes=budget.max_nodes - plain.remaining - 1)
+    for search in (_enumerate_maps, plain_map_search):
+        with pytest.raises(SizeOverflowError):
+            search(dom_table, cod_table, allowed, NodeCounter(one_less))
 
 
 @settings(max_examples=100, deadline=None)
