@@ -321,91 +321,181 @@ def _check_identities(source: FinitePrecategory, target: FinitePrecategory) -> N
         raise NotACategoryError("functors need total identities on both sides")
 
 
-def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
-    # The magma hom search's propagation over bound elements, with the object
-    # map carried alongside: each branch carries the morphism map, the object
-    # map and the list of its bound morphisms, which is also the propagation
-    # queue.  Binding a morphism binds both incident object images and, for
-    # functors, the identity at each newly bound object.  Reaching the entry
-    # s of the list walks the entries t up to s only: a composite s.t or t.s
-    # whose image is bound is compared where it is found; one whose image is
-    # unbound is bound and appended.
-    #
-    # One result per morphism map: an object that no morphism touches is
-    # never bound and stays None (_fill_free_objects gives it every image).
-    # In a category every object has an identity, so functors have none.
-    #
-    # No bind conflicts.  The image u.v of a composite s.t runs between the
-    # images of its ends, which are bound, and exists because a validated
-    # precategory composes every composable pair.  Only a branch's first bind
-    # can meet an unbound object, so search filters its images once: a loop
-    # there goes only to a loop and, for functors, an identity only to an
-    # identity.
-    if functors:
-        _check_identities(source, target)
+def _morphism_plans(source: FinitePrecategory, functors: bool) -> list:
+    # The plan of each depth of the morphism-map search, as (s, ends, objects,
+    # identity_steps, binds, checks).  s is the branch morphism, and ends says
+    # which of its dom and cod are bound before it: 0 neither, 1 the dom, 2
+    # the cod, 3 both.  An object step (o, end) sets the image of o, an end
+    # of s that is not yet bound, to that end (0 dom, 1 cod) of the image of
+    # s; only s can have an unbound end, since a composite's ends are ends of
+    # its factors.  For functors, an identity step (e, o) sets the identity e
+    # at a newly bound object o to the identity at the image of o.  A
+    # composite step (z, l, r) stands for f(z) = f(l).f(r): a bind sets f(z)
+    # and a check compares it.  Binds are listed in the order the propagation
+    # meets them, so each reads images bound before it.
+    #   The short rule.  The generators are the branch morphisms of the
+    # depths so far and the identities bound by identity steps.  Reaching a
+    # generator a of this depth walks the entries t up to a and takes a.t,
+    # and t.a where t is a generator; reaching any other entry a takes g.a
+    # for each generator g only.  So each pair (g, t) of a generator and a
+    # bound morphism is taken, at whichever of the two the walk reaches later.  Every bound morphism is a
+    # generator or g.s' with s' a shorter word, and when s.t is defined, so is
+    # s'.t (dom s' = dom s = cod t).  So by induction s.t = g.(s'.t) is bound,
+    # and if f(g.t) = f(g).f(t) for those pairs, f(s.t) = f(g).f(s'.t) =
+    # f(g).(f(s').f(t)) = f(s).f(t), by the associativity that
+    # validate_precategory checks on both sides.  So the rule binds the
+    # morphisms that taking every pair would bind, and fails exactly when no
+    # prefunctor on them extends the branch.
+    #   For functors, a check with an identity as a factor always holds and is
+    # left out: each identity e goes to the identity at the image of its
+    # object (by an identity step, or as a branch morphism, which then goes
+    # only to an identity), so f(e.t) = f(t) = f(e).f(t), and so for t.e.
     m = source.morphism_count
-    comp, image_comp = source.comp, target.comp
+    comp = source.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]
-
-    def bind(mor_map, obj_map, bound, a, b):
-        mor_map[a] = b
-        bound.append(a)
-        for go, lo in zip(source.morphisms[a], target.morphisms[b]):
-            if obj_map[go] is None:
-                obj_map[go] = lo
-                i = source.identity_at[go]
-                if functors and mor_map[i] is None:
-                    bind(mor_map, obj_map, bound, i, target.identity_at[lo])
-
-    def propagate(mor_map, obj_map, bound, s, u) -> bool:
+    plans = []
+    bound = []  # the bound morphisms in the order they were bound: the propagation queue
+    is_bound = [False] * m
+    object_bound = [False] * source.object_count
+    generators = []
+    identity_morphisms = set(source.identity_at)
+    while len(bound) < m:
+        s = is_bound.index(False)
+        ds, cs = source.morphisms[s]
+        ends = object_bound[ds] + 2 * object_bound[cs]
         i = len(bound)
-        bind(mor_map, obj_map, bound, s, u)
+        bound.append(s)
+        is_bound[s] = True
+        fresh = [s]
+        objects, identity_steps = [], []
+        for end, o in enumerate((ds, cs)):
+            if not object_bound[o]:
+                object_bound[o] = True
+                objects.append((o, end))
+                e = source.identity_at[o]
+                if functors and not is_bound[e]:
+                    is_bound[e] = True
+                    bound.append(e)
+                    fresh.append(e)
+                    identity_steps.append((e, o))
+        generators += fresh
+        binds, checks = [], []
         while i < len(bound):
             a = bound[i]
             i += 1
-            b = mor_map[a]
-            row, col, image_row = comp[a], cols[a], image_comp[b]
-            for t in bound[:i]:
-                v = mor_map[t]
-                st = row[t]
-                if st is not None:
-                    uv, cur = image_row[v], mor_map[st]
-                    if cur is None:
-                        bind(mor_map, obj_map, bound, st, uv)
-                    elif cur != uv:
-                        return False
-                ts = col[t]
-                if ts is not None and t != a:
-                    vu, cur = image_comp[v][b], mor_map[ts]
-                    if cur is None:
-                        bind(mor_map, obj_map, bound, ts, vu)
-                    elif cur != vu:
-                        return False
-        return True
-
-    results: list[MorphismMap] = []
-
-    def search(mor_map, obj_map, bound):
-        counter.spend()
-        if len(bound) == m:
-            results.append(MorphismMap(tuple(obj_map), tuple(mor_map)))
-            return
-        s = mor_map.index(None)
-        ds, cs = source.morphisms[s]
-        for u in range(target.morphism_count):
-            du, cu = target.morphisms[u]
-            if obj_map[ds] is None:
-                if ds == cs and du != cu or functors and s == source.identity_at[ds] and u != target.identity_at[du]:
+            if a in fresh:
+                row, col = comp[a], cols[a]
+                steps = []
+                for t in bound[:i]:
+                    steps.append((row[t], a, t))
+                    if t != a and t in generators:
+                        steps.append((col[t], t, a))
+            else:
+                steps = [(cols[a][g], g, a) for g in generators]
+            for step in steps:
+                z = step[0]
+                if z is None:
                     continue
-            elif obj_map[ds] != du:
-                continue
-            if obj_map[cs] is not None and obj_map[cs] != cu:
-                continue
-            mm, om, trial_bound = list(mor_map), list(obj_map), list(bound)
-            if propagate(mm, om, trial_bound, s, u):
-                search(mm, om, trial_bound)
+                if is_bound[z]:
+                    if not (functors and (step[1] in identity_morphisms or step[2] in identity_morphisms)):
+                        checks.append(step)
+                else:
+                    is_bound[z] = True
+                    bound.append(z)
+                    binds.append(step)
+        plans.append((s, ends, objects, identity_steps, binds, checks))
+    return plans
 
-    search([None] * m, [None] * source.object_count, [])
+
+def _search_morphism_maps(source: FinitePrecategory, target: FinitePrecategory, functors: bool, counter) -> list:
+    # Backtracking with constraint propagation over one morphism array and
+    # one object array: morphisms branch in index order, and each choice of
+    # an image for the branch morphism s binds the images of its unbound
+    # ends, for functors the identities at them, and every composite of bound
+    # morphisms it reaches, or checks a composite whose image is bound.
+    #   Which steps a propagation takes depends only on the set of morphisms
+    # already bound, never on their images, and every node at one depth has
+    # the same bound set.  So each depth has one plan (_morphism_plans),
+    # built once per search, and every node replays it.  Images bound deeper
+    # go stale on backtracking, but a plan rebinds them before it reads them.
+    # A candidate runs every bind before any check, which only reorders the
+    # tests of one conjunction: it fails exactly when propagating at that
+    # node would fail, so the maps, their order and the nodes spent are
+    # those of a search that propagates at every node.  Plans spend no nodes.
+    # A node spends before it is visited, so the last depth spends for each
+    # map and appends it in its own loop, with no call.
+    #   No bind conflicts.  The image f(l).f(r) of a composite l.r runs
+    # between the images of its ends, which are bound, and exists because a
+    # validated precategory composes every composable pair; the short rule of
+    # _morphism_plans rests on the same invariant, through associativity.
+    # Only the branch morphism can meet an unbound object, so only its image
+    # is filtered: its candidates, listed once per search in index order,
+    # are the target morphisms out of the image of its dom, into the image
+    # of its cod, or between both, as far as these are bound.  A loop at an
+    # unbound object goes only to a loop and, for functors, such an identity
+    # only to an identity.
+    #   One result per morphism map: an object that no morphism touches is
+    # never bound and stays None (_fill_free_objects gives it every image).
+    # In a category every object has an identity, so functors have none.
+    if functors:
+        _check_identities(source, target)
+    plans = _morphism_plans(source, functors)
+    image_comp, image_identity, image_ends = target.comp, target.identity_at, target.morphisms
+    into = [[] for _ in range(target.object_count)]
+    out_of = [[] for _ in range(target.object_count)]
+    between = [[[] for _ in range(target.object_count)] for _ in range(target.object_count)]
+    loops = []
+    for u, (du, cu) in enumerate(image_ends):
+        out_of[du].append(u)
+        into[cu].append(u)
+        between[du][cu].append(u)
+        if du == cu:
+            loops.append(u)
+    everything = range(target.morphism_count)
+    identities = [u for u in loops if u == image_identity[image_ends[u][0]]]
+    mor = [None] * source.morphism_count
+    obj = [None] * source.object_count
+    results: list[MorphismMap] = []
+    last = len(plans) - 1
+
+    def search(depth):
+        s, ends, objects, identity_steps, binds, checks = plans[depth]
+        ds, cs = source.morphisms[s]
+        if ends == 3:
+            candidates = between[obj[ds]][obj[cs]]
+        elif ends == 1:
+            candidates = out_of[obj[ds]]
+        elif ends == 2:
+            candidates = into[obj[cs]]
+        elif ds != cs:
+            candidates = everything
+        elif functors and s == source.identity_at[ds]:
+            candidates = identities
+        else:
+            candidates = loops
+        for u in candidates:
+            mor[s] = u
+            for o, end in objects:
+                obj[o] = image_ends[u][end]
+            for e, o in identity_steps:
+                mor[e] = image_identity[obj[o]]
+            for z, l, r in binds:
+                mor[z] = image_comp[mor[l]][mor[r]]
+            for z, l, r in checks:
+                if image_comp[mor[l]][mor[r]] != mor[z]:
+                    break
+            else:
+                counter.spend()
+                if depth == last:
+                    results.append(MorphismMap(tuple(obj), tuple(mor)))
+                else:
+                    search(depth + 1)
+
+    counter.spend()
+    if plans:
+        search(0)
+    else:
+        results.append(MorphismMap(tuple(obj), ()))
     return results
 
 

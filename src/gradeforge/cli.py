@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 validation or usage failure, output that cannot be
 written, or after the verdict is printed a family that is not a filter
 (``verify``) or magmas that are not isomorphic (``iso``), 2 budget
-exhaustion, 3 parse error.  If the subset and span oracles of an axiom
-check disagree, the run stops with OracleDisagreementError and exit code 1.
+exhaustion or a search that runs out of memory, 3 parse error.  If the
+subset and span oracles of an axiom check disagree, the run stops with
+OracleDisagreementError and exit code 1.
 Diagnostics go to stderr; standard output is deterministic, so identical
 invocations are byte-identical.
 
@@ -348,6 +349,11 @@ def run(argv=None, out=None, err=None) -> int:
         return 3
     except SizeOverflowError as exc:
         print(f"budget exhausted: {exc}", file=err)
+        return 2
+    except MemoryError:
+        # A search within its node budget can still hold more results than memory has room for.
+        # Output starts once the search has ended, so such a search leaves stdout empty.
+        print("budget exhausted: out of memory", file=err)
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=err)

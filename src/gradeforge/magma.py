@@ -417,7 +417,13 @@ def _associative(table) -> bool:
     return all(rows[z] == pushes[y](row) for row in table for y, z in enumerate(row))
 
 
-def _propagation_plans(dom_table, short: bool) -> list:
+def _identity(table):
+    """The two-sided identity of a table, or None."""
+    n = len(table)
+    return next((e for e in range(n) if all(table[e][g] == g == table[g][e] for g in range(n))), None)
+
+
+def _propagation_plans(dom_table, short: bool, unit=None) -> list:
     # The plan of each depth of the map search, as (x, binds, checks): x is
     # the branch element, and each step (z, l, r) of binds or checks stands
     # for f(z) = f(l)f(r).  A step binds z when z is not yet bound and checks
@@ -426,12 +432,18 @@ def _propagation_plans(dom_table, short: bool) -> list:
     #   Any magma: reaching the entry a walks the entries y up to a only and
     # takes a*y and y*a, so each pair of bound elements is taken once.
     #   Both tables total and associative (short): reaching the branch
-    # element x does the same; reaching a later entry a takes y*a for each
-    # branch element y only.  If f(y*t) = f(y)f(t) for the branch elements y
-    # and every bound t, f is a hom on the bound set B: each s in B is some y
-    # or y*s' with s' a shorter word, and f(s*t) = f(y*(s'*t)) =
-    # f(y)(f(s')f(t)) = f(s)f(t) by induction and associativity.  So both
-    # rules bind B and fail exactly when no hom on B extends the branch.
+    # element x walks the entries y up to x and takes x*y, and y*x where y
+    # is a branch element; reaching a later entry a takes y*a for each
+    # branch element y only.  So each pair (y, t) of a branch element and a
+    # bound element is taken, at whichever of the two the walk reaches later.
+    # If f(y*t) = f(y)f(t) for those pairs, f is a hom on the bound set B:
+    # each s in B is some y or y*s' with s' a shorter word, and f(s*t) =
+    # f(y*(s'*t)) = f(y)(f(s')f(t)) = f(s)f(t) by induction and
+    # associativity.  So both rules bind B and fail exactly when no hom on B
+    # extends the branch.
+    #   A check with the element unit as a factor is left out: the search
+    # sets unit to the identity of the source only when every map it may
+    # take sends unit to an identity of the target, where such a check holds.
     n = len(dom_table)
     cols = [tuple(row[a] for row in dom_table) for a in range(n)]
     plans = []
@@ -455,14 +467,15 @@ def _propagation_plans(dom_table, short: bool) -> list:
                 steps = []
                 for y in bound[:i]:
                     steps.append((row[y], a, y))
-                    if y != a:
+                    if y != a and (not short or y in xs):
                         steps.append((col[y], y, a))
             for step in steps:
                 z = step[0]
                 if z is None:
                     continue
                 if is_bound[z]:
-                    checks.append(step)
+                    if unit not in step[1:]:
+                        checks.append(step)
                 else:
                     is_bound[z] = True
                     bound.append(z)
@@ -489,33 +502,65 @@ def _enumerate_maps(dom_table, cod_table, allowed, counter) -> list:
     # it fails exactly when the propagation it replays would fail, so the
     # maps, their order and the nodes spent are those of propagating at every
     # node.  Plans spend no nodes.
+    # A node spends before it is visited, so the last depth spends for each
+    # map and appends it in its own loop, with no call.  A depth whose binds
+    # all land in allowed sets that hold the whole codomain (every bind of
+    # enumerate_homs but those of a unit below) sets their images with no
+    # membership test.
+    #   When the source has an identity e and the target has an identity 1
+    # and no other idempotent (groups, say), every hom sends e to 1, since
+    # f(e) = f(ee) = f(e)f(e).  So e is allowed 1 only, which prunes only
+    # candidates that fail anyway, and a check with e as a factor, f(t) =
+    # 1f(t), always holds and is left out of the plans.
     short = _associative(dom_table) and _associative(cod_table)
-    plans = _propagation_plans(dom_table, short)
+    unit, one = _identity(dom_table), _identity(cod_table)
+    if unit is not None and one is not None and all(cod_table[p][p] != p for p in range(len(cod_table)) if p != one):
+        allowed = list(allowed)
+        allowed[unit] = allowed[unit] & {one}
+    else:
+        unit = None
+    everything = set(range(len(cod_table)))
+    plans = [
+        (x, binds, checks, all(allowed[z] >= everything for z, _, _ in binds))
+        for x, binds, checks in _propagation_plans(dom_table, short, unit)
+    ]
     choices = [sorted(values) for values in allowed]
     f = [None] * len(dom_table)
     out = []
+    last = len(plans) - 1
 
     def search(depth):
-        counter.spend()
-        if depth == len(plans):
-            out.append(tuple(f))
-            return
-        x, binds, checks = plans[depth]
+        x, binds, checks, unrestricted = plans[depth]
         for v in choices[x]:
             f[x] = v
-            for z, l, r in binds:
-                p = cod_table[f[l]][f[r]]
-                if p not in allowed[z]:
-                    break
-                f[z] = p
+            if unrestricted:
+                for z, l, r in binds:
+                    f[z] = cod_table[f[l]][f[r]]
             else:
-                for z, l, r in checks:
-                    if cod_table[f[l]][f[r]] != f[z]:
+                refused = False
+                for z, l, r in binds:
+                    p = cod_table[f[l]][f[r]]
+                    if p not in allowed[z]:
+                        refused = True
                         break
+                    f[z] = p
+                if refused:
+                    continue
+            for z, l, r in checks:
+                if cod_table[f[l]][f[r]] != f[z]:
+                    break
+            else:
+                counter.spend()
+                if depth == last:
+                    out.append(tuple(f))
                 else:
                     search(depth + 1)
 
-    search(0)
+    counter.spend()
+    if plans:
+        search(0)
+    else:
+        out.append(())
     return out
 
 

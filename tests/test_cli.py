@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 from gradeforge import algebra, cli
+from gradeforge import magma as mg
 from gradeforge import io as gio
 from gradeforge.errors import BadIdentityError, NotAGroupError, NotAssociativeError, ParseError
 
@@ -666,6 +667,15 @@ class TestExitCodes:
     def test_budget_flag(self, data_dir):
         code, _, err = run_cli("hom", data(data_dir, "aaaa.mag"), data(data_dir, "aaaa.mag"), "--budget", "1")
         assert code == 2
+
+    def test_search_out_of_memory_exits_two_with_one_line(self, data_dir, monkeypatch):
+        # A search within its node budget that exhausts memory: no traceback, nothing on stdout.
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(mg, "_enumerate_maps", out_of_memory)
+        code, out, err = run_cli("hom", data(data_dir, "aabb.mag"), data(data_dir, "aabb.mag"))
+        assert code == 2 and out == "" and err == "budget exhausted: out of memory\n"
 
 
 class TestDeterminism:

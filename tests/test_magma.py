@@ -758,8 +758,10 @@ def test_closed_subset_searches_spend_one_node_per_visited_node(search, nodes):
             ),
             1611,
         ),
+        # 3,125 functors of the thin groupoid on 5 objects, each a map of the objects.
+        (lambda budget: enumerate_functors(matrix_groupoid(5), matrix_groupoid(5), budget), 16406),
     ],
-    ids=["homs", "zero_homs", "prefunctors", "functors"],
+    ids=["homs", "zero_homs", "prefunctors", "functors", "functors_mg5"],
 )
 def test_map_searches_spend_one_node_per_visited_node(search, nodes):
     # As for the closed-subset searches: the exact minimal budget pins how

@@ -5,9 +5,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge.algebra import grading_from_relation, magma_algebra, relation_from_filter
 from gradeforge.budget import Budget, NodeCounter
-from gradeforge.category import matrix_groupoid
+from gradeforge.category import (
+    _search_morphism_maps,
+    connected_groupoid,
+    disjoint_union,
+    group_as_category,
+    matrix_groupoid,
+    validate_precategory,
+)
 from gradeforge.errors import SizeOverflowError
-from gradeforge.io import parse_magma, print_magma
+from gradeforge.io import parse_category, parse_magma, print_magma
 from gradeforge.magma import (
     FiniteMagma,
     PairRelation,
@@ -31,7 +38,19 @@ from gradeforge.magma import (
     validate_magma,
 )
 
-from conftest import brute_force_homs, naive_closure, transformation_semigroup
+from conftest import (
+    DATA_DIR,
+    bare_object_precategory,
+    brute_force_homs,
+    fork_precategory,
+    involution_arrow_category,
+    naive_closure,
+    one_object_monoid,
+    symmetric_group_table,
+    transformation_semigroup,
+    two_arrows_precategory,
+)
+from plain_category_search import plain_category_search
 from plain_closed_subsets import plain_closed_subsets
 from plain_map_search import plain_map_search
 
@@ -197,6 +216,78 @@ def test_map_search_matches_the_plain_search(case):
     for search in (_enumerate_maps, plain_map_search):
         with pytest.raises(SizeOverflowError):
             search(dom_table, cod_table, allowed, NodeCounter(one_less))
+
+
+# The conftest precategories, S3 and the idempotent monoid as one-object categories, the .cat
+# fixtures, and two sources with no morphisms: one with no objects (a category) and one whose two
+# objects no morphism touches.
+FIXED_PRECATEGORIES = [
+    involution_arrow_category(),
+    fork_precategory(),
+    two_arrows_precategory(),
+    bare_object_precategory(),
+    group_as_category(symmetric_group_table(3)),
+    one_object_monoid([[0, 1], [1, 1]]),
+    *(parse_category(path.read_text(encoding="utf-8")) for path in sorted(DATA_DIR.glob("*.cat"))),
+    validate_precategory(0, [], []),
+    validate_precategory(2, [], []),
+]
+
+
+@st.composite
+def thin_categories(draw):
+    """A random poset on at most 5 elements as a category, with its morphisms in a random order."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    below = {(x, x) for x in range(n)} | {(x, y) for x in range(n) for y in range(x + 1, n) if draw(st.booleans())}
+    while True:
+        wider = below | {(x, z) for x, y in below for w, z in below if y == w}
+        if wider == below:
+            break
+        below = wider
+    arrows = draw(st.permutations(sorted(below)))  # arrow (x, y) runs x -> y
+    index = {arrow: s for s, arrow in enumerate(arrows)}
+    comp = [[index[dt, cs] if ds == ct else None for dt, ct in arrows] for ds, cs in arrows]
+    return validate_precategory(n, arrows, comp, [index[x, x] for x in range(n)])
+
+
+@st.composite
+def connected_groupoids(draw, max_objects=3):
+    """connected_groupoid(k, G) with k <= max_objects and |G| <= 4."""
+    group = abelian_group_magma(draw(st.sampled_from([(1,), (2,), (3,), (4,), (2, 2)])))
+    return connected_groupoid(draw(st.integers(min_value=1, max_value=max_objects)), group.table)
+
+
+def precategories():
+    return st.one_of(
+        st.sampled_from(FIXED_PRECATEGORIES),
+        thin_categories(),
+        connected_groupoids(),
+        st.builds(disjoint_union, connected_groupoids(max_objects=2), connected_groupoids(max_objects=2)),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(precategories(), precategories(), st.booleans())
+def test_morphism_map_search_matches_the_plain_search(source, target, functors):
+    # The same maps in the same order and the same spend as the search that propagates at every
+    # node, for prefunctors and, where both sides are categories, for functors; a search out of
+    # nodes runs out in both.  Where both end, both run out at one node less than the spend.
+    functors = functors and source.is_category and target.is_category
+    budget = Budget(max_nodes=4_000)
+    outcomes = []
+    for search in (_search_morphism_maps, plain_category_search):
+        counter = NodeCounter(budget)
+        try:
+            outcomes.append((search(source, target, functors, counter), counter.remaining))
+        except SizeOverflowError:
+            outcomes.append((None, counter.remaining))
+    assert outcomes[0] == outcomes[1]
+    maps, remaining = outcomes[0]
+    if maps is not None:
+        one_less = Budget(max_nodes=budget.max_nodes - remaining - 1)
+        for search in (_search_morphism_maps, plain_category_search):
+            with pytest.raises(SizeOverflowError):
+                search(source, target, functors, NodeCounter(one_less))
 
 
 @settings(max_examples=100, deadline=None)
