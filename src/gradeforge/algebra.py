@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter
 from .category import FinitePrecategory, _search_morphism_maps, adjoin_zero
@@ -155,7 +156,8 @@ class ElementaryFamily:
 
 def base_family(algebra: AlgebraPresentation) -> ElementaryFamily:
     """The fixed base family: one basis line per source element (empty at a contracted zero)."""
-    return next(_gradings(algebra, algebra.source, [range(algebra.source.order)]))
+    source = algebra.source
+    return next(_families(algebra, source, _packed_maps(algebra, [range(source.order)], source.order)))
 
 
 @dataclass(frozen=True)
@@ -170,30 +172,23 @@ class Verdict:
         return self.holds
 
 
-def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: int):
-    """An iterator that builds one family per mask over pairs as it is taken, pair (g, h) at bit
-    g*width + h, with parts[h] spanned by the base lines at the g paired with h.
-
-    Source elements outside the basis (a contracted zero) contribute nothing.  Equal parts across
-    the families of one call are one shared frozenset.  Each part is an nb-bit field of one int, one
-    field per target element, so once basis_of_source is checked the families hold both conditions
-    of ElementaryFamily.__post_init__ by construction and are built without it.  The check runs at
-    the call, so a caller that writes families as it takes them has met every error first.
-    """
+def _lines(algebra: AlgebraPresentation, width: int) -> list:
+    """lines[g][h] = 1 << (h*nb + b), the bit of g's base line b in parts[h] of a packed family (one int,
+    nb = basis_size bits per part), or 0 off the basis (a contracted zero); checked at each packer's call."""
     nb = algebra.basis_size
     if not {None, *range(nb)}.issuperset(algebra.basis_of_source):
         raise BasisMismatchError(f"the algebra's basis_of_source leaves 0..{nb - 1}")
-    # The parts of a family packed into one int, nb bits per h: a pair sets the bit of its
-    # base line in its h's field.  Each byte of a mask is unpacked once and remembered.
-    line = [0 if b is None else 1 << (h * nb + b) for b in algebra.basis_of_source for h in range(width)]
+    return [[0 if b is None else 1 << (h * nb + b) for h in range(width)] for b in algebra.basis_of_source]
+
+
+def _packed_masks(algebra: AlgebraPresentation, masks, width: int):
+    """Each mask over pairs, pair (g, h) at bit g*width + h, as a packed family: the OR of lines[g][h]
+    over its pairs.  Each byte of a mask is unpacked once and remembered."""
+    line = [bit for row in _lines(algebra, width) for bit in row]
     windows = [255 << k for k in range(0, len(line), 8)]
     packed_of = {0: 0}
-    shifts = [h * nb for h in range(target.order)]
-    full = (1 << nb) - 1
-    shared = {}
-    new, set_field = object.__new__, object.__setattr__
 
-    def build():
+    def pack():
         for mask in masks:
             packed = 0
             for window in windows:
@@ -202,28 +197,39 @@ def _families(algebra: AlgebraPresentation, target: FiniteMagma, masks, width: i
                 if bits is None:
                     bits = packed_of[byte] = sum(line[p] for p in _bits(byte))
                 packed |= bits
-            parts = []
-            for shift in shifts:
-                field = packed >> shift & full
-                part = shared.get(field)
-                if part is None:
-                    part = shared[field] = frozenset(_bits(field))
-                parts.append(part)
-            # The frozen fields, set as __init__ sets them (in order, so instances share one key
-            # table and read their fields as fast), without its __post_init__.
-            family = new(ElementaryFamily)
-            set_field(family, "algebra", algebra)
-            set_field(family, "target", target)
-            set_field(family, "parts", tuple(parts))
-            yield family
+            yield packed
 
-    return build()
+    return pack()
 
 
-def _gradings(algebra: AlgebraPresentation, target: FiniteMagma, maps):
-    """_families of the maps g -> f(g), each taken as the pair mask with the bits g*|target| + f(g)."""
-    width = target.order
-    return _families(algebra, target, (_pair_mask(enumerate(f), width) for f in maps), width)
+def _packed_maps(algebra: AlgebraPresentation, maps, width: int):
+    """Each map f as a packed family: the sum of lines[g][f[g]] for g below len(f), all distinct bits."""
+    lines = _lines(algebra, width)
+    return (sum(map(getitem, lines, f)) for f in maps)
+
+
+def _families(algebra: AlgebraPresentation, target: FiniteMagma, packed):
+    """One family per packed int, built as it is taken and without ElementaryFamily.__post_init__, whose
+    checks the packer's basis check implies.  Equal parts of one call are one shared frozenset."""
+    shifts = [h * algebra.basis_size for h in range(target.order)]
+    full = (1 << algebra.basis_size) - 1
+    shared = {}
+    new, set_field = object.__new__, object.__setattr__
+    for family_bits in packed:
+        parts = []
+        for shift in shifts:
+            field = family_bits >> shift & full
+            part = shared.get(field)
+            if part is None:
+                part = shared[field] = frozenset(_bits(field))
+            parts.append(part)
+        # The frozen fields, set as __init__ sets them (in order, so instances share one key
+        # table and read their fields as fast), without its __post_init__.
+        family = new(ElementaryFamily)
+        set_field(family, "algebra", algebra)
+        set_field(family, "target", target)
+        set_field(family, "parts", tuple(parts))
+        yield family
 
 
 def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) -> ElementaryFamily:
@@ -234,7 +240,7 @@ def grading_from_relation(algebra: AlgebraPresentation, relation: PairRelation) 
     if relation.left != algebra.source:
         raise BasisMismatchError("relation's left magma is not the algebra's source")
     width = relation.right.order
-    return next(_families(algebra, relation.right, [_pair_mask(relation.pairs, width)], width))
+    return next(_families(algebra, relation.right, _packed_masks(algebra, [_pair_mask(relation.pairs, width)], width)))
 
 
 def relation_from_filter(algebra: AlgebraPresentation, family: ElementaryFamily) -> PairRelation:
@@ -539,16 +545,17 @@ def is_elementary(algebra: AlgebraPresentation, family: ElementaryFamily) -> Ver
 
 
 def _family_enumeration(command: str, variant: bool, source, target, budget: Budget, scalar_modulus: int = 2):
-    """(algebra, count, families) of one of the six enumerations, the families built as they are taken.
+    """(algebra, indexed_by, count, packed) of one of the six enumerations, one packed family (see
+    _lines) per result, packed as it is taken; _families(algebra, indexed_by, packed) builds them.
 
     command is "gradings" or "filters".  On a magma algebra (source its AlgebraPresentation, target
     a FiniteMagma) variant is zero, set exactly when the algebra is contracted (checked before any
-    search): gradings come from enumerate_homs (zero: enumerate_zero_homs) through _gradings, and
-    filters from _pair_masks on the two tables (zero: _zero_pair_masks) through _families.  On two
-    precategories the algebra is category_algebra(source), the families are indexed by
-    adjoin_zero(target) and variant is prefunctors: gradings come from the morphism maps of the
-    functor (prefunctor) search, one per map with the objects no morphism touches left unfilled,
-    filters from _pair_masks on the composition tables.
+    search): gradings pack the maps of enumerate_homs (zero: enumerate_zero_homs) and filters the
+    masks of _pair_masks on the two tables (zero: _zero_pair_masks).  On two precategories the
+    algebra is category_algebra(source), the families are indexed by adjoin_zero(target) and variant
+    is prefunctors: gradings pack the morphism maps of the functor (prefunctor) search, one per map
+    with the objects no morphism touches left unfilled, filters the masks of _pair_masks on the
+    composition tables.
     """
     if isinstance(source, FinitePrecategory):
         algebra, indexed_by = category_algebra(source, scalar_modulus), adjoin_zero(target)
@@ -567,28 +574,34 @@ def _family_enumeration(command: str, variant: bool, source, target, budget: Bud
         else:
             maps = (enumerate_zero_homs if variant else enumerate_homs)(algebra.source, target, budget)
     if command == "filters":
-        return algebra, len(masks), _families(algebra, indexed_by, masks, width)
-    return algebra, len(maps), _gradings(algebra, indexed_by, maps)
+        return algebra, indexed_by, len(masks), _packed_masks(algebra, masks, width)
+    return algebra, indexed_by, len(maps), _packed_maps(algebra, maps, indexed_by.order)
+
+
+def _family_list(command: str, variant: bool, source, target, budget: Budget, scalar_modulus: int = 2):
+    """(algebra, the list of families) of _family_enumeration."""
+    algebra, indexed_by, _, packed = _family_enumeration(command, variant, source, target, budget, scalar_modulus)
+    return algebra, list(_families(algebra, indexed_by, packed))
 
 
 def enumerate_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per magma homomorphism source -> target."""
-    return list(_family_enumeration("gradings", False, algebra, target, budget)[2])
+    return _family_list("gradings", False, algebra, target, budget)[1]
 
 
 def enumerate_nonzero_elementary_gradings(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One grading per zero-magma homomorphism source -> target (contracted presentation)."""
-    return list(_family_enumeration("gradings", True, algebra, target, budget)[2])
+    return _family_list("gradings", True, algebra, target, budget)[1]
 
 
 def enumerate_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per submagma of source x target, including the zero filter from the empty set."""
-    return list(_family_enumeration("filters", False, algebra, target, budget)[2])
+    return _family_list("filters", False, algebra, target, budget)[1]
 
 
 def enumerate_nonzero_elementary_filters(algebra: AlgebraPresentation, target: FiniteMagma, budget: Budget = DEFAULT_BUDGET) -> list:
     """One filter per zero submagma of source x target (contracted presentation)."""
-    return list(_family_enumeration("filters", True, algebra, target, budget)[2])
+    return _family_list("filters", True, algebra, target, budget)[1]
 
 
 def enumerate_category_gradings(
@@ -606,8 +619,7 @@ def enumerate_category_gradings(
     grading.  Families are indexed by the zero magma adjoined to the target,
     whose zero part is empty.  Returns (algebra, families).
     """
-    algebra, _, families = _family_enumeration("gradings", prefunctors, source, target, budget, scalar_modulus)
-    return algebra, list(families)
+    return _family_list("gradings", prefunctors, source, target, budget, scalar_modulus)
 
 
 def enumerate_category_filters(
@@ -621,5 +633,4 @@ def enumerate_category_filters(
 
     Returns (algebra, families).
     """
-    algebra, _, families = _family_enumeration("filters", False, source, target, budget, scalar_modulus)
-    return algebra, list(families)
+    return _family_list("filters", False, source, target, budget, scalar_modulus)

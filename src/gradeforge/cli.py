@@ -13,9 +13,9 @@ Each subcommand is a thin call into the library: ``_load`` reads every
 operand, ``_algebra`` picks the algebra, and ``_write`` prints every
 enumeration through ``io.write_enumeration``, from one encoder per result.
 Output starts once the search has ended, so a search error leaves stdout
-empty.  ``gradings`` and ``filters`` take the count and the families from one
-call, ``algebra._family_enumeration``, and build each family as it is
-written; ``--nonzero-only`` checks every family before the first write.
+empty.  ``gradings`` and ``filters`` write each family from the packed int
+that ``algebra._family_enumeration`` yields, with no family object; only
+``--nonzero-only`` builds families, to check them before the first write.
 """
 
 from __future__ import annotations
@@ -163,11 +163,13 @@ def _families(args, budget, out):
     if kind == "magma":
         source = _algebra(kind, source, args.zero, args.field)
     variant = args.zero or getattr(args, "prefunctors", False)  # --zero for magmas, --prefunctors for categories
-    algebra, count, families = alg._family_enumeration(args.command, variant, source, target, budget, args.field)
+    algebra, indexed_by, count, packed = alg._family_enumeration(args.command, variant, source, target, budget, args.field)
     if args.nonzero_only:
-        families = [f for f in families if alg.is_nonzero(algebra, f)]
-        count = len(families)
-    return _write(out, args, families, count, io.family_item_encoder(target_text, kind), io.family_line_encoder())
+        packed = list(packed)
+        packed = [p for p, f in zip(packed, alg._families(algebra, indexed_by, packed)) if alg.is_nonzero(algebra, f)]
+        count = len(packed)
+    shape = algebra.basis_size, indexed_by.order
+    return _write(out, args, packed, count, io.family_item_encoder(target_text, kind, *shape), io.family_line_encoder(*shape))
 
 
 def _verify(args, budget, out):

@@ -16,7 +16,7 @@ from .budget import MAX_ORDER, check_order
 from .category import FinitePrecategory, _restricted, adjoin_zero, connected_groupoid, disjoint_union, validate_precategory
 from .counting import CountReport
 from .errors import ParseError, SizeOverflowError, check_index
-from .magma import FiniteMagma, validate_magma
+from .magma import FiniteMagma, _bits, validate_magma
 
 
 def _lines_of(text: str) -> list:
@@ -394,29 +394,31 @@ def write_enumeration(out, results, count: int, encode, as_json: bool) -> None:
     out.write(tail)
 
 
-def family_item_encoder(target_text: str, target_format: str):
-    """encode(family) = the JSON of family_to_doc(family, target_text, target_format), with the
-    target encoded once and each distinct part once."""
+def _family_encoder(basis_size: int, elements, spell, sep: str, head: str = "", tail: str = ""):
+    """encode(packed) = head + sep.join(spell(h, the base lines in h's field) for h in elements) + tail
+    for a packed family (see algebra._lines), each distinct (h, field) spelled once, memoised by packed & window."""
+    full = (1 << basis_size) - 1
+    fragments = [
+        (_Memo(lambda field, h=h, shift=h * basis_size: spell(h, list(_bits(field >> shift)))), full << h * basis_size)
+        for h in elements
+    ]
+
+    def encode(packed):
+        return head + sep.join([memo[packed & window] for memo, window in fragments]) + tail
+
+    return encode
+
+
+def family_item_encoder(target_text: str, target_format: str, basis_size: int, order: int):
+    """encode(packed) = the JSON of family_to_doc(family, target_text, target_format) for the family
+    of a packed int over basis_size lines and order parts, with the target encoded once."""
     # family_to_doc's keys in sorted order: "kind" < "parts" < "target", and part "10" < "2".
-    open_parts = '{"kind":"family","parts":{'
-    close_parts = '},"target":' + _dumps({"format": target_format, "text": target_text}) + "}"
-    keyed = _Memo(lambda order: [(h, _dumps(str(h)) + ":") for h in sorted(range(order), key=str)])
-    part_json = _Memo(lambda part: _dumps(sorted(part)))
-
-    def item(family):
-        parts = family.parts
-        return open_parts + ",".join([key + part_json[parts[h]] for h, key in keyed[len(parts)]]) + close_parts
-
-    return item
+    head, tail = '{"kind":"family","parts":{', '},"target":' + _dumps({"format": target_format, "text": target_text}) + "}"
+    keys = sorted(range(order), key=str)
+    return _family_encoder(basis_size, keys, lambda h, lines: _dumps(str(h)) + ":" + _dumps(lines), ",", head, tail)
 
 
-def family_line_encoder():
-    """encode(family) = 'h:{b,...}' per part, space-separated, with each distinct part spelled once."""
-    part_text = _Memo(lambda part: "{" + ",".join(map(str, sorted(part))) + "}")
-    labels = _Memo(lambda order: [f"{h}:" for h in range(order)])
-
-    def line(family):
-        parts = family.parts
-        return " ".join([label + part_text[part] for label, part in zip(labels[len(parts)], parts)])
-
-    return line
+def family_line_encoder(basis_size: int, order: int):
+    """encode(packed) = 'h:{b,...}' per part of the family of a packed int over basis_size lines and
+    order parts, space-separated."""
+    return _family_encoder(basis_size, range(order), lambda h, lines: f"{h}:{{{','.join(map(str, lines))}}}", " ")

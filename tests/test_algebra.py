@@ -609,7 +609,7 @@ class TestFamiliesPassTheCheckingConstructor:
 
 class TestFamilyEnumerationCounts:
     """The count the JSON envelope prints comes from _family_enumeration before any family is
-    built.  It must be the number of families it yields, and those families the public
+    built.  It must be the number of packed families it yields, and their families the public
     enumerator's list, in order (category gradings drop repeated morphism maps)."""
 
     MAGMA_KEYS = {
@@ -623,10 +623,10 @@ class TestFamilyEnumerationCounts:
     def agrees(key, source, target, public):
         """1 if the count, the families and the public list agree, 0 if the search runs over budget."""
         try:
-            algebra, count, families = alg._family_enumeration(*key, source, target, ORACLE_BUDGET)
+            algebra, indexed_by, count, packed = alg._family_enumeration(*key, source, target, ORACLE_BUDGET)
         except SizeOverflowError:
             return 0
-        families = list(families)
+        families = list(alg._families(algebra, indexed_by, packed))
         assert count == len(families)
         expected = public()
         if isinstance(expected, tuple):  # a category enumerator's (algebra, families)
@@ -676,7 +676,7 @@ class TestFamilyEnumerationCounts:
         for target in [source, *self.categories(data_dir)]:
             public = functools.partial(enumerate_category_gradings, source, target, prefunctors=True, budget=ORACLE_BUDGET)
             assert self.agrees(("gradings", True), source, target, public)
-        count = alg._family_enumeration("gradings", True, source, source, ORACLE_BUDGET)[1]
+        count = alg._family_enumeration("gradings", True, source, source, ORACLE_BUDGET)[2]
         assert count < len(enumerate_prefunctors(source, source, ORACLE_BUDGET))
 
     def test_objects_no_morphism_touches_cost_no_nodes(self):

@@ -3,21 +3,39 @@ import io as stringio
 import json
 import pathlib
 import tracemalloc
+import unittest.mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge import cli
 from gradeforge import io as gio
 from gradeforge.algebra import (
+    ElementaryFamily,
+    _families,
+    _packed_maps,
+    _packed_masks,
+    category_algebra,
+    contracted_algebra,
     enumerate_category_filters,
     enumerate_category_gradings,
     enumerate_elementary_filters,
     enumerate_elementary_gradings,
+    enumerate_nonzero_elementary_filters,
+    enumerate_nonzero_elementary_gradings,
     grading_from_relation,
     is_nonzero,
     magma_algebra,
 )
-from gradeforge.category import connected_groupoid, disjoint_union, enumerate_functors, enumerate_prefunctors, matrix_groupoid
+from gradeforge.budget import Budget
+from gradeforge.category import (
+    adjoin_zero,
+    connected_groupoid,
+    disjoint_union,
+    enumerate_functors,
+    enumerate_prefunctors,
+    matrix_groupoid,
+)
 from gradeforge.errors import BadCompositionError, IndexOutOfRangeError, ParseError, SizeOverflowError
 from gradeforge.io import (
     detect_kind,
@@ -35,6 +53,8 @@ from gradeforge.io import (
 )
 from gradeforge.magma import (
     PairRelation,
+    _bits,
+    _pair_mask,
     census,
     cyclic_group_magma,
     enumerate_homs,
@@ -48,7 +68,9 @@ from gradeforge.magma import (
     word_of_magma,
 )
 
-from conftest import ORDER2_WORDS, involution_arrow_category, relabel_objects
+from conftest import DATA_DIR, ORDER2_WORDS, involution_arrow_category, relabel_objects
+from pair_families import pair_families
+from test_properties import magmas
 
 
 class TestMagmaFormat:
@@ -310,8 +332,8 @@ class TestFixtureFiles:
 
 
 def _wide_enumerations():
-    """(label, families, target text, target format) on targets of 12 and 13 parts, where the
-    part key "10" sorts before "2"."""
+    """(label, families, target text, target format, (basis size, part count)) on targets of 12 and
+    13 parts, where the part key "10" sorts before "2"."""
     aabb, z12 = magma_from_word("aabb"), cyclic_group_magma(12)
     algebra = magma_algebra(aabb)
     filters = enumerate_elementary_filters(algebra, z12)
@@ -319,14 +341,18 @@ def _wide_enumerations():
     point = connected_groupoid(1, ((0,),))
     cat_algebra, cat_filters = enumerate_category_filters(point, groupoid)
     magma_text, cat_text = print_magma(z12), print_category(groupoid)
+    magma_shape, cat_shape = (algebra.basis_size, z12.order), (cat_algebra.basis_size, groupoid.morphism_count + 1)
     return [
-        ("gradings", enumerate_elementary_gradings(algebra, z12), magma_text, "magma"),
-        ("filters", filters, magma_text, "magma"),
-        ("nonzero-only filters", [f for f in filters if is_nonzero(algebra, f)], magma_text, "magma"),
-        ("category gradings", enumerate_category_gradings(point, groupoid)[1], cat_text, "category"),
-        ("category filters", cat_filters, cat_text, "category"),
-        ("nonzero-only category filters", [f for f in cat_filters if is_nonzero(cat_algebra, f)], cat_text, "category"),
-        ("none", [], magma_text, "magma"),
+        ("gradings", enumerate_elementary_gradings(algebra, z12), magma_text, "magma", magma_shape),
+        ("filters", filters, magma_text, "magma", magma_shape),
+        ("nonzero-only filters", [f for f in filters if is_nonzero(algebra, f)], magma_text, "magma", magma_shape),
+        ("category gradings", enumerate_category_gradings(point, groupoid)[1], cat_text, "category", cat_shape),
+        ("category filters", cat_filters, cat_text, "category", cat_shape),
+        (
+            "nonzero-only category filters",
+            [f for f in cat_filters if is_nonzero(cat_algebra, f)], cat_text, "category", cat_shape,
+        ),
+        ("none", [], magma_text, "magma", magma_shape),
     ]
 
 
@@ -338,6 +364,12 @@ def _written(results, encode, as_json):
 
 def _family_line(family):
     return " ".join(f"{h}:{{{','.join(map(str, sorted(part)))}}}" for h, part in enumerate(family.parts))
+
+
+def _packed(family):
+    """The family as the encoders take it: base line b of parts[h] at bit h*basis_size + b."""
+    nb = family.algebra.basis_size
+    return sum(1 << (h * nb + b) for h, part in enumerate(family.parts) for b in part)
 
 
 _STRUCTURES = {
@@ -356,6 +388,9 @@ _CLI_CASES = [
     ("aabb", "z12", ("gradings",)),
     ("point", "groupoid", ("filters", "--nonzero-only")),
     ("point", "groupoid", ("gradings", "--prefunctors")),
+    # The contracted zero of g2 has no basis line, so its pairs pack to nothing.
+    ("g2", "z2zero", ("gradings", "--zero")),
+    ("g2", "z2zero", ("filters", "--zero", "--nonzero-only")),
     (None, None, ("census", "2")),
     ("z12", "z12", ("hom",)),
     ("g2", "g2", ("hom", "--zero")),
@@ -408,7 +443,11 @@ def _expected(source, target, argv):
         spell = ",".join
         return items, [f"objects:{spell(map(str, m.object_map))} morphisms:{spell(map(str, m.morphism_map))}" for m in maps]
     fmt = "magma" if _STRUCTURES[source].startswith("magma") else "category"
-    if fmt == "magma":
+    if fmt == "magma" and "--zero" in flags:
+        algebra = contracted_algebra(s)
+        build = enumerate_nonzero_elementary_filters if command == "filters" else enumerate_nonzero_elementary_gradings
+        families = build(algebra, t)
+    elif fmt == "magma":
         algebra = magma_algebra(s)
         build = enumerate_elementary_filters if command == "filters" else enumerate_elementary_gradings
         families = build(algebra, t)
@@ -422,8 +461,8 @@ def _expected(source, target, argv):
 
 
 class TestFamilyWriters:
-    """write_enumeration with the family encoders, and the CLI's enumerations, against the generic
-    encoder and the line formats."""
+    """write_enumeration with the family encoders over packed families, and the CLI's enumerations,
+    against the generic encoder and the line formats."""
 
     # Two items per write, so the joins between writes are checked too.
     @pytest.fixture(autouse=True)
@@ -431,16 +470,16 @@ class TestFamilyWriters:
         monkeypatch.setattr(gio, "_CHUNK", 2)
 
     def test_report_matches_the_generic_encoder(self):
-        for label, families, text, fmt in _wide_enumerations():
+        for label, families, text, fmt, shape in _wide_enumerations():
             assert families or label == "none"
-            assert all(len(f.parts) >= 11 for f in families)
+            assert all(len(f.parts) == shape[1] >= 12 for f in families)
             want = enumeration_report([family_to_doc(f, text, fmt) for f in families])
-            assert _written(families, family_item_encoder(text, fmt), True) == want, label
+            assert _written(list(map(_packed, families)), family_item_encoder(text, fmt, *shape), True) == want, label
 
     def test_lines_match_the_part_listing(self):
-        for label, families, _, _ in _wide_enumerations():
+        for label, families, _, _, shape in _wide_enumerations():
             want = "".join(_family_line(f) + "\n" for f in families)
-            assert _written(families, family_line_encoder(), False) == want, label
+            assert _written(list(map(_packed, families)), family_line_encoder(*shape), False) == want, label
 
     @pytest.mark.parametrize("source, target, argv", _CLI_CASES)
     def test_cli_json_matches_the_generic_encoder(self, source, target, argv, tmp_path):
@@ -453,3 +492,69 @@ class TestFamilyWriters:
         _, lines = _expected(source, target, argv)
         assert lines
         assert _cli_output(source, target, argv, tmp_path, False) == "".join(line + "\n" for line in lines)
+
+
+_CATEGORY_FIXTURES = sorted(DATA_DIR.glob("*.cat"))
+
+
+@st.composite
+def packed_cases(draw):
+    """(algebra, indexed_by, maps, masks, target text, target format).  Random maps run on targets of
+    1 to 13 elements, so the part key "10" sorts before "2", and on basis sizes 0 to 9, so a field
+    can cross a byte window; kernel maps are the homs, the zero homs (whose contracted zero has no
+    basis line) and the prefunctor morphism maps of the fixture categories.  The masks over pairs
+    (g, h), at bit g*|indexed_by| + h, are random."""
+    kind = draw(st.sampled_from(["random maps", "homs", "zero homs", "morphism maps"]))
+    budget = Budget(max_nodes=5000)
+    if kind == "morphism maps":
+        paths = draw(st.tuples(st.sampled_from(_CATEGORY_FIXTURES), st.sampled_from(_CATEGORY_FIXTURES)))
+        source, target = (parse_category(path.read_text(encoding="utf-8")) for path in paths)
+        algebra, indexed_by, text, fmt = category_algebra(source), adjoin_zero(target), print_category(target), "category"
+        try:
+            maps = [f.morphism_map for f in enumerate_prefunctors(source, target, budget)]
+        except SizeOverflowError:
+            assume(False)
+    else:
+        zero = kind == "zero homs" or (kind == "random maps" and draw(st.booleans()))
+        source = draw(magmas(max_order=10 if kind == "random maps" else 4, with_zero=zero))
+        if kind == "random maps":
+            indexed_by = cyclic_group_magma(draw(st.integers(min_value=1, max_value=13)))
+            images = st.integers(min_value=0, max_value=indexed_by.order - 1)
+            maps = draw(st.lists(st.tuples(*[images] * source.order), max_size=6))
+        else:
+            indexed_by = draw(magmas(max_order=4, with_zero=zero))
+            try:
+                maps = (enumerate_zero_homs if zero else enumerate_homs)(source, indexed_by, budget)
+            except SizeOverflowError:
+                assume(False)
+        algebra, text, fmt = (contracted_algebra if zero else magma_algebra)(source), print_magma(indexed_by), "magma"
+    pairs = len(algebra.basis_of_source) * indexed_by.order
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << pairs) - 1), max_size=6))
+    return algebra, indexed_by, maps, masks, text, fmt
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+def test_packed_families_and_encoders_match_the_references(case):
+    """The map packer gives the families of the pair-mask route, in order, and both give the parts of
+    tests/pair_families.py, as does the mask packer; the encoders write the packed families as the
+    generic encoder and the line listing write the families."""
+    algebra, target, maps, masks, text, fmt = case
+    width = target.order
+    via_maps = list(_families(algebra, target, _packed_maps(algebra, maps, width)))
+    via_masks = list(_families(algebra, target, _packed_masks(algebra, [_pair_mask(enumerate(f), width) for f in maps], width)))
+    assert via_maps == via_masks
+    assert [f.parts for f in via_maps] == pair_families(algebra, target, [enumerate(f) for f in maps])
+    filters = list(_families(algebra, target, _packed_masks(algebra, masks, width)))
+    decoded = [[divmod(b, width) for b in _bits(mask)] for mask in masks]
+    assert [f.parts for f in filters] == pair_families(algebra, target, decoded)
+    families = via_maps + filters
+    assert all(f == ElementaryFamily(algebra=algebra, target=target, parts=f.parts) for f in families)
+    packed = list(_packed_maps(algebra, maps, width)) + list(_packed_masks(algebra, masks, width))
+    assert packed == list(map(_packed, families))
+    shape = algebra.basis_size, width
+    with unittest.mock.patch.object(gio, "_CHUNK", 2):
+        items = _written(packed, family_item_encoder(text, fmt, *shape), True)
+        lines = _written(packed, family_line_encoder(*shape), False)
+    assert items == enumeration_report([family_to_doc(f, text, fmt) for f in families])
+    assert lines == "".join(_family_line(f) + "\n" for f in families)
