@@ -23,7 +23,7 @@ from .errors import (
     check_index,
 )
 from .magma import FiniteMagma, _closed_subsets, _decoded, _pair_masks, _pair_subsets, _pair_table, _zero_adjoined
-from .magma import _matrix_units
+from .magma import _associativity_failure, _identity, _matrix_units, _propagated
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,9 @@ def validate_precategory(object_count, morphisms, comp, identity_at=None) -> Fin
                     raise BadCompositionError(f"composite of ({s}, {t}) has wrong dom/cod")
             elif entry is not None:
                 raise BadCompositionError(f"composite given for non-composable pair ({s}, {t})")
-    for r in range(m):
-        for s in range(m):
-            rs = comp[r][s]
-            if rs is None:
-                continue
-            for t in range(m):
-                st = comp[s][t]
-                if st is None:
-                    continue
-                if comp[rs][t] != comp[r][st]:
-                    raise NotAssociativeError(f"composition not associative on triple ({r}, {s}, {t})")
+    triple = _associativity_failure(comp)
+    if triple is not None:
+        raise NotAssociativeError(f"composition not associative on triple {triple}")
     if identity_at is None:
         identity_at = (None,) * object_count
     identity_at = tuple(identity_at)
@@ -131,8 +123,7 @@ def group_as_category(table) -> FinitePrecategory:
     """
     table = tuple(tuple(row) for row in table)
     monoid = validate_precategory(1, ((0, 0),) * len(table), table)
-    elements = range(len(table))
-    e = next((e for e in elements if all(table[e][g] == g == table[g][e] for g in elements)), None)
+    e = _identity(table)
     if e is None:
         raise NotAGroupError("no two-sided identity")
     group = replace(monoid, identity_at=(e,))
@@ -329,23 +320,11 @@ def _morphism_plans(source: FinitePrecategory, functors: bool) -> list:
     # of s that is not yet bound, to that end (0 dom, 1 cod) of the image of
     # s; only s can have an unbound end, since a composite's ends are ends of
     # its factors.  For functors, an identity step (e, o) sets the identity e
-    # at a newly bound object o to the identity at the image of o.  A
-    # composite step (z, l, r) stands for f(z) = f(l).f(r): a bind sets f(z)
-    # and a check compares it.  Binds are listed in the order the propagation
-    # meets them, so each reads images bound before it.
-    #   The short rule.  The generators are the branch morphisms of the
-    # depths so far and the identities bound by identity steps.  Reaching a
-    # generator a of this depth walks the entries t up to a and takes a.t,
-    # and t.a where t is a generator; reaching any other entry a takes g.a
-    # for each generator g only.  So each pair (g, t) of a generator and a
-    # bound morphism is taken, at whichever of the two the walk reaches later.  Every bound morphism is a
-    # generator or g.s' with s' a shorter word, and when s.t is defined, so is
-    # s'.t (dom s' = dom s = cod t).  So by induction s.t = g.(s'.t) is bound,
-    # and if f(g.t) = f(g).f(t) for those pairs, f(s.t) = f(g).f(s'.t) =
-    # f(g).(f(s').f(t)) = f(s).f(t), by the associativity that
-    # validate_precategory checks on both sides.  So the rule binds the
-    # morphisms that taking every pair would bind, and fails exactly when no
-    # prefunctor on them extends the branch.
+    # at a newly bound object o to the identity at the image of o.  binds and
+    # checks are those of magma._propagated under its short rule, which rests
+    # on the associativity that validate_precategory checks on both sides:
+    # the generators are the branch morphisms of the depths so far and the
+    # identities bound by identity steps, and fresh are those of this depth.
     #   For functors, a check with an identity as a factor always holds and is
     # left out: each identity e goes to the identity at the image of its
     # object (by an identity step, or as a branch morphism, which then goes
@@ -353,12 +332,12 @@ def _morphism_plans(source: FinitePrecategory, functors: bool) -> list:
     m = source.morphism_count
     comp = source.comp
     cols = [tuple(row[a] for row in comp) for a in range(m)]
+    skip = set(source.identity_at) if functors else ()
     plans = []
     bound = []  # the bound morphisms in the order they were bound: the propagation queue
     is_bound = [False] * m
     object_bound = [False] * source.object_count
     generators = []
-    identity_morphisms = set(source.identity_at)
     while len(bound) < m:
         s = is_bound.index(False)
         ds, cs = source.morphisms[s]
@@ -379,30 +358,7 @@ def _morphism_plans(source: FinitePrecategory, functors: bool) -> list:
                     fresh.append(e)
                     identity_steps.append((e, o))
         generators += fresh
-        binds, checks = [], []
-        while i < len(bound):
-            a = bound[i]
-            i += 1
-            if a in fresh:
-                row, col = comp[a], cols[a]
-                steps = []
-                for t in bound[:i]:
-                    steps.append((row[t], a, t))
-                    if t != a and t in generators:
-                        steps.append((col[t], t, a))
-            else:
-                steps = [(cols[a][g], g, a) for g in generators]
-            for step in steps:
-                z = step[0]
-                if z is None:
-                    continue
-                if is_bound[z]:
-                    if not (functors and (step[1] in identity_morphisms or step[2] in identity_morphisms)):
-                        checks.append(step)
-                else:
-                    is_bound[z] = True
-                    bound.append(z)
-                    binds.append(step)
+        binds, checks = _propagated(comp, cols, bound, is_bound, i, fresh, generators, skip)
         plans.append((s, ends, objects, identity_steps, binds, checks))
     return plans
 

@@ -43,6 +43,14 @@ def _int(token: str, message: str, line: int, column: int) -> int:
         raise ParseError(message.format(token), line, column) from None
 
 
+def _count(token: str, message: str, line: int, column: int) -> int:
+    """_int(token, ...), with a negative count refused by the same ParseError."""
+    count = _int(token, message, line, column)
+    if count < 0:
+        raise ParseError(message.format(token), line, column)
+    return count
+
+
 def parse_magma(text: str) -> FiniteMagma:
     """Parse the magma format: a header line, an optional zero line, then the table rows."""
     lines = _lines_of(text)
@@ -51,7 +59,7 @@ def parse_magma(text: str) -> FiniteMagma:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "magma":
         raise ParseError("expected 'magma <order>'", 1, 1)
-    order = _int(head[1], "bad order {!r}", 1, 7)
+    order = _count(head[1], "bad order {!r}", 1, 7)
     zero = None
     row_start = 1
     ztok = lines[1].split() if len(lines) > 1 else []
@@ -164,7 +172,7 @@ def parse_category(text: str) -> FinitePrecategory:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "category":
         raise ParseError("expected 'category <objects> <morphisms>'", 1, 1)
-    object_count, morphism_count = (_int(t, "bad counts in header", 1, 10) for t in head[1:])
+    object_count, morphism_count = (_count(t, "bad counts in header", 1, 10) for t in head[1:])
     if object_count > MAX_ORDER:
         raise SizeOverflowError(f"object count {object_count} exceeds the cap of {MAX_ORDER}")
     body = [(i + 2, line.split()) for i, line in enumerate(lines[1:]) if line.split()]

@@ -409,12 +409,27 @@ def enumerate_zero_submagmas(left: FiniteMagma, right: FiniteMagma, budget: Budg
 
 
 def _associative(table) -> bool:
-    """True when the table is total and associative: row x*y is row y pushed through row x."""
-    if any(None in row for row in table):
-        return False
-    pushes = [itemgetter(*row) for row in table]
-    rows = [push(range(len(table))) for push in pushes]  # each row as pushes give it: an int at order 1
-    return all(rows[z] == pushes[y](row) for row in table for y, z in enumerate(row))
+    """True when the table is total and associative."""
+    return not any(None in row for row in table) and _associativity_failure(table) is None
+
+
+def _associativity_failure(table):
+    """The lex-first triple (x, y, t) with (xy)t != x(yt), or None.
+
+    Row xy is compared with row y pushed through row x, one composition per defined product xy.
+    A None entry stands for an absorbing sentinel, so in a precategory whose ends are checked,
+    where (xy)t is defined exactly when x(yt) is, only defined products can differ.
+    """
+    n = len(table)
+    rows = [(*row, n) if None not in row else (*(n if v is None else v for v in row), n) for row in table]  # x*n = n
+    rows.append((n,) * (n + 1))  # n*t = n
+    pushes = [itemgetter(*row[:n]) for row in rows[:n]]
+    products = [push(range(n + 1)) for push in pushes]  # each row as pushes give it: an int at order 1
+    for x, row in enumerate(table):
+        for y, z in enumerate(row):
+            if z is not None and products[z] != pushes[y](rows[x]):
+                return next((x, y, t) for t in range(n) if rows[z][t] != rows[x][rows[y][t]])
+    return None
 
 
 def _identity(table):
@@ -423,29 +438,70 @@ def _identity(table):
     return next((e for e in range(n) if all(table[e][g] == g == table[g][e] for g in range(n))), None)
 
 
+def _propagated(table, cols, bound, is_bound, i, fresh, generators, skip) -> tuple:
+    # The binds and checks of one depth of a map search: the propagation
+    # from the elements bound[i:], which appends each element it binds to
+    # bound and marks it in is_bound; cols[a] is column a of table.  A step
+    # (z, l, r) stands for f(z) = f(l)f(r), where z = l*r is defined: it
+    # binds z when z is not yet bound and checks f(z) when it is, unless l
+    # or r is in skip.  Binds are listed in the order the propagation meets
+    # them, so each reads images bound before it.
+    #   Reaching an element a in fresh walks the entries t up to a and takes
+    # a*t, and t*a where t is in generators; reaching any other entry a
+    # takes g*a for each g in generators only.  So each pair (g, t) of a
+    # generator and a bound element is taken, at whichever of the two the
+    # walk reaches later.  With every element fresh and a generator, each
+    # pair of bound elements is taken once: the full rule, for any table.
+    #   The short rule: the generators are the elements the search chose
+    # (the branch elements of the depths so far, and the identities bound
+    # with their objects), and fresh are those of this depth.  When the
+    # product is associative on both sides, the pairs (g, t) are enough.
+    # Every bound element s is a generator or g*s' with s' a shorter word,
+    # and when s*t is defined, so is s'*t (in a precategory, dom s' = dom s
+    # = cod t).  So by induction s*t = g*(s'*t) is bound, and if f(g*t) =
+    # f(g)f(t) for those pairs, f(s*t) = f(g)f(s'*t) = f(g)(f(s')f(t)) =
+    # f(s)f(t).  So both rules bind the same elements and fail exactly when
+    # no map that keeps the law on them extends the branch.
+    binds, checks = [], []
+    while i < len(bound):
+        a = bound[i]
+        i += 1
+        if a in fresh:
+            row, col = table[a], cols[a]
+            steps = []
+            for t in bound[:i]:
+                steps.append((row[t], a, t))
+                if t != a and t in generators:
+                    steps.append((col[t], t, a))
+        else:
+            steps = [(cols[a][g], g, a) for g in generators]
+        for step in steps:
+            z = step[0]
+            if z is None:
+                continue
+            if is_bound[z]:
+                if step[1] not in skip and step[2] not in skip:
+                    checks.append(step)
+            else:
+                is_bound[z] = True
+                bound.append(z)
+                binds.append(step)
+    return binds, checks
+
+
 def _propagation_plans(dom_table, short: bool, unit=None) -> list:
     # The plan of each depth of the map search, as (x, binds, checks): x is
-    # the branch element, and each step (z, l, r) of binds or checks stands
-    # for f(z) = f(l)f(r).  A step binds z when z is not yet bound and checks
-    # f(z) when it is; binds are listed in the order the propagation meets
-    # them, so each reads images bound before it.
-    #   Any magma: reaching the entry a walks the entries y up to a only and
-    # takes a*y and y*a, so each pair of bound elements is taken once.
-    #   Both tables total and associative (short): reaching the branch
-    # element x walks the entries y up to x and takes x*y, and y*x where y
-    # is a branch element; reaching a later entry a takes y*a for each
-    # branch element y only.  So each pair (y, t) of a branch element and a
-    # bound element is taken, at whichever of the two the walk reaches later.
-    # If f(y*t) = f(y)f(t) for those pairs, f is a hom on the bound set B:
-    # each s in B is some y or y*s' with s' a shorter word, and f(s*t) =
-    # f(y*(s'*t)) = f(y)(f(s')f(t)) = f(s)f(t) by induction and
-    # associativity.  So both rules bind B and fail exactly when no hom on B
-    # extends the branch.
-    #   A check with the element unit as a factor is left out: the search
-    # sets unit to the identity of the source only when every map it may
-    # take sends unit to an identity of the target, where such a check holds.
+    # the branch element, and binds and checks are those of _propagated.
+    # Under the short rule (both tables total and associative) the
+    # generators are the branch elements of the depths so far and the fresh
+    # element is x; otherwise every element is both, and each pair of bound
+    # elements is taken.  A check with the element unit as a factor is left
+    # out: the search sets unit to the identity of the source only when
+    # every map it may take sends unit to an identity of the target, where
+    # such a check holds.
     n = len(dom_table)
     cols = [tuple(row[a] for row in dom_table) for a in range(n)]
+    skip = () if unit is None else (unit,)
     plans = []
     bound = []  # the bound elements in the order they were bound: the propagation queue
     is_bound = [False] * n
@@ -453,34 +509,11 @@ def _propagation_plans(dom_table, short: bool, unit=None) -> list:
     while len(bound) < n:
         x = is_bound.index(False)
         xs.append(x)
-        binds, checks = [], []
         i = len(bound)
         bound.append(x)
         is_bound[x] = True
-        while i < len(bound):
-            a = bound[i]
-            i += 1
-            if short and a != x:
-                steps = [(cols[a][y], y, a) for y in xs]
-            else:
-                row, col = dom_table[a], cols[a]
-                steps = []
-                for y in bound[:i]:
-                    steps.append((row[y], a, y))
-                    if y != a and (not short or y in xs):
-                        steps.append((col[y], y, a))
-            for step in steps:
-                z = step[0]
-                if z is None:
-                    continue
-                if is_bound[z]:
-                    if unit not in step[1:]:
-                        checks.append(step)
-                else:
-                    is_bound[z] = True
-                    bound.append(z)
-                    binds.append(step)
-        plans.append((x, binds, checks))
+        fresh, generators = ((x,), xs) if short else (range(n), range(n))
+        plans.append((x, *_propagated(dom_table, cols, bound, is_bound, i, fresh, generators, skip)))
     return plans
 
 

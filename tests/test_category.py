@@ -3,6 +3,7 @@ import time
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gradeforge.algebra import category_algebra, enumerate_category_gradings, enumerate_nonzero_elementary_gradings
 from gradeforge.budget import Budget
@@ -42,7 +43,13 @@ from gradeforge.category import (
     vertex_group_table,
 )
 from gradeforge.io import parse_category
-from gradeforge.magma import abelian_group_magma, are_isomorphic, cyclic_group_magma, matrix_unit_zero_magma
+from gradeforge.magma import (
+    _associative,
+    abelian_group_magma,
+    are_isomorphic,
+    cyclic_group_magma,
+    matrix_unit_zero_magma,
+)
 
 from conftest import (
     bare_object_precategory,
@@ -57,6 +64,38 @@ from zero_reductions import (
     enumerate_prefunctors_via_zero_homs,
     subprecategory_pairs_via_zero_submagmas,
 )
+
+
+@st.composite
+def random_composite_precategories(draw):
+    """(object count, morphisms, composition) with at most 3 objects and 8 morphisms and no
+    identities: the ends form a transitive relation, so every composable pair has a morphism with
+    the composite's ends, and each composite is drawn from those morphisms."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    relation = set(draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1)))
+    while True:
+        wider = relation | {(a, c) for a, b in relation for d, c in relation if b == d}
+        if wider == relation:
+            break
+        relation = wider
+    assume(len(relation) <= 8)
+    extra = draw(st.lists(st.sampled_from(sorted(relation)), max_size=8 - len(relation)))
+    morphisms = draw(st.permutations(sorted(relation) + extra))  # (dom, cod)
+    comp = [
+        [
+            draw(st.sampled_from([u for u, ends in enumerate(morphisms) if ends == (dt, cs)])) if ds == ct else None
+            for dt, ct in morphisms
+        ]
+        for ds, cs in morphisms
+    ]
+    return k, morphisms, comp
+
+
+def random_tables():
+    """A random total table of order at most 5, the empty one included."""
+    return st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
 
 
 @pytest.fixture
@@ -88,6 +127,37 @@ class TestValidate:
         # x*x = y, x*y = y, y*x = x, y*y = y is not associative
         with pytest.raises(NotAssociativeError):
             validate_precategory(1, [(0, 0), (0, 0)], [[1, 1], [0, 1]], None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_composite_precategories(), random_tables(), st.data())
+    def test_associativity_witness_is_the_first_failing_triple(self, precategory, table, data):
+        # validate_precategory names the triple that a brute-force (r, s, t) scan finds first;
+        # _associative is the brute-force check on a total table and False on a partial one.
+        object_count, morphisms, comp = precategory
+        m = len(morphisms)
+        first = next(
+            (
+                (r, s, t)
+                for r, s, t in itertools.product(range(m), repeat=3)
+                if comp[r][s] is not None and comp[s][t] is not None and comp[comp[r][s]][t] != comp[r][comp[s][t]]
+            ),
+            None,
+        )
+        if first is None:
+            assert validate_precategory(object_count, morphisms, comp).comp == tuple(map(tuple, comp))
+        else:
+            with pytest.raises(NotAssociativeError) as info:
+                validate_precategory(object_count, morphisms, comp)
+            assert str(info.value) == f"composition not associative on triple {first}"
+        n = len(table)
+        elements = range(n)
+        triples = itertools.product(elements, repeat=3)
+        assert _associative(table) == all(table[table[x][y]][z] == table[x][table[y][z]] for x, y, z in triples)
+        if n:
+            x, y = data.draw(st.tuples(st.sampled_from(elements), st.sampled_from(elements)))
+            partial = [list(row) for row in table]
+            partial[x][y] = None
+            assert not _associative(partial)
 
     def test_identity_flag_checked(self):
         with pytest.raises(BadIdentityError):

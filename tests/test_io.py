@@ -129,6 +129,11 @@ class TestParseErrorPositions:
             (parse_category, "category 1 1\nm 0 0 id\nc 0 0 -1\n", "morphism index -1 outside 0..0", 3, 3),
             (parse_category, "category x 1\n", "bad counts in header", 1, 10),
             (parse_category, "category 1 x\n", "bad counts in header", 1, 10),
+            # A negative count is refused at the header, before the rows or morphism lines are counted.
+            (parse_magma, "magma -1\n", "bad order '-1'", 1, 7),
+            (parse_magma, "magma -2\nzero 0\n", "bad order '-2'", 1, 7),
+            (parse_category, "category 1 -1\n", "bad counts in header", 1, 10),
+            (parse_category, "category -1 0\n", "bad counts in header", 1, 10),
             (parse_category, "category 1 1\nm 0 x id\n", "bad object index", 2, 3),
             (parse_category, "category 1 1\nm 0 0 id\nc 0 0 x\n", "bad morphism index", 3, 3),
             (parse_category, "category 1 1\ngroupoid-presentation\ncomponent x\n", "bad object index in component", 3, 1),

@@ -27,6 +27,7 @@ from gradeforge.magma import (
     _enumerate_maps,
     _pair_mask,
     _pair_table,
+    _propagation_plans,
     _zero_exempt,
     abelian_group_magma,
     canonical_form,
@@ -175,6 +176,17 @@ def test_homs_with_an_associative_side_are_the_brute_force_homs(semigroup, magma
     source, target = (magma, semigroup) if reverse else (semigroup, magma)
     assume(target.order ** source.order <= 20_000)
     assert enumerate_homs(source, target) == brute_force_homs(source, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(associative_magmas())
+def test_short_rule_binds_what_the_full_rule_binds(semigroup):
+    # The lemma of magma._propagated: over an associative table, the products with a generator as
+    # a factor bind the same elements as every product, depth by depth.
+    short, full = (_propagation_plans(semigroup.table, rule) for rule in (True, False))
+    assert [(x, {z for z, _, _ in binds}) for x, binds, _ in short] == [
+        (x, {z for z, _, _ in binds}) for x, binds, _ in full
+    ]
 
 
 @st.composite
