@@ -12,7 +12,7 @@ row reduction over a prime field, and the two verdicts must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import getitem
 
 from .budget import DEFAULT_BUDGET, Budget, NodeCounter
@@ -37,17 +37,40 @@ class AlgebraPresentation:
     """Structure constants of a magma or category algebra over a prime field.
 
     source is the underlying magma (for a category algebra, the zero magma of
-    its morphisms); contracted presentations drop the source zero from the
-    basis and send products hitting it to RING_ZERO.
+    its morphisms), scalar_modulus the prime p of the field F_p, and contracted
+    drops the source zero from the basis and sends products hitting it to
+    RING_ZERO.  These three fix the algebra and are its only fields to set or
+    compare; the basis and structure constants are computed from them on
+    construction, so dataclasses.replace re-checks the field as well.
     """
 
     source: FiniteMagma
-    basis_size: int
-    structure: tuple
     scalar_modulus: int
-    source_of_basis: tuple
-    basis_of_source: tuple
     contracted: bool
+    basis_size: int = field(init=False, compare=False)
+    structure: tuple = field(init=False, compare=False)
+    source_of_basis: tuple = field(init=False, compare=False)
+    basis_of_source: tuple = field(init=False, compare=False)
+
+    def __post_init__(self):
+        # One basis line per element of source, except its zero when contracted: the dropped zero
+        # has no basis line, so a product landing on it reads RING_ZERO.
+        _check_modulus(self.scalar_modulus)
+        if type(self.contracted) is not bool:
+            raise ValidationError(f"contracted must be a bool, got {self.contracted!r}")
+        source = self.source
+        if self.contracted and source.zero is None:
+            raise MissingZeroError("contracted algebra needs a designated zero")
+        dropped = source.zero if self.contracted else None
+        basis = tuple(g for g in range(source.order) if g != dropped)
+        basis_of_source = [RING_ZERO] * source.order
+        for b, g in enumerate(basis):
+            basis_of_source[g] = b
+        set_field = object.__setattr__  # the record is frozen
+        set_field(self, "basis_size", len(basis))
+        set_field(self, "structure", tuple(tuple(basis_of_source[source.table[s][t]] for t in basis) for s in basis))
+        set_field(self, "source_of_basis", basis)
+        set_field(self, "basis_of_source", tuple(basis_of_source))
 
     def basis_zero_part(self) -> frozenset:
         """Basis support of the base part at the source zero ({0} has empty support)."""
@@ -94,36 +117,14 @@ def _check_modulus(p: int) -> None:
         raise ValidationError(f"scalar modulus {p} is not prime")
 
 
-def _presentation(source: FiniteMagma, scalar_modulus: int, contracted: bool) -> AlgebraPresentation:
-    """One basis line per element of source, except its zero when contracted: the dropped zero has
-    no basis line, so a product landing on it reads RING_ZERO."""
-    _check_modulus(scalar_modulus)
-    if contracted and source.zero is None:
-        raise MissingZeroError("contracted algebra needs a designated zero")
-    dropped = source.zero if contracted else None
-    basis = tuple(g for g in range(source.order) if g != dropped)
-    basis_of_source = [RING_ZERO] * source.order
-    for b, g in enumerate(basis):
-        basis_of_source[g] = b
-    return AlgebraPresentation(
-        source=source,
-        basis_size=len(basis),
-        structure=tuple(tuple(basis_of_source[source.table[s][t]] for t in basis) for s in basis),
-        scalar_modulus=scalar_modulus,
-        source_of_basis=basis,
-        basis_of_source=tuple(basis_of_source),
-        contracted=contracted,
-    )
-
-
 def magma_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraPresentation:
     """The plain magma algebra: every element, including a designated zero, is a basis line."""
-    return _presentation(source, scalar_modulus, False)
+    return AlgebraPresentation(source, scalar_modulus, False)
 
 
 def contracted_algebra(source: FiniteMagma, scalar_modulus: int = 2) -> AlgebraPresentation:
     """The zero-magma algebra with the magma zero identified with the ring zero."""
-    return _presentation(source, scalar_modulus, True)
+    return AlgebraPresentation(source, scalar_modulus, True)
 
 
 def category_algebra(cat: FinitePrecategory, scalar_modulus: int = 2) -> AlgebraPresentation:
@@ -174,10 +175,8 @@ class Verdict:
 
 def _lines(algebra: AlgebraPresentation, width: int) -> list:
     """lines[g][h] = 1 << (h*nb + b), the bit of g's base line b in parts[h] of a packed family (one int,
-    nb = basis_size bits per part), or 0 off the basis (a contracted zero); checked at each packer's call."""
+    nb = basis_size bits per part), or 0 off the basis (a contracted zero)."""
     nb = algebra.basis_size
-    if not {None, *range(nb)}.issuperset(algebra.basis_of_source):
-        raise BasisMismatchError(f"the algebra's basis_of_source leaves 0..{nb - 1}")
     return [[0 if b is None else 1 << (h * nb + b) for h in range(width)] for b in algebra.basis_of_source]
 
 
@@ -210,7 +209,8 @@ def _packed_maps(algebra: AlgebraPresentation, maps, width: int):
 
 def _families(algebra: AlgebraPresentation, target: FiniteMagma, packed):
     """One family per packed int, built as it is taken and without ElementaryFamily.__post_init__, whose
-    checks the packer's basis check implies.  Equal parts of one call are one shared frozenset."""
+    checks hold by construction: the presentation numbers its basis lines 0..basis_size - 1.  Equal parts
+    of one call are one shared frozenset."""
     shifts = [h * algebra.basis_size for h in range(target.order)]
     full = (1 << algebra.basis_size) - 1
     shared = {}
@@ -218,10 +218,10 @@ def _families(algebra: AlgebraPresentation, target: FiniteMagma, packed):
     for family_bits in packed:
         parts = []
         for shift in shifts:
-            field = family_bits >> shift & full
-            part = shared.get(field)
+            part_bits = family_bits >> shift & full
+            part = shared.get(part_bits)
             if part is None:
-                part = shared[field] = frozenset(_bits(field))
+                part = shared[part_bits] = frozenset(_bits(part_bits))
             parts.append(part)
         # The frozen fields, set as __init__ sets them (in order, so instances share one key
         # table and read their fields as fast), without its __post_init__.

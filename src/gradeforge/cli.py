@@ -233,7 +233,7 @@ def _bit_bounds(formula, v):
 
 def _closed_form(name, keys, value):
     """The report of a closed form without an oracle: value(*params) under the parameter names keys."""
-    return lambda *v: counting.CountReport(name, dict(zip(keys, v)), value(*v), None, None)
+    return lambda *v: counting.CountReport(name, dict(zip(keys, v)), value(*v), None)
 
 
 # formula: (parameters, report)

@@ -5,6 +5,11 @@ shape (p*q^(m-1))^(n^m) overflow fixed-width integers immediately.  Where a
 printed formula is suspect, the report carries the printed value and a
 corrected candidate side by side and the brute force pins the truth; nothing
 is silently "fixed".
+
+The closed forms are not bounded in the Python API: for one,
+count_groupoid_gradings_as_printed(2, 10**5, 2, 2) forms a 2*10**10-bit
+integer.  Only `gradeforge count` bounds the bits a formula forms, spending
+them from its --budget before it evaluates the formula.
 """
 
 from __future__ import annotations
@@ -36,31 +41,28 @@ from .magma import (
 )
 
 
+def _agreement(value: int, brute: int | None) -> bool | None:
+    """Whether value equals the brute-force count, or None when the oracle was skipped."""
+    return None if brute is None else value == brute
+
+
 @dataclass(frozen=True)
 class CountReport:
     """A closed-form value next to its brute-force check.
 
     brute_force_value is None when the oracle was skipped (budget); agrees is
-    None exactly in that case.
+    None exactly in that case, as is every *_agrees extra.
     """
 
     formula_name: str
     parameters: dict
     closed_form_value: int
     brute_force_value: int | None
-    agrees: bool | None
     extras: dict = field(default_factory=dict)
 
-
-def _report(name, parameters, closed, brute, extras=None) -> CountReport:
-    return CountReport(
-        formula_name=name,
-        parameters=parameters,
-        closed_form_value=closed,
-        brute_force_value=brute,
-        agrees=None if brute is None else closed == brute,
-        extras=extras or {},
-    )
+    @property
+    def agrees(self) -> bool | None:
+        return _agreement(self.closed_form_value, self.brute_force_value)
 
 
 def _within(oracle):
@@ -87,7 +89,7 @@ def matrix_group_gradings_report(n: int, q: int, budget: Budget = DEFAULT_BUDGET
         source = matrix_unit_zero_magma(n)
         return len(enumerate_zero_homs(source, with_zero_adjoined(cyclic_group_magma(q)), budget))
 
-    return _report("matrix_group_gradings", {"n": n, "q": q}, closed, _within(oracle))
+    return CountReport("matrix_group_gradings", {"n": n, "q": q}, closed, _within(oracle))
 
 
 def count_groupoid_gradings_as_printed(m: int, n: int, p: int, q: int) -> int:
@@ -131,16 +133,8 @@ def count_functors_connected_groupoids(
     (m, n, p, q), corrected = _connected_closed_form(source, target, budget)
     printed = count_groupoid_gradings_as_printed(m, n, p, q)
     brute = _within(lambda: len(enumerate_functors(source, target, budget)))
-    return _report(
-        "connected_groupoid_functors",
-        {"m": m, "n": n, "p": p, "q": q},
-        corrected,
-        brute,
-        extras={
-            "printed_value": printed,
-            "printed_agrees": None if brute is None else printed == brute,
-        },
-    )
+    extras = {"printed_value": printed, "printed_agrees": _agreement(printed, brute)}
+    return CountReport("connected_groupoid_functors", {"m": m, "n": n, "p": p, "q": q}, corrected, brute, extras)
 
 
 def count_surjective_functions(m: int, n: int) -> int:
@@ -160,17 +154,12 @@ def surjective_functions_report(m: int, n: int, budget: Budget = DEFAULT_BUDGET)
         return sum(len(set(images)) == n for images in itertools.product(range(n), repeat=m))
 
     brute = _within(oracle)
-    return _report(
-        "surjective_functions",
-        {"m": m, "n": n},
-        closed,
-        brute,
-        extras={
-            "prefactored_value": prefactored,
-            "prefactored_is_integer": remainder == 0,
-            "prefactored_agrees": None if brute is None else prefactored == brute,
-        },
-    )
+    extras = {
+        "prefactored_value": prefactored,
+        "prefactored_is_integer": remainder == 0,
+        "prefactored_agrees": _agreement(prefactored, brute),
+    }
+    return CountReport("surjective_functions", {"m": m, "n": n}, closed, brute, extras)
 
 
 def count_abelian_homs(source_factors, target_factors) -> int:
@@ -196,12 +185,8 @@ def abelian_homs_report(source_factors, target_factors, budget: Budget = DEFAULT
         source, target = abelian_group_magma(source_factors), abelian_group_magma(target_factors)
         return len(enumerate_homs(source, target, budget))
 
-    return _report(
-        "abelian_homs",
-        {"source": list(source_factors), "target": list(target_factors)},
-        closed,
-        _within(oracle),
-    )
+    parameters = {"source": list(source_factors), "target": list(target_factors)}
+    return CountReport("abelian_homs", parameters, closed, _within(oracle))
 
 
 def count_subspaces(p: int, n: int) -> CountReport:
@@ -222,13 +207,7 @@ def count_subspaces(p: int, n: int) -> CountReport:
             a *= p ** n - p ** i
             b *= p ** k - p ** i
         total += a // b
-    return _report(
-        "subspace_count",
-        {"p": p, "n": n},
-        total,
-        None,
-        extras={"including_zero_subspace": total + 1},
-    )
+    return CountReport("subspace_count", {"p": p, "n": n}, total, None, {"including_zero_subspace": total + 1})
 
 
 def subspaces_report(p: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountReport:
@@ -247,7 +226,7 @@ def subspaces_report(p: int, n: int, budget: Budget = DEFAULT_BUDGET) -> CountRe
     brute = None if brute_all is None else brute_all - 1  # drop the zero subspace to match the k >= 1 sum
     extras = dict(report.extras)
     extras["oracle_including_zero_subspace"] = brute_all
-    return _report("subspace_count", report.parameters, report.closed_form_value, brute, extras)
+    return CountReport("subspace_count", report.parameters, report.closed_form_value, brute, extras)
 
 
 def count_disconnected(
@@ -266,16 +245,6 @@ def count_disconnected(
     grid = [[_connected_closed_form(sp, tp, budget)[1] for tp in target_parts] for sp in source_parts]
     brute = _within(lambda: len(enumerate_functors(source, target, budget)))
     pairwise = prod(cell for row in grid for cell in row)
-    return _report(
-        "disconnected_functors",
-        {
-            "source_components": len(source_parts),
-            "target_components": len(target_parts),
-        },
-        prod(sum(row) for row in grid),
-        brute,
-        extras={
-            "pairwise_product": pairwise,
-            "pairwise_agrees": None if brute is None else pairwise == brute,
-        },
-    )
+    parameters = {"source_components": len(source_parts), "target_components": len(target_parts)}
+    extras = {"pairwise_product": pairwise, "pairwise_agrees": _agreement(pairwise, brute)}
+    return CountReport("disconnected_functors", parameters, prod(sum(row) for row in grid), brute, extras)

@@ -110,7 +110,7 @@ def _parse_groupoid_presentation(lines, object_count, morphism_count):
         lineno, toks = lines[i]
         if len(toks) != 2:
             raise ParseError("expected 'vertex-group <order>'", lineno, 1)
-        q = _int(toks[1], "bad vertex group order {!r}", lineno, 14)
+        q = _count(toks[1], "bad vertex group order {!r}", lineno, 14)
         i += 1
         table = []
         for _ in range(q):

@@ -5,6 +5,7 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradeforge import algebra as alg
 from gradeforge.algebra import (
@@ -321,6 +322,56 @@ class TestPresentationsAgainstDefinitions:
         assert checked == 4
 
 
+class TestPresentationIsItsInputs:
+    """A presentation is its source, field and contraction.  Its basis and structure constants are
+    computed from those three, dataclasses.replace re-checks the field, and no computed field can be
+    set, so no presentation disagrees with its own source."""
+
+    COMPUTED = ("basis_size", "structure", "source_of_basis", "basis_of_source")
+
+    @pytest.fixture(scope="class")
+    def builds(self, order2, idem_pair_zero3, idem_zero2, data_dir):
+        """(builder, operand) for the conftest magmas, the zero magmas and the .cat fixtures."""
+        magmas = list(order2.values())
+        zero_magmas = [idem_pair_zero3, idem_zero2, *map(with_zero_adjoined, magmas)]
+        categories = [parse_category(path.read_text(encoding="utf-8")) for path in sorted(data_dir.glob("*.cat"))]
+        return [
+            *((magma_algebra, g) for g in magmas + zero_magmas),
+            *((contracted_algebra, g) for g in zero_magmas),
+            *((category_algebra, c) for c in categories),
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_computed_fields_follow_from_the_inputs(self, builds, data):
+        build, operand = data.draw(st.sampled_from(builds), label="algebra")
+        p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+        a = build(operand, p)
+        g, dropped = a.source, a.source.zero if a.contracted else None
+        assert (a.scalar_modulus, a.contracted) == (p, build is not magma_algebra)
+        assert a.source_of_basis == tuple(x for x in range(g.order) if x != dropped)
+        assert a.basis_of_source == tuple(None if x == dropped else a.source_of_basis.index(x) for x in range(g.order))
+        assert a.structure == tuple(
+            tuple(a.basis_of_source[g.table[s][t]] for t in a.source_of_basis) for s in a.source_of_basis
+        )
+        assert a.basis_size == len(a.source_of_basis)
+        with pytest.raises(ValidationError, match="4 is not prime"):
+            dataclasses.replace(a, scalar_modulus=4)
+        moved = dataclasses.replace(a, scalar_modulus=5)
+        fresh = (contracted_algebra if a.contracted else magma_algebra)(g, 5)
+        assert moved == fresh and hash(moved) == hash(fresh) and (moved == a) == (p == 5)
+        assert [getattr(moved, name) for name in self.COMPUTED] == [getattr(fresh, name) for name in self.COMPUTED]
+        name = data.draw(st.sampled_from(self.COMPUTED), label="computed field")
+        with pytest.raises((ValueError, TypeError), match="init=False"):  # TypeError from Python 3.13
+            dataclasses.replace(a, **{name: getattr(a, name)})
+
+    @pytest.mark.parametrize("contracted", [None, 0, 1, "yes"])
+    def test_contracted_must_be_a_bool(self, order2, contracted):
+        # Else None would build a plain algebra unequal to magma_algebra's, which its enumerations refuse.
+        with pytest.raises(ValidationError, match=f"contracted must be a bool, got {contracted!r}"):
+            alg.AlgebraPresentation(order2["aaab"], 2, contracted)
+
+
 class TestPlainEnumerations:
     def test_single_grading_from_single_hom(self, order2):
         a = magma_algebra(order2["aaaa"])
@@ -597,14 +648,6 @@ class TestFamiliesPassTheCheckingConstructor:
             filters = functools.partial(enumerate_category_filters, source, target, budget=ORACLE_BUDGET)
             checked += self.passes(a, indexed_by, filters)
         assert checked >= 85
-
-    def test_a_basis_map_out_of_range_is_refused_before_any_family(self, order2):
-        a = magma_algebra(order2["aaaa"])
-        bad = dataclasses.replace(a, basis_of_source=(0, 2))
-        with pytest.raises(BasisMismatchError, match="leaves 0..1"):
-            alg._family_enumeration("filters", False, bad, order2["aaaa"], ORACLE_BUDGET)  # raised by the call, not by the iteration
-        with pytest.raises(BasisMismatchError):
-            grading_from_relation(bad, PairRelation(order2["aaaa"], order2["aaaa"], frozenset()))
 
 
 class TestFamilyEnumerationCounts:

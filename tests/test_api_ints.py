@@ -43,6 +43,7 @@ CALLS = {
     "validate_precategory:ends": ((1, 1), lambda d, c: gf.validate_precategory(1, [(d, c)], [[0]], None)),
     "validate_precategory:identity": ((1,), lambda i: gf.validate_precategory(1, [(0, 0)], [[0]], [i])),
     "vertex_group_table": ((2,), lambda obj: gf.vertex_group_table(MG2, obj)),
+    "AlgebraPresentation": ((2**64,), lambda p: gf.AlgebraPresentation(Z2_ZERO, p, True)),
     "magma_algebra": ((2**64,), lambda p: gf.magma_algebra(Z2, p)),
     "contracted_algebra": ((2**64,), lambda p: gf.contracted_algebra(Z2_ZERO, p)),
     "category_algebra": ((2**64,), lambda p: gf.category_algebra(MG2, p)),
@@ -73,7 +74,7 @@ STRUCTURED = {
     "relation_from_filter", "count_disconnected", "count_functors_connected_groupoids",
 }
 # Plain records that the package fills and the validators above build, never checked themselves.
-RECORDS = {"FiniteMagma", "FinitePrecategory", "MorphismMap", "AlgebraPresentation", "Verdict", "CountReport"}
+RECORDS = {"FiniteMagma", "FinitePrecategory", "MorphismMap", "Verdict", "CountReport"}
 CONSTANTS = {"DEFAULT_BUDGET", "RING_ZERO"}
 # The exception types are raised by the package, not called with counts, and make up the rest.
 

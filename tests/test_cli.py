@@ -443,7 +443,10 @@ class TestEveryTextRefusal:
             ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 2\n0\n1 0\n", ParseError),
             ("category", PRESENTED.format(2, 8) + "component 0 1\nvertex-group 2\n0 1\n1 0\n", ParseError),
             ("category", PRESENTED.format(2, 1) + "component 0\nvertex-group 1\n0\n", ParseError),
+            ("category", PRESENTED.format(1, 1) + "component 0\nvertex-group -1\n", ParseError),
             ("category", PRESENTED.format(1, 2) + "component 0\nvertex-group 2\n0 0\n0 0\n", NotAGroupError),
+            # An order of 0 parses: the empty table is then refused as a group with no identity.
+            ("category", PRESENTED.format(1, 1) + "component 0\nvertex-group 0\n", NotAGroupError),
             ("category", PRESENTED.format(1, 5) + "component 0\nvertex-group 5\n" + LOOP5, NotAssociativeError),
             ("category", "category 1\n", ParseError),
             ("category", "category 1 1\nm 0 0 x\n", ParseError),
@@ -459,7 +462,8 @@ class TestEveryTextRefusal:
         ids=[
             "magma-empty", "magma-zero-line", "magma-long-int", "component-line", "component-order",
             "component-twice", "vertex-group-missing", "vertex-group-line", "vertex-group-row-missing",
-            "vertex-group-row-short", "tree-edge-count", "components-cover", "vertex-group-no-identity",
+            "vertex-group-row-short", "tree-edge-count", "components-cover", "vertex-group-negative",
+            "vertex-group-no-identity", "vertex-group-empty",
             "vertex-group-not-associative", "category-header", "m-line", "identity-not-a-loop", "two-identities",
             "duplicate-composite", "left-unit", "family-json", "family-part-not-a-list",
         ],

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gradeforge.budget import Budget
+from gradeforge.budget import DEFAULT_BUDGET, Budget
 from gradeforge.category import (
     connected_groupoid,
     disjoint_union,
@@ -283,3 +283,45 @@ class TestDisconnected:
         empty = FinitePrecategory(0, (), (), ())
         report = count_disconnected(matrix_groupoid(2), empty)
         assert report.closed_form_value == 0 and report.agrees
+
+
+# Every report, at small inputs, as a call on a budget (count_subspaces has no oracle to run).
+REPORTS = {
+    "matrix_group_gradings": lambda budget: matrix_group_gradings_report(2, 2, budget),
+    "connected_groupoid_functors": lambda budget: count_functors_connected_groupoids(
+        matrix_groupoid(2), matrix_groupoid(2), budget
+    ),
+    "surjective_functions": lambda budget: surjective_functions_report(3, 2, budget),
+    "abelian_homs": lambda budget: abelian_homs_report([2], [2], budget),
+    "count_subspaces": lambda budget: count_subspaces(2, 2),
+    "subspaces_report": lambda budget: subspaces_report(2, 2, budget),
+    "disconnected_functors": lambda budget: count_disconnected(
+        matrix_groupoid(1), disjoint_union(matrix_groupoid(1), matrix_groupoid(1)), budget
+    ),
+}
+# Each extra that holds a second value against the brute force, and the key of that value.
+COMPARED = {"printed_agrees": "printed_value", "prefactored_agrees": "prefactored_value", "pairwise_agrees": "pairwise_product"}
+
+
+class TestAgreementRule:
+    """agrees, and every *_agrees extra, is None exactly when the brute force was skipped, and
+    otherwise says whether its value equals the brute force."""
+
+    @pytest.mark.parametrize("max_nodes", [None, 1], ids=["default-budget", "one-node"])
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_every_report(self, name, max_nodes):
+        budget = DEFAULT_BUDGET if max_nodes is None else Budget(max_nodes=max_nodes)
+        try:
+            report = REPORTS[name](budget)
+        except SizeOverflowError:
+            # A groupoid closed form counts vertex-group homs under the same budget, and one node is
+            # short of that count; two cover it and are still short of the brute force.
+            assert max_nodes == 1 and name in ("connected_groupoid_functors", "disconnected_functors")
+            report = REPORTS[name](Budget(max_nodes=2))
+        brute = report.brute_force_value
+        assert (brute is None) == (max_nodes == 1 or name == "count_subspaces")
+        assert report.agrees is (None if brute is None else report.closed_form_value == brute)
+        compared = [key for key in report.extras if key.endswith("_agrees")]
+        assert set(compared) <= COMPARED.keys()
+        for key in compared:
+            assert report.extras[key] is (None if brute is None else report.extras[COMPARED[key]] == brute)

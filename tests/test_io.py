@@ -138,6 +138,9 @@ class TestParseErrorPositions:
             (parse_category, "category 1 1\nm 0 0 id\nc 0 0 x\n", "bad morphism index", 3, 3),
             (parse_category, "category 1 1\ngroupoid-presentation\ncomponent x\n", "bad object index in component", 3, 1),
             (parse_category, "category 1 1\ngroupoid-presentation\ncomponent 0\nvertex-group x\n", "bad vertex group order 'x'", 4, 14),
+            # A negative vertex-group order is refused where it is read, not as an empty group later.
+            (parse_category, "category 1 1\ngroupoid-presentation\ncomponent 0\nvertex-group -1\n", "bad vertex group order '-1'", 4, 14),
+            (parse_category, "category 1 1\ngroupoid-presentation\ncomponent 0\nvertex-group -1\n0\n", "bad vertex group order '-1'", 4, 14),
             (parse_category, PRESENTED.replace("group 1", "group 2") + "0 x\n", "bad vertex group entry", 5, 1),
             # The row that is missing is the one after the last line read.
             (parse_category, "category 1 2\ngroupoid-presentation\ncomponent 0\nvertex-group 2\n0 1\n", "missing vertex group row", 6, 1),
